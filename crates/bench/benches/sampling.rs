@@ -10,7 +10,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use raf_bench::sampling::{
     arena_sample_pool, arena_solve, legacy_sample_pool, legacy_solve, workload, LegacyCsr,
 };
-use raf_model::sampler::WalkKernel;
 use raf_model::FriendingInstance;
 
 const NODES: usize = 10_000;
@@ -29,14 +28,11 @@ fn bench_sampling_pipeline(c: &mut Criterion) {
         b.iter(|| legacy_sample_pool(&instance, &legacy_csr, WALKS, SEED, 1))
     });
     group.bench_function("arena_sample", |b| {
-        b.iter(|| arena_sample_pool(&instance, WALKS, SEED, 1, WalkKernel::Scalar))
-    });
-    group.bench_function("arena_sample_lockstep", |b| {
-        b.iter(|| arena_sample_pool(&instance, WALKS, SEED, 1, WalkKernel::Lockstep))
+        b.iter(|| arena_sample_pool(&instance, WALKS, SEED, 1))
     });
     let legacy_pool = legacy_sample_pool(&instance, &legacy_csr, WALKS, SEED, 1);
     group.bench_function("legacy_solve", |b| b.iter(|| legacy_solve(n, &legacy_pool, BETA)));
-    let arena_pool = arena_sample_pool(&instance, WALKS, SEED, 1, WalkKernel::Scalar);
+    let arena_pool = arena_sample_pool(&instance, WALKS, SEED, 1);
     group.bench_function("arena_solve", |b| b.iter(|| arena_solve(n, arena_pool.clone(), BETA)));
     group.bench_function("legacy_end_to_end", |b| {
         b.iter(|| {
@@ -46,7 +42,7 @@ fn bench_sampling_pipeline(c: &mut Criterion) {
     });
     group.bench_function("arena_end_to_end", |b| {
         b.iter(|| {
-            let pool = arena_sample_pool(&instance, WALKS, SEED, 1, WalkKernel::Scalar);
+            let pool = arena_sample_pool(&instance, WALKS, SEED, 1);
             arena_solve(n, pool, BETA)
         })
     });
@@ -57,7 +53,7 @@ fn bench_pool_coverage(c: &mut Criterion) {
     use raf_model::InvitationSet;
     let (csr, s, t) = workload(NODES, SEED);
     let instance = FriendingInstance::new(&csr, s, t).expect("screened pair");
-    let pool = arena_sample_pool(&instance, WALKS, SEED, 1, WalkKernel::Scalar);
+    let pool = arena_sample_pool(&instance, WALKS, SEED, 1);
     let full = InvitationSet::full(csr.node_count());
     c.bench_function("arena_pool_coverage_full", |b| b.iter(|| pool.coverage(&full)));
 }

@@ -23,7 +23,7 @@ use crate::sampling::{legacy_sample_pool, BenchProfile, LegacyCsr, Scenario, Wor
 use raf_cover::{allocate_budget, Allocation, BudgetTarget, CoverInstance};
 use raf_datasets::{load_dataset, sample_campaigns, Dataset, DatasetSource, PairSamplerConfig};
 use raf_graph::NodeId;
-use raf_model::sampler::{pair_seed, SampleRequest, WalkKernel};
+use raf_model::sampler::{pair_seed, SampleRequest};
 use raf_model::FriendingInstance;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -48,8 +48,6 @@ pub struct CampaignBenchConfig {
     pub seed: u64,
     /// Timed repetitions per side; the minimum is reported.
     pub reps: usize,
-    /// Walk kernel the arena side samples with (never changes pools).
-    pub kernel: WalkKernel,
     /// History-lineage label (see [`BenchProfile`]).
     pub profile: &'static str,
     /// Directory searched for real SNAP files.
@@ -81,7 +79,6 @@ pub fn campaign_config(scenario: Scenario, profile: BenchProfile) -> CampaignBen
         walks: profile.walks(),
         seed: 13,
         reps: profile.reps(),
-        kernel: WalkKernel::Auto,
         profile: profile.name(),
         data_dir: PathBuf::from("data"),
     }
@@ -286,11 +283,7 @@ pub fn run_campaign_bench(config: CampaignBenchConfig) -> CampaignBenchReport {
             .iter()
             .zip(&seeds)
             .map(|(inst, &seed)| {
-                SampleRequest::new(config.walks)
-                    .seed(seed)
-                    .threads(config.threads)
-                    .kernel(config.kernel)
-                    .run(inst)
+                SampleRequest::new(config.walks).seed(seed).threads(config.threads).run(inst)
             })
             .collect();
         arena_sample_ns = arena_sample_ns.min(start.elapsed().as_nanos());
@@ -360,7 +353,6 @@ mod tests {
             walks: 4_000,
             seed: 13,
             reps: 1,
-            kernel: WalkKernel::Auto,
             profile: "full",
             data_dir: PathBuf::from("data"),
         }

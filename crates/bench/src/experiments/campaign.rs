@@ -53,10 +53,9 @@ pub struct CampaignSweepConfig {
     pub scale: f64,
     /// Walks per target pool.
     pub walks: u64,
-    /// Master seed; the whole report is deterministic per
-    /// `(config, threads)`.
+    /// Master seed; the whole report is deterministic per config.
     pub seed: u64,
-    /// Sampling threads.
+    /// Sampling threads (speed only; the report never depends on them).
     pub threads: usize,
     /// Directory searched for real SNAP files.
     pub data_dir: PathBuf,

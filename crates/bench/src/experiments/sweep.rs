@@ -61,10 +61,9 @@ pub struct SweepConfig {
     pub scale: f64,
     /// Walks per shared evaluation pool.
     pub eval_samples: u64,
-    /// Master seed; the whole report is deterministic per
-    /// `(config, threads)`.
+    /// Master seed; the whole report is deterministic per config.
     pub seed: u64,
-    /// Sampling threads.
+    /// Sampling threads (speed only; the report never depends on them).
     pub threads: usize,
     /// Directory searched for real SNAP files.
     pub data_dir: PathBuf,
@@ -184,7 +183,7 @@ impl SweepReport {
     ///
     /// Deliberately excludes wall-clock (`SweepRow::wall_ms` prints on
     /// the stdout panel instead): the report is byte-deterministic for a
-    /// fixed `(config, threads)`, so diffs mean the *science* changed —
+    /// fixed config at any thread count, so diffs mean the *science* changed —
     /// perf trajectories belong to `BENCH_sampling.json`.
     pub fn to_csv(&self) -> CsvTable {
         let mut table = CsvTable::new([

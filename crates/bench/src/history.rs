@@ -456,19 +456,12 @@ impl BenchHistory {
     pub fn baseline_legacy_sample_ns(&self, scenario: &str, profile: &str) -> Option<f64> {
         self.last_for(scenario, profile)?.path_f64(&["legacy_ns", "sample"])
     }
-
-    /// The walk-kernel bake-off sampling time (ns) of the same baseline
-    /// entry for `kernel` (`"scalar"` or `"lockstep"`) — `None` for
-    /// entries predating the bake-off or for non-dataset scenarios.
-    pub fn baseline_kernel_ns(&self, scenario: &str, profile: &str, kernel: &str) -> Option<f64> {
-        self.last_for(scenario, profile)?.path_f64(&["kernel_ns", kernel])
-    }
 }
 
 /// How the regression gate should account for machine speed when
 /// comparing a fresh measurement against a committed baseline, derived
-/// from the calibration timing (the frozen legacy sampler, or the scalar
-/// kernel) recorded in both.
+/// from the calibration timing (the frozen legacy sampler) recorded in
+/// both.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MachineFactor {
     /// Both calibration timings are sane: multiply the baseline by this
@@ -596,32 +589,6 @@ mod tests {
         assert_eq!(h.baseline_total_ns(V1_SCENARIO, "full"), Some(21_413_972.0));
         assert_eq!(h.baseline_legacy_sample_ns(V1_SCENARIO, "full"), Some(33_467_145.0));
         assert_eq!(h.baseline_total_ns(V1_SCENARIO, "quick"), None);
-        // Pre-bake-off entries have no kernel timings.
-        assert_eq!(h.baseline_kernel_ns(V1_SCENARIO, "full", "lockstep"), None);
-    }
-
-    #[test]
-    fn kernel_baselines_read_the_bakeoff_fields() {
-        let mut h = BenchHistory::default();
-        h.push(JsonValue::Obj(vec![
-            ("scenario".into(), JsonValue::Str("dataset_wiki_7k_t1".into())),
-            ("profile".into(), JsonValue::Str("full".into())),
-            (
-                "kernel_ns".into(),
-                JsonValue::Obj(vec![
-                    ("scalar".into(), JsonValue::Num(9_000_000.0)),
-                    ("lockstep".into(), JsonValue::Num(6_000_000.0)),
-                    ("lanes".into(), JsonValue::Num(16.0)),
-                ]),
-            ),
-        ]));
-        assert_eq!(h.baseline_kernel_ns("dataset_wiki_7k_t1", "full", "scalar"), Some(9_000_000.0));
-        assert_eq!(
-            h.baseline_kernel_ns("dataset_wiki_7k_t1", "full", "lockstep"),
-            Some(6_000_000.0)
-        );
-        assert_eq!(h.baseline_kernel_ns("dataset_wiki_7k_t1", "quick", "scalar"), None);
-        assert_eq!(h.baseline_kernel_ns("dataset_hepth_28k_t1", "full", "scalar"), None);
     }
 
     #[test]

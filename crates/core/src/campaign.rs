@@ -24,8 +24,8 @@
 //! # Determinism and the `k = 1` contract
 //!
 //! The result is a pure function of `(graph, s, targets, budget, walks,
-//! seed, lanes)` — thread count and walk kernel never change pools, the
-//! allocator is exact-integer-deterministic, and targets are
+//! seed)` — the thread count never changes pools, the allocator is
+//! exact-integer-deterministic, and targets are
 //! canonicalized (sorted by node id) before allocation, so permuting the
 //! target list cannot change anything. With one target the campaign is
 //! the existing single-target pipeline bit for bit:
@@ -122,20 +122,13 @@ pub struct CampaignConfig {
     pub walks: u64,
     /// Master seed; target `t` samples with `pair_seed(seed, s, t)`.
     pub seed: u64,
-    /// Sampling threads. Under the default lane rule threads pick the
-    /// lane count (the sampler's determinism unit) exactly as every
-    /// other pipeline does — pin [`lanes`](Self::lanes) to make the
-    /// result fully thread-count independent.
+    /// Sampling threads (wall clock only, never the result).
     pub threads: usize,
-    /// Explicit lane-count override. `None` follows the legacy
-    /// threads-derived rule (serve-cache compatible); `Some(l)` pins the
-    /// pool to `l` lanes so `threads` affects wall clock only.
-    pub lanes: Option<usize>,
 }
 
 impl Default for CampaignConfig {
     fn default() -> Self {
-        CampaignConfig { budget: 10, walks: 50_000, seed: 0, threads: 1, lanes: None }
+        CampaignConfig { budget: 10, walks: 50_000, seed: 0, threads: 1 }
     }
 }
 
@@ -197,13 +190,10 @@ impl Campaign {
         let mut reports: Vec<CampaignTargetReport> = Vec::with_capacity(instance.target_count());
         for fi in instance.instances() {
             let t = fi.target();
-            let mut request = SampleRequest::new(self.config.walks)
+            let pool = SampleRequest::new(self.config.walks)
                 .seed(pair_seed(self.config.seed, s, t.index() as u32))
-                .threads(self.config.threads);
-            if let Some(lanes) = self.config.lanes {
-                request = request.lanes(lanes);
-            }
-            let pool = request.run(fi);
+                .threads(self.config.threads)
+                .run(fi);
             if pool.type1_count() == 0 {
                 return Err(CoreError::CampaignTargetUnreachable {
                     target: t.index(),
@@ -326,7 +316,7 @@ mod tests {
         let backward =
             CampaignInstance::new(&g, NodeId::new(0), &[NodeId::new(7), NodeId::new(1)]).unwrap();
         assert_eq!(forward.targets().collect::<Vec<_>>(), backward.targets().collect::<Vec<_>>());
-        let config = CampaignConfig { budget: 4, walks: 4_000, seed: 3, threads: 1, lanes: None };
+        let config = CampaignConfig { budget: 4, walks: 4_000, seed: 3, threads: 1 };
         let a = Campaign::new(config.clone()).run(&forward).unwrap();
         let b = Campaign::new(config).run(&backward).unwrap();
         assert_eq!(a, b);
@@ -339,15 +329,9 @@ mod tests {
             CampaignInstance::new(&g, NodeId::new(0), &[NodeId::new(1), NodeId::new(7)]).unwrap();
         let mut last = 0.0f64;
         for budget in [0usize, 1, 2, 4, 8] {
-            let res = Campaign::new(CampaignConfig {
-                budget,
-                walks: 8_000,
-                seed: 5,
-                threads: 1,
-                lanes: None,
-            })
-            .run(&inst)
-            .unwrap();
+            let res = Campaign::new(CampaignConfig { budget, walks: 8_000, seed: 5, threads: 1 })
+                .run(&inst)
+                .unwrap();
             assert!(res.invitations.len() <= budget);
             assert!(
                 res.objective >= last - 1e-12,
@@ -361,20 +345,14 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_never_changes_the_result_for_fixed_lanes() {
+    fn thread_count_never_changes_the_result() {
         let g = shared_hub();
         let inst =
             CampaignInstance::new(&g, NodeId::new(0), &[NodeId::new(1), NodeId::new(7)]).unwrap();
         let run = |threads| {
-            Campaign::new(CampaignConfig {
-                budget: 4,
-                walks: 20_000,
-                seed: 9,
-                threads,
-                lanes: Some(4),
-            })
-            .run(&inst)
-            .unwrap()
+            Campaign::new(CampaignConfig { budget: 4, walks: 20_000, seed: 9, threads })
+                .run(&inst)
+                .unwrap()
         };
         let single = run(1);
         for threads in [2, 4] {

@@ -6,7 +6,7 @@ use crate::CoreError;
 use raf_cover::{ChlamtacPortfolio, CoverInstance, ExactSolver, GreedyMarginal, MpuSolver};
 use raf_model::bounds::l_star;
 use raf_model::pmax::estimate_pmax_dklr;
-use raf_model::sampler::{PathPool, SampleRequest, WalkKernel};
+use raf_model::sampler::{PathPool, SampleRequest};
 use raf_model::{FriendingInstance, InvitationSet, ModelError};
 use serde::{Deserialize, Serialize};
 
@@ -58,15 +58,10 @@ pub struct RafConfig {
     pub budget: RealizationBudget,
     /// Cover solver choice.
     pub solver: SolverKind,
-    /// Master RNG seed (runs are deterministic given the seed and thread
-    /// count).
+    /// Master RNG seed (runs are deterministic given the seed).
     pub seed: u64,
-    /// Worker threads for pool sampling.
+    /// Worker threads for pool sampling (speed only, never the result).
     pub threads: usize,
-    /// Walk kernel for pool sampling (never changes results, only
-    /// speed — see [`WalkKernel`]).
-    #[serde(default)]
-    pub kernel: WalkKernel,
     /// Sample cap for the `p_max` estimation phase (Alg. 2).
     pub pmax_sample_cap: u64,
     /// Replace `n` by `|V_max|` in eq. (16) and restrict the cover
@@ -84,7 +79,6 @@ impl Default for RafConfig {
             solver: SolverKind::default(),
             seed: 0,
             threads: 1,
-            kernel: WalkKernel::default(),
             pmax_sample_cap: 2_000_000,
             use_vmax_reduction: true,
         }
@@ -119,12 +113,6 @@ impl RafConfig {
     /// Sets the sampling thread count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the walk kernel (scheduling only; results are unchanged).
-    pub fn kernel(mut self, kernel: WalkKernel) -> Self {
-        self.kernel = kernel;
         self
     }
 }
@@ -274,11 +262,8 @@ impl RafAlgorithm {
         .max(1);
 
         // Step 4: sample the pool B_l (Alg. 3 line 2).
-        let pool = SampleRequest::new(l)
-            .seed(cfg.seed.wrapping_add(1))
-            .threads(cfg.threads)
-            .kernel(cfg.kernel)
-            .run(instance);
+        let pool =
+            SampleRequest::new(l).seed(cfg.seed.wrapping_add(1)).threads(cfg.threads).run(instance);
 
         // Step 5-6: the MSC instance over the type-1 paths (Alg. 3 line 3).
         self.cover_phase(instance, &parameters, pool, pmax_est, theory_l, vmax_size)
@@ -366,7 +351,6 @@ mod tests {
             solver: SolverKind::Portfolio,
             seed: 7,
             threads: 1,
-            kernel: WalkKernel::Scalar,
             pmax_sample_cap: 500_000,
             use_vmax_reduction: true,
         };

@@ -13,7 +13,7 @@
 //! unique paths.
 //!
 //! The table stores arena slot ids (not paths), so per-thread interners
-//! can be merged in thread-index order with
+//! can be merged in any order with
 //! [`absorb`](PathInterner::absorb) — each unique path crosses threads
 //! exactly once, with its local multiplicity, which replaces the old
 //! global buffer concatenation with traffic proportional to the *unique*

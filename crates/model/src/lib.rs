@@ -26,9 +26,6 @@
 //!   deduplicated the moment they are sampled (open addressing over a
 //!   vendored FxHash-style hasher), replacing the old sort-based
 //!   assembly;
-//! * [`frontcode`] — front-coded (prefix-interned) pool storage:
-//!   adjacent paths in the canonical order share prefixes, so cold
-//!   tiers can store the arena in a fraction of the bytes;
 //! * [`walk_index`] — the edge→walk side index over the arena (a second
 //!   CSR keyed by draw-site node), resolving which stored walks an edge
 //!   delta invalidates in time proportional to the affected walks.
@@ -38,7 +35,6 @@
 
 pub mod acceptance;
 pub mod bounds;
-pub mod frontcode;
 pub mod intern;
 pub mod pmax;
 pub mod process;
@@ -61,7 +57,7 @@ pub mod prelude {
     pub use crate::pmax::{estimate_pmax_dklr, estimate_pmax_fixed, PmaxEstimate};
     pub use crate::reverse::{sample_target_path, sample_walk_into, TargetPath, WalkOutcome};
     pub use crate::sampler::{
-        pair_seed, repair_pool, threads_from_env, PathPool, PoolRepair, SampleRequest, WalkKernel,
+        pair_seed, repair_pool, threads_from_env, PathPool, PoolRepair, SampleRequest,
     };
     pub use crate::walk_index::EdgeWalkIndex;
     pub use crate::{FriendingInstance, InvitationSet, ModelError};

@@ -22,11 +22,13 @@
 //! (every count is multiplicity-weighted) while the cover instance the
 //! solvers see shrinks by up to an order of magnitude.
 //!
-//! For large `l` the work is embarrassingly parallel; threads each use an
-//! independently seeded RNG and dedup into a private interner, and the
-//! per-thread interners are merged in thread-index order — determinism by
-//! construction, with no mutex, and cross-thread traffic proportional to
-//! the unique pool rather than the sampled walks.
+//! For large `l` the work is embarrassingly parallel. Walk `i` draws only
+//! from its own RNG, [`walk_rng`]`(seed, i)`, so threads claim
+//! [`CANCEL_CHECK_INTERVAL`]-walk index blocks in whatever order they get
+//! to them, each dedups into a private interner, and the interners merge
+//! in any order — determinism by construction, no lock on the walk path,
+//! and cross-thread traffic proportional to the unique pool rather than
+//! the sampled walks.
 
 use crate::intern::PathInterner;
 use crate::reverse::{sample_walk_scratch, WalkOutcome, WalkScratch};
@@ -34,61 +36,64 @@ use crate::FriendingInstance;
 use raf_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::Instant;
 
-/// Below this many walks, a [`SampleRequest`] without an explicit lane
-/// override always runs the sequential sampler regardless of the
-/// requested thread count: thread startup would dominate the sampling
-/// itself, and keeping the fallback thread-count-independent means small
-/// pools are byte-identical for every `threads` value (only the master
-/// seed matters).
-pub const PARALLEL_THRESHOLD: u64 = 4_096;
-
-/// Node count at which [`WalkKernel::Auto`] switches from the scalar to
-/// the lockstep kernel. Calibrated against the committed bench cells in
-/// `BENCH_sampling.json`: at 10k–50k nodes the per-node walk metadata
-/// sits in L2 and lockstep's round-robin bookkeeping is pure overhead,
-/// while the 1M-node bake-off cell (`dataset_youtube_1m_t4`) shows the
-/// prefetch cohort winning 2.08× (scalar 338.4 ms vs lockstep 162.8 ms)
-/// once the metadata (≥ 2 MiB at ~16 B/node) decisively overflows L2.
-/// `1 << 17` (131 072) nodes ≈ the 2 MiB metadata boundary between
-/// those two regimes.
+/// Node count from which the sampler runs the lockstep loop instead of
+/// the scalar one: `1 << 17`, where the per-node walk metadata
+/// (~16 B/node) passes 2 MiB. Chosen on the cells where a 16-lane
+/// lockstep kernel lost to the scalar loop: 0.68–0.81× the scalar speed
+/// on wiki-7k and 0.77–1.02× on hepth-28k (one thread, three runs each).
+/// Where the crossover lies for this module's loops is an open
+/// measurement; moving the threshold never changes a pool.
 pub const AUTO_LOCKSTEP_NODES: usize = 1 << 17;
 
-/// Walks sampled between cooperative-cancellation checks: at every
-/// multiple of this count a worker consults its [`SampleControl`]
-/// (step budget, wall-clock deadline, probe) before starting the next
-/// batch. Coarse enough that an uncontrolled run pays nothing
-/// measurable, fine enough that a budgeted run overshoots its budget by
-/// at most one batch of walks — and because the check sits on a walk
-/// *count* boundary, the truncation point is deterministic for a fixed
-/// `(seed, budget, threads)`.
+/// Walks per sampling block. Threads claim walk indices a block at a
+/// time, and a block is where [`SampleControl`] is consulted (probe, step
+/// budget, deadline) before any of its walks start. Coarse enough that an
+/// uncontrolled run pays nothing measurable, fine enough that a budgeted
+/// run overshoots its budget by at most one block of walks.
 pub const CANCEL_CHECK_INTERVAL: u64 = 256;
 
+/// Walks each thread keeps in flight in the lockstep loop. Swept on the
+/// youtube-220k cell at two threads (200k walks, plain layout, median ms
+/// of nine interleaved rounds, 2-vCPU Xeon): scalar loop 150.5; width 1
+/// 151.6, 2 94.1, 4 81.8, 8 78.5, 16 79.1, 32 76.7, 64 76.4. The win
+/// saturates from 8 walks on; 16 sits inside that plateau with room for
+/// hosts that keep more misses in flight, and its scratch (~6 KiB) still
+/// fits in L1.
+const COHORT_WIDTH: usize = 16;
+
 /// Cooperative control over a pool-sampling run: the cancellation token
-/// the serving layer threads through the walk loop. All limits are
-/// checked at [`CANCEL_CHECK_INTERVAL`] walk boundaries, never mid-walk,
-/// so a controlled run samples a deterministic prefix of the
-/// uncontrolled run's walk stream (identical RNG draws per walk).
+/// the serving layer threads through the walk loop. Every check happens
+/// when a [`CANCEL_CHECK_INTERVAL`]-walk block is claimed, before any of
+/// its walks start — never mid-walk and never mid-block.
 ///
 /// `max_steps` is the *deterministic* budget: walk-steps (node advances
-/// plus the terminating draw) are a pure function of the RNG stream, so
-/// two runs with the same `(seed, max_steps, threads)` truncate at the
-/// same walk and produce bit-identical pools. `deadline` is the
-/// wall-clock cap layered on top — inherently nondeterministic, for
-/// latency protection rather than reproducibility.
+/// plus the terminating draw) are a pure function of the walk seeds, and
+/// block `b` is admitted only while blocks `0..b` have spent fewer than
+/// `max_steps` steps. A budgeted pool is therefore exactly the
+/// unbudgeted pool of its own walk count, at any thread count.
+/// `deadline` is the wall-clock cap layered on top — best-effort and
+/// nondeterministic, for latency protection rather than reproducibility.
 #[derive(Clone, Copy, Default)]
 pub struct SampleControl<'a> {
-    /// Walk-step budget across the run; `None` = unlimited. Split across
-    /// workers like the walk shares, so parallel truncation is
-    /// deterministic too.
+    /// Walk-step budget across the run; `None` = unlimited. A budgeted
+    /// run samples its blocks in index order on one thread.
     pub max_steps: Option<u64>,
-    /// Wall-clock deadline; `None` = no time cap.
+    /// Wall-clock deadline; `None` = no time cap. Blocks claimed before
+    /// it passes still complete.
     pub deadline: Option<std::time::Instant>,
-    /// Batch-boundary observer, called by each worker with the number of
-    /// walks it has completed so far (before every batch, including the
-    /// first at 0). This is the fault-injection seam: a probe may panic
-    /// (caught and isolated by the serving layer) or sleep (forcing the
-    /// wall-clock path). It must not affect the RNG stream.
+    /// Block observer, called with each claimed block's first walk index
+    /// (0, 256, 512, …) before the block's walks start — from several
+    /// threads at once when the run is parallel. This is the
+    /// fault-injection seam: a probe may panic (caught and isolated by
+    /// the serving layer) or sleep (forcing the wall-clock path). A panic
+    /// unwinds the thread that claimed the block and propagates out of
+    /// [`SampleRequest::run`] once the other threads have finished. It
+    /// must not affect the walks.
     pub probe: Option<&'a (dyn Fn(u64) + Sync)>,
 }
 
@@ -107,15 +112,6 @@ impl SampleControl<'_> {
     /// uncontrolled one.
     pub const UNLIMITED: SampleControl<'static> =
         SampleControl { max_steps: None, deadline: None, probe: None };
-
-    /// Whether a worker that has spent `steps` of its `budget` (its
-    /// share of `max_steps`) must stop before the next batch.
-    fn exhausted(&self, steps: u64, budget: Option<u64>) -> bool {
-        if budget.is_some_and(|b| steps >= b) {
-            return true;
-        }
-        self.deadline.is_some_and(|d| std::time::Instant::now() >= d)
-    }
 }
 
 /// A pool of sampled backward walks: the `B_l` of the paper, with the
@@ -173,7 +169,7 @@ impl PathPool {
 
     /// Reconstitutes a pool from already-canonical flat parts plus its
     /// walk tallies — the inverse of [`into_flat_parts`](Self::into_flat_parts)
-    /// used by the repair path and the front-coded decoder. The caller
+    /// used by the repair path. The caller
     /// guarantees the parts are in canonical lexicographic order with
     /// consistent offsets; debug builds re-check the invariants.
     pub(crate) fn from_canonical_parts(
@@ -193,17 +189,19 @@ impl PathPool {
     }
 
     /// Assembles a pool from per-thread walk shards, merging their
-    /// already-deduplicated interners in the given (thread-index) order
-    /// and permuting the unique paths into canonical lexicographic order.
-    /// On relabeled snapshots `original_map` translates the unique paths
-    /// back to original ids before the canonical sort, so assembled pools
-    /// are always in the caller's original id space.
-    fn assemble(shards: Vec<WalkShard>, total_samples: u64, original_map: Option<&[u32]>) -> Self {
+    /// already-deduplicated interners (merge order never changes the
+    /// result) and permuting the unique paths into canonical
+    /// lexicographic order. On relabeled snapshots `original_map`
+    /// translates the unique paths back to original ids before the
+    /// canonical sort, so assembled pools are always in the caller's
+    /// original id space.
+    fn assemble(shards: Vec<WalkShard>, original_map: Option<&[u32]>) -> Self {
+        let total_samples = shards.iter().map(|s| s.sampled).sum();
         let dangling = shards.iter().map(|s| s.dangling).sum();
         let cycles = shards.iter().map(|s| s.cycles).sum();
-        // A single shard (the sequential sampler) is consumed in place;
-        // multiple shards stream their unique paths into the first —
-        // each unique path crosses threads once, with its multiplicity.
+        // A single shard is consumed in place; multiple shards stream
+        // their unique paths into the first — each unique path crosses
+        // threads once, with its multiplicity.
         let mut shards = shards.into_iter();
         let merged = match shards.next() {
             None => return PathPool::empty(total_samples, dangling, cycles),
@@ -339,173 +337,12 @@ impl PathPool {
     }
 }
 
-/// A thread-private streaming sampler shard: each walk runs in reusable
-/// stack-first scratch and a type-1 walk is interned the moment it
-/// completes — a duplicate (the common case) only bumps a multiplicity
-/// and never touches the arena; type-0 walks cost nothing to discard.
-struct WalkShard {
-    interner: PathInterner,
-    scratch: WalkScratch,
-    dangling: u64,
-    cycles: u64,
-}
-
-impl WalkShard {
-    fn new() -> Self {
-        WalkShard {
-            interner: PathInterner::new(),
-            scratch: WalkScratch::new(),
-            dangling: 0,
-            cycles: 0,
-        }
-    }
-
-    /// Samples one backward walk and streams it into the interner,
-    /// returning the walk's *step cost*: the nodes it recorded plus the
-    /// terminating draw. Steps are a pure function of the RNG stream, so
-    /// they are the deterministic work unit the budgeted sampler meters.
-    fn sample<R: Rng>(&mut self, instance: &FriendingInstance<'_>, rng: &mut R) -> u64 {
-        let outcome = sample_walk_scratch(instance, rng, &mut self.scratch);
-        self.finish(outcome)
-    }
-
-    /// Books the walk currently in `scratch` under `outcome` — interning
-    /// a type-1 path, tallying a type-0 termination — and returns its
-    /// step cost. Shared by the scalar path (via
-    /// [`sample`](Self::sample)) and the lockstep kernel's stepwise
-    /// walks, so both meter identical work units per walk.
-    fn finish(&mut self, outcome: WalkOutcome) -> u64 {
-        match outcome {
-            WalkOutcome::ReachedSeed => self.interner.intern_copy(self.scratch.nodes(), 1),
-            WalkOutcome::Dangling => self.dangling += 1,
-            WalkOutcome::Cycle => self.cycles += 1,
-        }
-        self.scratch.nodes().len() as u64 + 1
-    }
-
-    /// Samples up to `l` walks under a control's limits (a worker's
-    /// `budget` share of `SampleControl::max_steps`), returning the walks
-    /// actually sampled. Limits and the probe fire only at
-    /// [`CANCEL_CHECK_INTERVAL`] boundaries, so the sampled walks are a
-    /// deterministic prefix of the uncontrolled stream.
-    fn run<R: Rng>(
-        &mut self,
-        instance: &FriendingInstance<'_>,
-        l: u64,
-        rng: &mut R,
-        control: &SampleControl<'_>,
-        budget: Option<u64>,
-    ) -> u64 {
-        let mut sampled = 0u64;
-        let mut steps = 0u64;
-        while sampled < l {
-            if let Some(probe) = control.probe {
-                probe(sampled);
-            }
-            if control.exhausted(steps, budget) {
-                break;
-            }
-            let batch = (l - sampled).min(CANCEL_CHECK_INTERVAL);
-            for _ in 0..batch {
-                steps += self.sample(instance, rng);
-            }
-            sampled += batch;
-        }
-        sampled
-    }
-}
-
-/// Which inner loop executes a sampling run's walks.
-///
-/// The kernel is a pure *scheduling* choice: every kernel consumes the
-/// same per-lane RNG streams in the same per-lane order, so for a fixed
-/// [`SampleRequest`] configuration (walks, seed, lanes, budget) the
-/// returned pool is bit-identical across kernels. Only wall-clock
-/// behavior differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum WalkKernel {
-    /// Pick per instance: scalar below [`AUTO_LOCKSTEP_NODES`] nodes,
-    /// lockstep at or above it — the committed bench cells show the
-    /// prefetch cohort only pays for itself once the per-node walk
-    /// metadata overflows L2 (see the constant's docs). Resolved by
-    /// [`WalkKernel::resolve`] when a request runs; because kernels are
-    /// pool-preserving, the heuristic can never change a result.
-    #[default]
-    Auto,
-    /// One walk at a time per lane, to completion — the classic loop.
-    /// Each walk step is a serial dependent-load chain (metadata record,
-    /// then neighbor slice), so throughput is memory-latency-bound once
-    /// the graph overflows the last-level cache.
-    Scalar,
-    /// All of a worker's lanes advance together, one step per lane per
-    /// round, and each step software-prefetches the *next* node's
-    /// metadata record before the scheduler moves to the other lanes —
-    /// by the time the cohort wheels back, the load has (ideally)
-    /// arrived. Converts the scalar kernel's serial latency chain into
-    /// memory-level parallelism across the cohort. Loses on graphs small
-    /// enough to sit in L2, where there is no latency to hide and the
-    /// round-robin bookkeeping is pure overhead.
-    Lockstep,
-}
-
-impl WalkKernel {
-    /// Both concrete kernels, in bake-off order (scalar is the
-    /// reference). `Auto` is a resolution policy, not a third loop, so
-    /// it is deliberately absent.
-    pub const ALL: [WalkKernel; 2] = [WalkKernel::Scalar, WalkKernel::Lockstep];
-
-    /// Stable lowercase name, as used by `--walk-kernel` and the bench
-    /// history's `kernel_ns` keys.
-    pub fn name(self) -> &'static str {
-        match self {
-            WalkKernel::Auto => "auto",
-            WalkKernel::Scalar => "scalar",
-            WalkKernel::Lockstep => "lockstep",
-        }
-    }
-
-    /// Inverse of [`name`](Self::name); `None` for unknown spellings.
-    pub fn parse(raw: &str) -> Option<WalkKernel> {
-        match raw {
-            "auto" => Some(WalkKernel::Auto),
-            "scalar" => Some(WalkKernel::Scalar),
-            "lockstep" => Some(WalkKernel::Lockstep),
-            _ => None,
-        }
-    }
-
-    /// The concrete kernel a request over a `nodes`-node instance runs:
-    /// `Auto` resolves by the [`AUTO_LOCKSTEP_NODES`] threshold; the
-    /// explicit kernels resolve to themselves.
-    pub fn resolve(self, nodes: usize) -> WalkKernel {
-        match self {
-            WalkKernel::Auto if nodes >= AUTO_LOCKSTEP_NODES => WalkKernel::Lockstep,
-            WalkKernel::Auto => WalkKernel::Scalar,
-            concrete => concrete,
-        }
-    }
-}
-
-impl std::fmt::Display for WalkKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// One lane's slice of a sampling run: its decorrelated RNG seed, its
-/// share of the requested walks, and its share of the step budget.
-struct LaneSpec {
-    seed: u64,
-    share: u64,
-    budget: Option<u64>,
-}
-
-/// A typed sampling run: the single entry point that replaced
-/// `sample_pool` / `sample_pool_controlled` / `sample_pool_parallel`.
+/// A typed sampling run: the one entry point every pool is sampled
+/// through.
 ///
 /// ```
 /// use raf_graph::{GraphBuilder, NodeId, WeightScheme};
-/// use raf_model::sampler::{SampleRequest, WalkKernel};
+/// use raf_model::sampler::SampleRequest;
 /// use raf_model::FriendingInstance;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -513,68 +350,46 @@ struct LaneSpec {
 /// b.add_edges(vec![(0, 1), (1, 2), (2, 3)])?;
 /// let g = b.build(WeightScheme::UniformByDegree)?.to_csr();
 /// let inst = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(3))?;
-/// let pool = SampleRequest::new(10_000)
-///     .seed(7)
-///     .kernel(WalkKernel::Lockstep)
-///     .run(&inst);
+/// let pool = SampleRequest::new(10_000).seed(7).threads(2).run(&inst);
 /// assert_eq!(pool.total_samples(), 10_000);
+/// assert_eq!(pool, SampleRequest::new(10_000).seed(7).run(&inst));
 /// # Ok(())
 /// # }
 /// ```
 ///
-/// # Determinism model: lanes
+/// # Determinism model: one seed per walk
 ///
-/// A run is decomposed into `L` **lanes** — virtual workers. Lane `i`
-/// draws from `StdRng::seed_from_u64(seed ⊕ splitmix(i+1))` (the master
-/// seed directly when `L == 1`) and owns a fixed share of the walks
-/// (`walks/L`, the remainder spread over the low lane indices), exactly
-/// like the per-thread split always did. The
-/// per-lane interners merge in lane-index order at assembly. The pool is
-/// therefore a pure function of `(instance, walks, seed, lanes,
-/// max_steps)`: OS thread count and kernel choice never change the
-/// result, only how fast it arrives. By default `L` follows the legacy
-/// rule — one lane when `threads == 1` or `walks <`
-/// [`PARALLEL_THRESHOLD`], otherwise `threads` lanes — which keeps every
-/// pool bit-identical to what the original per-thread entry points
-/// produced.
-/// [`lanes`](Self::lanes) overrides `L` explicitly (e.g. to give the
-/// lockstep kernel a wide cohort on a single core, or to pin pools
-/// across machines with different core counts).
+/// Walk `i`, for `i` in `0..walks`, draws only from
+/// [`walk_rng`]`(seed, i)`, so the pool is a pure function of
+/// `(instance, walks, seed, max_steps)`. Everything else is an execution
+/// choice that never changes it: the thread count, which thread takes
+/// which block, the order walks finish in, and which loop runs them. The
+/// sampler picks the loop itself — scalar below [`AUTO_LOCKSTEP_NODES`]
+/// nodes, lockstep from there on — and no caller can choose for it.
 ///
 /// # Budget unit
 ///
 /// `SampleControl::max_steps` is denominated in **walk-steps**: one unit
 /// per node a walk records plus one for its terminating draw — a pure
-/// function of the RNG stream, unlike wall-clock time. The budget is
-/// split across lanes exactly like the walk shares. Each lane checks its
-/// spent steps (and the probe, and the deadline) only at
-/// [`CANCEL_CHECK_INTERVAL`]-walk boundaries, never mid-walk and never
-/// mid-batch, so a budgeted run samples a deterministic prefix of the
-/// unbudgeted run's per-lane walk streams — identical across kernels and
-/// OS thread counts (property-tested in `tests/kernel_equivalence.rs`).
+/// function of the walk seeds, unlike wall-clock time. Walks are grouped
+/// into [`CANCEL_CHECK_INTERVAL`]-walk blocks in index order, and block
+/// `b` is admitted only while blocks `0..b` spent fewer than `max_steps`
+/// steps, so a budgeted pool equals the unbudgeted pool of its own walk
+/// count at every thread count (property-tested in
+/// `tests/kernel_equivalence.rs`).
 #[derive(Debug, Clone, Copy)]
 pub struct SampleRequest<'a> {
     walks: u64,
     seed: u64,
     threads: usize,
-    lanes: Option<usize>,
-    kernel: WalkKernel,
     control: Option<&'a SampleControl<'a>>,
 }
 
 impl<'a> SampleRequest<'a> {
-    /// A request for `walks` backward walks: sequential, master seed 0,
-    /// auto kernel (resolved per instance at [`run`](Self::run) time),
-    /// no control — refine with the builder methods.
+    /// A request for `walks` backward walks: one thread, seed 0, no
+    /// control — refine with the builder methods.
     pub fn new(walks: u64) -> SampleRequest<'a> {
-        SampleRequest {
-            walks,
-            seed: 0,
-            threads: 1,
-            lanes: None,
-            kernel: WalkKernel::Auto,
-            control: None,
-        }
+        SampleRequest { walks, seed: 0, threads: 1, control: None }
     }
 
     /// Replaces the walk count, keeping every other knob — how the
@@ -585,32 +400,16 @@ impl<'a> SampleRequest<'a> {
         self
     }
 
-    /// Master seed the lane seeds derive from.
+    /// Seed the per-walk RNGs derive from (see [`walk_rng`]).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
 
-    /// OS worker threads (minimum 1). Threads only *execute* lanes —
-    /// contiguous chunks, merged in lane order — so the thread count
-    /// never changes the pool, only the default lane count (see the
-    /// determinism model above).
+    /// OS worker threads (minimum 1; never more than there are blocks to
+    /// claim). Changes how fast the pool arrives, never the pool.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Pins the lane count (minimum 1), overriding the legacy
-    /// `threads`-derived default. The pool then depends on `lanes` but
-    /// not on `threads`.
-    pub fn lanes(mut self, lanes: usize) -> Self {
-        self.lanes = Some(lanes.max(1));
-        self
-    }
-
-    /// Selects the inner loop. Never changes the pool.
-    pub fn kernel(mut self, kernel: WalkKernel) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -620,62 +419,237 @@ impl<'a> SampleRequest<'a> {
         self
     }
 
-    /// The lane count this request resolves to: the explicit override,
-    /// or the legacy rule (1 when `threads <= 1` or `walks <`
-    /// [`PARALLEL_THRESHOLD`], else `threads`).
-    pub fn effective_lanes(&self) -> usize {
-        match self.lanes {
-            Some(lanes) => lanes,
-            None => {
-                let threads = self.threads.max(1);
-                if threads == 1 || self.walks < PARALLEL_THRESHOLD {
-                    1
-                } else {
-                    threads
+    /// Runs the request and assembles the pool. See the type-level docs
+    /// for the determinism guarantees; a panicking probe's panic (the
+    /// fault-injection seam the serving layer catches) propagates from
+    /// here.
+    pub fn run(&self, instance: &FriendingInstance<'_>) -> PathPool {
+        self.run_loop(instance, uses_lockstep(instance.node_count()))
+    }
+
+    /// Runs the request on the lockstep loop or the scalar loop.
+    fn run_loop(&self, instance: &FriendingInstance<'_>, lockstep: bool) -> PathPool {
+        let unlimited = SampleControl::UNLIMITED;
+        let blocks = Blocks::new(self.walks, self.control.unwrap_or(&unlimited));
+        // A step budget admits blocks in index order, so it runs on one
+        // thread; otherwise every thread gets at least one block.
+        let threads = if blocks.control.max_steps.is_some() {
+            1
+        } else {
+            (self.threads as u64).clamp(1, blocks.count().max(1)) as usize
+        };
+        let work = || {
+            if lockstep {
+                run_lockstep(instance, self.seed, &blocks)
+            } else {
+                run_scalar(instance, self.seed, &blocks)
+            }
+        };
+        let shards: Vec<WalkShard> = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+            let mut shards = vec![work()];
+            for helper in helpers {
+                shards.push(helper.join().unwrap_or_else(|payload| resume_unwind(payload)));
+            }
+            shards
+        });
+        PathPool::assemble(shards, instance.original_table())
+    }
+}
+
+/// Whether a run over a `nodes`-node instance takes the lockstep loop
+/// (see [`AUTO_LOCKSTEP_NODES`]).
+fn uses_lockstep(nodes: usize) -> bool {
+    nodes >= AUTO_LOCKSTEP_NODES
+}
+
+/// The RNG that walk `index` of a request seeded `seed` draws from — the
+/// whole determinism model: a walk depends on these two numbers and the
+/// instance, nothing else. The seed is mixed before the index is folded
+/// in, so nearby seeds (`--seed 1`, `--seed 2`) draw unrelated walks
+/// instead of the same walks under shifted indices.
+pub fn walk_rng(seed: u64, index: u64) -> StdRng {
+    StdRng::seed_from_u64(splitmix64(seed) ^ index)
+}
+
+/// The walk-index blocks of one run, handed out in index order to
+/// whichever thread asks next, with every [`SampleControl`] check made at
+/// the hand-out. Both atomics are `Relaxed`: neither publishes other
+/// data — the shards come back through `join`.
+struct Blocks<'c> {
+    walks: u64,
+    control: &'c SampleControl<'c>,
+    /// First walk index of the next unclaimed block.
+    next: AtomicU64,
+    /// Set once a step budget or the deadline ends the run.
+    stopped: AtomicBool,
+}
+
+impl<'c> Blocks<'c> {
+    fn new(walks: u64, control: &'c SampleControl<'c>) -> Self {
+        Blocks { walks, control, next: AtomicU64::new(0), stopped: AtomicBool::new(false) }
+    }
+
+    fn count(&self) -> u64 {
+        self.walks.div_ceil(CANCEL_CHECK_INTERVAL)
+    }
+
+    /// The walk indices of the next block, for a worker whose walks so
+    /// far cost `steps` walk-steps; `None` once the walks run out or the
+    /// run is stopped. Budgeted runs have a single worker, so `steps` is
+    /// then the spend of every earlier block.
+    fn claim(&self, steps: u64) -> Option<Range<u64>> {
+        if self.stopped.load(Ordering::Relaxed) {
+            return None;
+        }
+        let start = self.next.fetch_add(CANCEL_CHECK_INTERVAL, Ordering::Relaxed);
+        if start >= self.walks {
+            return None;
+        }
+        if let Some(probe) = self.control.probe {
+            probe(start);
+        }
+        let over_budget = self.control.max_steps.is_some_and(|budget| steps >= budget);
+        if over_budget || self.control.deadline.is_some_and(|d| Instant::now() >= d) {
+            self.stopped.store(true, Ordering::Relaxed);
+            return None;
+        }
+        Some(start..self.walks.min(start.saturating_add(CANCEL_CHECK_INTERVAL)))
+    }
+}
+
+/// One thread's share of a run. A type-1 walk is interned the moment it
+/// completes — a duplicate (the common case) only bumps a multiplicity
+/// and never touches the arena — and a type-0 walk is only tallied.
+struct WalkShard {
+    interner: PathInterner,
+    dangling: u64,
+    cycles: u64,
+    /// Walks completed.
+    sampled: u64,
+    /// Walk-steps spent: per walk, the nodes it recorded plus the
+    /// terminating draw — the unit `SampleControl::max_steps` meters.
+    steps: u64,
+}
+
+impl WalkShard {
+    fn new() -> Self {
+        WalkShard { interner: PathInterner::new(), dangling: 0, cycles: 0, sampled: 0, steps: 0 }
+    }
+
+    /// Books the walk in `scratch`, which ended with `outcome`.
+    fn book(&mut self, scratch: &WalkScratch, outcome: WalkOutcome) {
+        match outcome {
+            WalkOutcome::ReachedSeed => self.interner.intern_copy(scratch.nodes(), 1),
+            WalkOutcome::Dangling => self.dangling += 1,
+            WalkOutcome::Cycle => self.cycles += 1,
+        }
+        self.sampled += 1;
+        self.steps += scratch.nodes().len() as u64 + 1;
+    }
+}
+
+/// The scalar loop: each walk runs to completion before the next starts.
+/// Every step is a serial dependent-load chain (metadata record, then
+/// neighbor slice), which is the cheapest way to walk while the graph's
+/// metadata sits in L2.
+fn run_scalar(instance: &FriendingInstance<'_>, seed: u64, blocks: &Blocks<'_>) -> WalkShard {
+    let mut shard = WalkShard::new();
+    let mut scratch = WalkScratch::new();
+    while let Some(block) = blocks.claim(shard.steps) {
+        for walk in block {
+            let outcome = sample_walk_scratch(instance, &mut walk_rng(seed, walk), &mut scratch);
+            shard.book(&scratch, outcome);
+        }
+    }
+    shard
+}
+
+/// One in-flight walk of the lockstep cohort.
+struct CohortSlot {
+    scratch: WalkScratch,
+    rng: StdRng,
+    /// Node the walk stands on; meaningful while `walking`.
+    current: u32,
+    walking: bool,
+}
+
+impl CohortSlot {
+    /// Takes one step: the walk's outcome once it ends, `None` while it
+    /// goes on. The same draws and checks as `sample_walk_scratch`, a
+    /// step at a time.
+    fn step(&mut self, instance: &FriendingInstance<'_>) -> Option<WalkOutcome> {
+        let g = instance.graph();
+        let r = self.rng.gen::<f64>();
+        let Some(next) = g.select_guided(NodeId::new(self.current as usize), r) else {
+            return Some(WalkOutcome::Dangling);
+        };
+        // Seed and cycle checks commute — see sample_walk_into.
+        if instance.is_seed(next) {
+            return Some(WalkOutcome::ReachedSeed);
+        }
+        let id = next.index() as u32;
+        if self.scratch.contains(id) {
+            return Some(WalkOutcome::Cycle);
+        }
+        self.scratch.push(id);
+        // The next step's dependent load: start pulling this walk's
+        // metadata record now, so it lands while the rest of the cohort
+        // takes its turn.
+        g.prefetch_node(next);
+        self.current = id;
+        None
+    }
+}
+
+/// The lockstep loop: a cohort of [`COHORT_WIDTH`] walks advances
+/// round-robin, one step per walk per round, and each step prefetches
+/// the walk's next metadata record before the other walks take their
+/// turns — the scalar loop's serial latency chain becomes memory-level
+/// parallelism across the cohort. A finished walk's slot takes the next
+/// walk index at once. Under a step budget the cohort drains at every
+/// block boundary, so the budget has seen every step of the earlier
+/// blocks before it admits the next one.
+fn run_lockstep(instance: &FriendingInstance<'_>, seed: u64, blocks: &Blocks<'_>) -> WalkShard {
+    let drain = blocks.control.max_steps.is_some();
+    let t = instance.target().index() as u32;
+    let mut shard = WalkShard::new();
+    // Idle slots; each takes its walk's own RNG when it starts a walk.
+    let mut slots: Vec<CohortSlot> = (0..COHORT_WIDTH)
+        .map(|_| CohortSlot {
+            scratch: WalkScratch::new(),
+            rng: walk_rng(seed, 0),
+            current: t,
+            walking: false,
+        })
+        .collect();
+    let mut block = 0..0;
+    let mut live = 0usize;
+    let mut exhausted = false;
+    while !(exhausted && live == 0) {
+        for slot in &mut slots {
+            if !slot.walking {
+                if block.is_empty() && !exhausted && !(drain && live > 0) {
+                    match blocks.claim(shard.steps) {
+                        Some(next) => block = next,
+                        None => exhausted = true,
+                    }
                 }
+                let Some(walk) = block.next() else { continue };
+                slot.rng = walk_rng(seed, walk);
+                slot.scratch.begin(t);
+                slot.current = t;
+                slot.walking = true;
+                live += 1;
+            }
+            if let Some(outcome) = slot.step(instance) {
+                shard.book(&slot.scratch, outcome);
+                slot.walking = false;
+                live -= 1;
             }
         }
     }
-
-    /// Runs the request and assembles the pool. See the type-level docs
-    /// for the determinism guarantees; panics propagate from a panicking
-    /// probe (the fault-injection seam the serving layer catches).
-    pub fn run(&self, instance: &FriendingInstance<'_>) -> PathPool {
-        let unlimited = SampleControl::UNLIMITED;
-        let control = self.control.unwrap_or(&unlimited);
-        let lanes = self.effective_lanes();
-        let specs: Vec<LaneSpec> = (0..lanes as u64)
-            .map(|i| LaneSpec {
-                seed: if lanes == 1 { self.seed } else { self.seed ^ splitmix64(i + 1) },
-                share: self.walks / lanes as u64 + u64::from((self.walks % lanes as u64) > i),
-                budget: control
-                    .max_steps
-                    .map(|b| b / lanes as u64 + u64::from((b % lanes as u64) > i)),
-            })
-            .collect();
-        let threads = self.threads.max(1).min(lanes);
-        let kernel = self.kernel.resolve(instance.node_count());
-        let groups: Vec<(Vec<WalkShard>, u64)> = if threads == 1 {
-            vec![run_lane_group(instance, &specs, control, kernel)]
-        } else {
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                let mut start = 0usize;
-                for i in 0..threads {
-                    let count = lanes / threads + usize::from(lanes % threads > i);
-                    let chunk = &specs[start..start + count];
-                    start += count;
-                    handles.push(
-                        scope.spawn(move || run_lane_group(instance, chunk, control, kernel)),
-                    );
-                }
-                handles.into_iter().map(|h| h.join().expect("sampler thread panicked")).collect()
-            })
-        };
-        let sampled = groups.iter().map(|(_, s)| s).sum();
-        let shards: Vec<WalkShard> = groups.into_iter().flat_map(|(shards, _)| shards).collect();
-        PathPool::assemble(shards, sampled, instance.original_table())
-    }
+    shard
 }
 
 /// The outcome of [`repair_pool`]: either an incrementally repaired pool
@@ -713,7 +687,7 @@ pub enum PoolRepair {
 /// entry's [`SampleRequest`] with its walk count replaced by the stale
 /// mass — the seed should be a *repair* seed derived from the pool seed
 /// and the delta serial, keeping the repaired pool a pure function of
-/// `(instance, walk history, seed, lanes)`). Kept paths and re-sampled
+/// `(instance, walk history, seed)`). Kept paths and re-sampled
 /// paths merge through the interner and re-canonicalize, so two pools
 /// that agree as multisets still agree byte-for-byte after repair.
 ///
@@ -782,154 +756,6 @@ pub fn repair_pool(
     }
 }
 
-/// Executes one OS thread's contiguous chunk of lanes under `kernel`.
-fn run_lane_group(
-    instance: &FriendingInstance<'_>,
-    specs: &[LaneSpec],
-    control: &SampleControl<'_>,
-    kernel: WalkKernel,
-) -> (Vec<WalkShard>, u64) {
-    match kernel {
-        // `Auto` is resolved against the instance before dispatch; the
-        // scalar loop is the safe identity if one ever slips through.
-        WalkKernel::Auto | WalkKernel::Scalar => run_lanes_scalar(instance, specs, control),
-        WalkKernel::Lockstep => run_lanes_lockstep(instance, specs, control),
-    }
-}
-
-/// The scalar kernel: each lane runs to completion in turn, exactly the
-/// classic per-thread sequential loop.
-fn run_lanes_scalar(
-    instance: &FriendingInstance<'_>,
-    specs: &[LaneSpec],
-    control: &SampleControl<'_>,
-) -> (Vec<WalkShard>, u64) {
-    let mut shards = Vec::with_capacity(specs.len());
-    let mut sampled = 0u64;
-    for spec in specs {
-        let mut rng = StdRng::seed_from_u64(spec.seed);
-        let mut shard = WalkShard::new();
-        sampled += shard.run(instance, spec.share, &mut rng, control, spec.budget);
-        shards.push(shard);
-    }
-    (shards, sampled)
-}
-
-/// Per-lane state for the lockstep kernel: the quantities the scalar
-/// [`WalkShard::run`] loop keeps in locals, plus the in-flight walk
-/// position, so the cohort scheduler can advance a lane one step at a
-/// time and put it down again.
-struct LaneState {
-    shard: WalkShard,
-    rng: StdRng,
-    share: u64,
-    budget: Option<u64>,
-    sampled: u64,
-    steps: u64,
-    /// Walks left before the next batch-boundary control check.
-    batch_left: u64,
-    /// Node the in-flight walk stands on; meaningful iff `walking`.
-    current: u32,
-    walking: bool,
-    done: bool,
-}
-
-impl LaneState {
-    fn new(spec: &LaneSpec) -> Self {
-        LaneState {
-            shard: WalkShard::new(),
-            rng: StdRng::seed_from_u64(spec.seed),
-            share: spec.share,
-            budget: spec.budget,
-            sampled: 0,
-            steps: 0,
-            batch_left: 0,
-            current: 0,
-            walking: false,
-            done: false,
-        }
-    }
-
-    /// Advances this lane by one walk step (starting a new walk — and,
-    /// at batch boundaries, running the probe/budget/deadline checks —
-    /// as needed). Mirrors [`WalkShard::run`] + `sample_walk_scratch`
-    /// exactly: per-lane RNG draws, probe calls, batch accounting, and
-    /// walk outcomes are identical; only the interleaving across lanes
-    /// differs, which the per-lane RNG streams make unobservable in the
-    /// pool.
-    fn advance(&mut self, instance: &FriendingInstance<'_>, control: &SampleControl<'_>) {
-        if !self.walking {
-            if self.batch_left == 0 {
-                if self.sampled >= self.share {
-                    self.done = true;
-                    return;
-                }
-                if let Some(probe) = control.probe {
-                    probe(self.sampled);
-                }
-                if control.exhausted(self.steps, self.budget) {
-                    self.done = true;
-                    return;
-                }
-                self.batch_left = (self.share - self.sampled).min(CANCEL_CHECK_INTERVAL);
-            }
-            let t = instance.target();
-            self.shard.scratch.begin(t.index() as u32);
-            self.current = t.index() as u32;
-            self.walking = true;
-        }
-        let g = instance.graph();
-        match g.select_guided(NodeId::new(self.current as usize), self.rng.gen::<f64>()) {
-            None => self.complete(WalkOutcome::Dangling),
-            Some(next) => {
-                // Seed and cycle checks commute — see sample_walk_into.
-                if instance.is_seed(next) {
-                    self.complete(WalkOutcome::ReachedSeed);
-                    return;
-                }
-                let next_id = next.index() as u32;
-                if self.shard.scratch.contains(next_id) {
-                    self.complete(WalkOutcome::Cycle);
-                    return;
-                }
-                self.shard.scratch.push(next_id);
-                // The next step's dependent load: start pulling this
-                // lane's metadata record now, so it lands while the rest
-                // of the cohort takes its turn.
-                g.prefetch_node(next);
-                self.current = next_id;
-            }
-        }
-    }
-
-    fn complete(&mut self, outcome: WalkOutcome) {
-        self.steps += self.shard.finish(outcome);
-        self.sampled += 1;
-        self.batch_left -= 1;
-        self.walking = false;
-    }
-}
-
-/// The lockstep kernel: round-robin over the chunk's live lanes, one
-/// step per lane per round, so each lane's freshly issued prefetch has
-/// the whole rest of the cohort's work to complete under.
-fn run_lanes_lockstep(
-    instance: &FriendingInstance<'_>,
-    specs: &[LaneSpec],
-    control: &SampleControl<'_>,
-) -> (Vec<WalkShard>, u64) {
-    let mut lanes: Vec<LaneState> = specs.iter().map(LaneState::new).collect();
-    let mut live: Vec<usize> = (0..lanes.len()).collect();
-    while !live.is_empty() {
-        live.retain(|&i| {
-            lanes[i].advance(instance, control);
-            !lanes[i].done
-        });
-    }
-    let sampled = lanes.iter().map(|lane| lane.sampled).sum();
-    (lanes.into_iter().map(|lane| lane.shard).collect(), sampled)
-}
-
 /// Worker thread count from the `RAF_THREADS` environment variable
 /// (default 1 when unset or unparsable, minimum 1).
 ///
@@ -950,13 +776,14 @@ pub fn threads_from_env() -> usize {
 /// per-pair pool from one master seed — the serve cache's pool seeds and
 /// the campaign sampler both use it — so a campaign pool for `(s, t)`
 /// and a single-target serve query on the same pair draw bit-identical
-/// walk streams and can share one cache entry. Node ids are in the
-/// *instance's* space (post-relabeling when a relabeled layout serves).
+/// walk streams and can share one cache entry. Node ids are original
+/// ids, the ones queries name: serve keys, `Campaign::run`, and offline
+/// replays all pass them, so a pair keeps its seed on every layout.
 pub fn pair_seed(master: u64, s: u32, t: u32) -> u64 {
     master ^ splitmix64((u64::from(s) << 32) | u64::from(t))
 }
 
-/// SplitMix64 finalizer — decorrelates per-thread seeds.
+/// SplitMix64 finalizer — decorrelates per-walk and per-pair seeds.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e3779b97f4a7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
@@ -1150,15 +977,18 @@ mod tests {
 
     #[test]
     fn below_threshold_is_thread_count_independent() {
-        // l < PARALLEL_THRESHOLD ⇒ every thread count resolves to one
-        // lane with the master seed: byte-identical pools.
+        // One seed per walk: every thread count samples the sequential
+        // pool — below one block, where a single thread runs every walk
+        // whatever count was asked for, and above it, however the blocks
+        // fall to the threads.
         let g = path_csr(5);
         let inst = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(4)).unwrap();
-        let l = PARALLEL_THRESHOLD - 1;
-        let seq = SampleRequest::new(l).seed(5).run(&inst);
-        for threads in [1usize, 2, 4, 8] {
-            let par = SampleRequest::new(l).seed(5).threads(threads).run(&inst);
-            assert_eq!(par, seq, "threads = {threads}");
+        for l in [CANCEL_CHECK_INTERVAL - 1, 9_000] {
+            let seq = SampleRequest::new(l).seed(5).run(&inst);
+            for threads in [2usize, 4, 8, 64] {
+                let par = SampleRequest::new(l).seed(5).threads(threads).run(&inst);
+                assert_eq!(par, seq, "l = {l}, threads = {threads}");
+            }
         }
     }
 
@@ -1188,31 +1018,31 @@ mod tests {
 
     #[test]
     fn kernels_produce_identical_pools() {
-        // The tentpole invariant: lockstep scheduling is a pure
-        // reordering. For matched lane counts the pools are bit-equal —
-        // across budgets, lane counts, and OS thread counts.
+        // Both loops draw walk i from walk_rng(seed, i) and book the same
+        // steps per walk, so they sample bit-equal pools — with and
+        // without a step budget, at every thread count, and under weight
+        // schemes whose incoming weights sum below 1 (a draw past the
+        // total selects nobody and the walk dangles).
         let mut b = GraphBuilder::new();
         b.add_edges(vec![(0, 2), (2, 3), (3, 1), (0, 4), (4, 1), (2, 4), (3, 5), (5, 1)]).unwrap();
-        let g = b.build(WeightScheme::UniformByDegree).unwrap().to_csr();
-        let inst = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(1)).unwrap();
+        let schemes = [
+            WeightScheme::UniformByDegree,
+            WeightScheme::ScaledByDegree { rho: 0.6 },
+            WeightScheme::ConstantCapped { weight: 0.3 },
+        ];
         let budgeted = SampleControl { max_steps: Some(7_000), ..SampleControl::UNLIMITED };
-        for lanes in [1usize, 3, 16] {
-            for threads in [1usize, 4] {
+        for scheme in schemes {
+            let g = b.build(scheme.clone()).unwrap().to_csr();
+            let inst = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(1)).unwrap();
+            for threads in [1usize, 3, 4] {
                 for control in [&SampleControl::UNLIMITED, &budgeted] {
-                    let run = |kernel| {
-                        SampleRequest::new(12_000)
-                            .seed(29)
-                            .threads(threads)
-                            .lanes(lanes)
-                            .kernel(kernel)
-                            .control(control)
-                            .run(&inst)
-                    };
-                    let scalar = run(WalkKernel::Scalar);
-                    let lockstep = run(WalkKernel::Lockstep);
+                    let request =
+                        SampleRequest::new(12_000).seed(29).threads(threads).control(control);
+                    let scalar = request.run_loop(&inst, false);
+                    let lockstep = request.run_loop(&inst, true);
                     assert_eq!(
                         scalar, lockstep,
-                        "kernel divergence at lanes={lanes} threads={threads} budget={:?}",
+                        "loop divergence under {scheme:?} at threads={threads} budget={:?}",
                         control.max_steps
                     );
                     assert!(scalar.total_samples() > 0);
@@ -1222,31 +1052,32 @@ mod tests {
     }
 
     #[test]
-    fn lanes_override_decouples_pool_from_threads() {
-        let g = path_csr(5);
-        let inst = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(4)).unwrap();
-        let reference = SampleRequest::new(9_000).seed(3).lanes(8).run(&inst);
-        for threads in [1usize, 2, 4, 8, 16] {
-            for kernel in WalkKernel::ALL {
-                let pool = SampleRequest::new(9_000)
-                    .seed(3)
-                    .threads(threads)
-                    .lanes(8)
-                    .kernel(kernel)
-                    .run(&inst);
-                assert_eq!(pool, reference, "threads={threads} kernel={kernel}");
+    fn isolated_target_dangles_on_both_loops() {
+        // An isolated target has no in-weight: every walk's first draw
+        // selects nobody, on either loop.
+        let mut b = GraphBuilder::new();
+        b.add_edges(vec![(0, 1), (1, 2)]).unwrap();
+        let g = b.reserve_nodes(4).build(WeightScheme::UniformByDegree).unwrap().to_csr();
+        let inst = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(3)).unwrap();
+        for lockstep in [false, true] {
+            for threads in [1usize, 4] {
+                let pool =
+                    SampleRequest::new(3_000).seed(8).threads(threads).run_loop(&inst, lockstep);
+                assert_eq!(pool.total_samples(), 3_000, "lockstep={lockstep} threads={threads}");
+                assert_eq!(pool.dangling_count(), 3_000, "lockstep={lockstep} threads={threads}");
             }
         }
     }
 
     #[test]
-    fn default_lanes_follow_the_legacy_rule() {
-        assert_eq!(SampleRequest::new(PARALLEL_THRESHOLD).effective_lanes(), 1);
-        assert_eq!(SampleRequest::new(PARALLEL_THRESHOLD).threads(4).effective_lanes(), 4);
-        assert_eq!(SampleRequest::new(PARALLEL_THRESHOLD - 1).threads(4).effective_lanes(), 1);
-        assert_eq!(SampleRequest::new(PARALLEL_THRESHOLD).threads(0).effective_lanes(), 1);
-        assert_eq!(SampleRequest::new(10).threads(4).lanes(7).effective_lanes(), 7);
-        assert_eq!(SampleRequest::new(10).lanes(0).effective_lanes(), 1, "lanes clamps to 1");
+    fn walk_rng_is_pure_and_seed_sensitive() {
+        let first = |seed, index| walk_rng(seed, index).gen::<u64>();
+        assert_eq!(first(7, 3), first(7, 3));
+        assert_ne!(first(7, 3), first(7, 4), "walks of one seed differ");
+        // Neighbouring seeds share no streams: walk i of seed s is not
+        // walk j of seed s' whenever s ^ i == s' ^ j.
+        assert_ne!(first(1, 0), first(0, 1));
+        assert_ne!(first(2, 3), first(3, 2));
     }
 
     #[test]
@@ -1256,15 +1087,18 @@ mod tests {
         let control = SampleControl { max_steps: Some(3_000), ..SampleControl::UNLIMITED };
         let request = SampleRequest::new(50_000).seed(9).control(&control);
         let a = request.run(&inst);
-        let b = request.run(&inst);
-        assert_eq!(a, b, "same (seed, budget) must truncate identically");
         assert!(a.total_samples() < 50_000, "budget must actually truncate");
-        assert!(a.total_samples() > 0, "a positive budget samples at least one batch");
-        // Truncation lands on a batch boundary.
+        assert!(a.total_samples() > 0, "a positive budget samples at least one block");
+        // Truncation lands on a block boundary.
         assert_eq!(a.total_samples() % CANCEL_CHECK_INTERVAL, 0);
-        // The truncated pool is a prefix of the full run's walk stream:
-        // resampling exactly that many walks uncontrolled is identical.
-        let prefix = SampleRequest::new(a.total_samples()).seed(9).run(&inst);
+        for threads in [1usize, 4] {
+            let b = request.threads(threads).run(&inst);
+            assert_eq!(a, b, "same (seed, budget) must truncate identically at threads={threads}");
+        }
+        // The truncated pool is the unbudgeted pool of its own walk
+        // count: resampling exactly that many walks uncontrolled is
+        // identical.
+        let prefix = SampleRequest::new(a.total_samples()).seed(9).threads(4).run(&inst);
         assert_eq!(a, prefix);
     }
 
@@ -1296,6 +1130,7 @@ mod tests {
         let b = request.run(&inst);
         assert_eq!(a, b);
         assert!(a.total_samples() < 40_000);
+        assert_eq!(a, SampleRequest::new(a.total_samples()).seed(11).threads(4).run(&inst));
     }
 
     #[test]
@@ -1303,11 +1138,11 @@ mod tests {
         let g = path_csr(5);
         let inst = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(4)).unwrap();
         let control = SampleControl { max_steps: Some(0), ..SampleControl::UNLIMITED };
-        for kernel in WalkKernel::ALL {
+        for lockstep in [false, true] {
             let pool =
-                SampleRequest::new(10_000).seed(5).kernel(kernel).control(&control).run(&inst);
-            assert_eq!(pool.total_samples(), 0, "kernel={kernel}");
-            assert_eq!(pool.unique_count(), 0, "kernel={kernel}");
+                SampleRequest::new(10_000).seed(5).control(&control).run_loop(&inst, lockstep);
+            assert_eq!(pool.total_samples(), 0, "lockstep={lockstep}");
+            assert_eq!(pool.unique_count(), 0, "lockstep={lockstep}");
         }
     }
 
@@ -1315,38 +1150,43 @@ mod tests {
     fn probe_sees_batch_boundaries_and_may_panic() {
         let g = path_csr(5);
         let inst = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(4)).unwrap();
-        use std::sync::atomic::{AtomicU64, Ordering};
-        for kernel in WalkKernel::ALL {
-            let calls = AtomicU64::new(0);
-            let probe = |_walks: u64| {
-                calls.fetch_add(1, Ordering::SeqCst);
-            };
+        for lockstep in [false, true] {
+            let starts = std::sync::Mutex::new(Vec::new());
+            let probe = |walk: u64| starts.lock().unwrap().push(walk);
             let control = SampleControl { probe: Some(&probe), ..SampleControl::UNLIMITED };
             let pool = SampleRequest::new(CANCEL_CHECK_INTERVAL * 3)
                 .seed(5)
-                .kernel(kernel)
                 .control(&control)
-                .run(&inst);
+                .run_loop(&inst, lockstep);
             assert_eq!(pool.total_samples(), CANCEL_CHECK_INTERVAL * 3);
-            assert_eq!(calls.load(Ordering::SeqCst), 3, "one probe call per batch ({kernel})");
+            assert_eq!(
+                *starts.lock().unwrap(),
+                [0, CANCEL_CHECK_INTERVAL, CANCEL_CHECK_INTERVAL * 2],
+                "one probe call per block, with its first walk index (lockstep={lockstep})"
+            );
             // A panicking probe unwinds out of the sampler (the serving
-            // layer catches it); the RNG stream up to the panic is
-            // untouched.
-            let trap = |walks: u64| {
-                assert!(
-                    walks < CANCEL_CHECK_INTERVAL * 2,
-                    "fault injection: panic at walk {walks}"
-                );
+            // layer catches it), at every thread count.
+            let trap = |walk: u64| {
+                if walk >= CANCEL_CHECK_INTERVAL * 2 {
+                    panic!("fault injection");
+                }
             };
             let control = SampleControl { probe: Some(&trap), ..SampleControl::UNLIMITED };
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                SampleRequest::new(CANCEL_CHECK_INTERVAL * 4)
-                    .seed(5)
-                    .kernel(kernel)
-                    .control(&control)
-                    .run(&inst)
-            }));
-            assert!(result.is_err(), "the probe's panic must propagate ({kernel})");
+            for threads in [1usize, 4] {
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    SampleRequest::new(CANCEL_CHECK_INTERVAL * 16)
+                        .seed(5)
+                        .threads(threads)
+                        .control(&control)
+                        .run_loop(&inst, lockstep)
+                }));
+                let payload = result.expect_err("the probe's panic must propagate");
+                assert_eq!(
+                    payload.downcast_ref::<&str>(),
+                    Some(&"fault injection"),
+                    "threads={threads} lockstep={lockstep}"
+                );
+            }
         }
     }
 
@@ -1354,44 +1194,35 @@ mod tests {
     fn wall_clock_deadline_stops_sampling() {
         let g = path_csr(5);
         let inst = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(4)).unwrap();
-        // A deadline already in the past stops at the first boundary.
+        // A deadline already in the past stops at the first block.
         let control = SampleControl {
             deadline: Some(std::time::Instant::now() - std::time::Duration::from_millis(1)),
             ..SampleControl::UNLIMITED
         };
-        for kernel in WalkKernel::ALL {
-            let pool =
-                SampleRequest::new(100_000).seed(5).kernel(kernel).control(&control).run(&inst);
-            assert_eq!(pool.total_samples(), 0, "an expired deadline samples nothing ({kernel})");
+        for lockstep in [false, true] {
+            for threads in [1usize, 4] {
+                let pool = SampleRequest::new(100_000)
+                    .seed(5)
+                    .threads(threads)
+                    .control(&control)
+                    .run_loop(&inst, lockstep);
+                assert_eq!(pool.total_samples(), 0, "an expired deadline samples nothing");
+            }
         }
-    }
-
-    #[test]
-    fn kernel_names_round_trip() {
-        for kernel in WalkKernel::ALL {
-            assert_eq!(WalkKernel::parse(kernel.name()), Some(kernel));
-        }
-        assert_eq!(WalkKernel::parse("auto"), Some(WalkKernel::Auto));
-        assert_eq!(WalkKernel::parse("vectorized"), None);
-        assert_eq!(WalkKernel::default(), WalkKernel::Auto);
     }
 
     #[test]
     fn auto_kernel_resolves_by_node_count() {
-        assert_eq!(WalkKernel::Auto.resolve(AUTO_LOCKSTEP_NODES - 1), WalkKernel::Scalar);
-        assert_eq!(WalkKernel::Auto.resolve(AUTO_LOCKSTEP_NODES), WalkKernel::Lockstep);
-        // Explicit kernels are fixed points: `--walk-kernel scalar`
-        // still overrides the heuristic at any scale.
-        for kernel in WalkKernel::ALL {
-            assert_eq!(kernel.resolve(1), kernel);
-            assert_eq!(kernel.resolve(usize::MAX), kernel);
-        }
+        assert!(!uses_lockstep(1));
+        assert!(!uses_lockstep(AUTO_LOCKSTEP_NODES - 1));
+        assert!(uses_lockstep(AUTO_LOCKSTEP_NODES));
+        assert!(uses_lockstep(usize::MAX));
     }
 
     #[test]
     fn auto_switchover_preserves_pools() {
-        // Either side of the Auto threshold, the resolved kernel must
-        // hand back the same pool as both explicit kernels. The large
+        // Either side of the threshold, the loop the sampler picks must
+        // hand back the same pool as both loops run directly. The large
         // side uses a star graph (every walk terminates in one hop) so
         // building a >2^17-node instance stays cheap.
         let small = path_csr(6);
@@ -1401,14 +1232,13 @@ mod tests {
         b.add_edge(1, 2).unwrap(); // t = 1 hangs one hop off s's neighborhood
         let star = b.build(WeightScheme::UniformByDegree).unwrap().to_csr();
         let star_inst = FriendingInstance::new(&star, NodeId::new(0), NodeId::new(1)).unwrap();
-        for (inst, expect) in
-            [(&small_inst, WalkKernel::Scalar), (&star_inst, WalkKernel::Lockstep)]
-        {
-            assert_eq!(WalkKernel::Auto.resolve(inst.node_count()), expect);
-            let auto = SampleRequest::new(6_000).seed(11).run(inst);
-            for kernel in WalkKernel::ALL {
-                let explicit = SampleRequest::new(6_000).seed(11).kernel(kernel).run(inst);
-                assert_eq!(auto, explicit, "auto vs {kernel} at {} nodes", inst.node_count());
+        for (inst, expect) in [(&small_inst, false), (&star_inst, true)] {
+            assert_eq!(uses_lockstep(inst.node_count()), expect);
+            let request = SampleRequest::new(6_000).seed(11);
+            let auto = request.run(inst);
+            for lockstep in [false, true] {
+                let explicit = request.run_loop(inst, lockstep);
+                assert_eq!(auto, explicit, "lockstep={lockstep} at {} nodes", inst.node_count());
             }
         }
     }
@@ -1475,12 +1305,11 @@ mod tests {
         let relab = FriendingInstance::relabeled(&relabeled_csr, NodeId::new(0), NodeId::new(1), r)
             .unwrap();
         for threads in [1usize, 4] {
-            for kernel in WalkKernel::ALL {
-                let a =
-                    SampleRequest::new(20_000).seed(33).threads(threads).kernel(kernel).run(&plain);
-                let b =
-                    SampleRequest::new(20_000).seed(33).threads(threads).kernel(kernel).run(&relab);
-                assert_eq!(a, b, "threads={threads} kernel={kernel}");
+            for lockstep in [false, true] {
+                let request = SampleRequest::new(20_000).seed(33).threads(threads);
+                let a = request.run_loop(&plain, lockstep);
+                let b = request.run_loop(&relab, lockstep);
+                assert_eq!(a, b, "threads={threads} lockstep={lockstep}");
                 assert!(a.unique_count() >= 2);
             }
         }

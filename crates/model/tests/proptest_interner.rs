@@ -8,10 +8,8 @@ use proptest::prelude::*;
 use raf_graph::{generators, CsrGraph, NodeId, WeightScheme};
 use raf_model::intern::PathInterner;
 use raf_model::reverse::sample_target_path;
-use raf_model::sampler::{threads_from_env, SampleRequest};
+use raf_model::sampler::{threads_from_env, walk_rng, SampleRequest};
 use raf_model::FriendingInstance;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// The legacy dedup: sort the full path multiset, run-length encode.
 fn sort_dedup(mut paths: Vec<Vec<u32>>) -> Vec<(Vec<u32>, u32)> {
@@ -100,7 +98,7 @@ proptest! {
 
     /// Sampled pools: the streaming pool's `(path, multiplicity)` pairs
     /// and `p_max` estimate equal the legacy sort-dedup of the exact walk
-    /// sequence, across seeds.
+    /// sequence (walk `i` drawn from `walk_rng(seed, i)`), across seeds.
     #[test]
     fn sampled_pool_matches_sort_dedup(seed in 0u64..500, l in 100u64..1_500) {
         let g: CsrGraph = generators::parallel_paths(&[1, 2, 3])
@@ -109,10 +107,9 @@ proptest! {
             .unwrap()
             .to_csr();
         let inst = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(1)).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
         let walks: Vec<Vec<u32>> = (0..l)
-            .filter_map(|_| {
-                let tp = sample_target_path(&inst, &mut rng);
+            .filter_map(|i| {
+                let tp = sample_target_path(&inst, &mut walk_rng(seed, i));
                 tp.is_type1()
                     .then(|| tp.nodes.iter().map(|v| v.index() as u32).collect())
             })
@@ -129,9 +126,9 @@ proptest! {
 }
 
 /// Thread counts: every count samples a valid, reproducible pool whose
-/// weighted counts are self-consistent, and below the parallel threshold
-/// every count is byte-identical to the sequential pool (the CI thread
-/// matrix drives `RAF_THREADS` through here).
+/// weighted counts are self-consistent and byte-identical to the
+/// sequential pool (the CI thread matrix drives `RAF_THREADS` through
+/// here).
 #[test]
 fn thread_counts_produce_consistent_pools() {
     let g: CsrGraph = generators::parallel_paths(&[1, 2, 2])
@@ -140,11 +137,13 @@ fn thread_counts_produce_consistent_pools() {
         .unwrap()
         .to_csr();
     let inst = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(1)).unwrap();
-    let l = raf_model::sampler::PARALLEL_THRESHOLD * 2;
+    let l = raf_model::sampler::CANCEL_CHECK_INTERVAL * 32;
+    let sequential = SampleRequest::new(l).seed(77).run(&inst);
     for threads in [1usize, 2, 4, threads_from_env()] {
         let a = SampleRequest::new(l).seed(77).threads(threads).run(&inst);
         let b = SampleRequest::new(l).seed(77).threads(threads).run(&inst);
         assert_eq!(a, b, "threads={threads} not reproducible");
+        assert_eq!(a, sequential, "threads={threads} changed the pool");
         let mult_total: u64 = (0..a.unique_count()).map(|i| u64::from(a.multiplicity(i))).sum();
         assert_eq!(mult_total as usize, a.type1_count(), "threads={threads}");
         assert_eq!(a.pmax_estimate(), a.type1_count() as f64 / l as f64);

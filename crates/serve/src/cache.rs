@@ -1,7 +1,6 @@
 //! The byte-budgeted LRU pool cache behind [`crate::SessionContext`].
 
 use raf_cover::CoverInstance;
-use raf_model::frontcode::FrontCodedPool;
 use raf_model::sampler::PathPool;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,10 +14,10 @@ use std::sync::Arc;
 /// frontier `N(s)`: pools for the same target under different sources
 /// are different distributions.
 ///
-/// The master seed and thread count also shape the sampled walk multiset,
-/// but they are context-wide constants (fixed in
-/// [`crate::ServeConfig`]), so they live in the configuration rather
-/// than in every key.
+/// The master seed also shapes the sampled walk multiset, but it is a
+/// context-wide constant (fixed in [`crate::ServeConfig`]), so it lives
+/// in the configuration rather than in every key. The thread count never
+/// does: each walk is seeded by its index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PoolKey {
     /// The source (original-space id).
@@ -41,8 +40,8 @@ pub struct PoolKey {
 /// a real corruption bug) is evicted and resampled instead of served.
 #[derive(Debug, Clone)]
 pub struct CachedPool {
-    /// The pool, as either the flat arena or its front-coded encoding.
-    storage: PoolStorage,
+    /// The sampled pool.
+    pool: Arc<PathPool>,
     /// The cover instance over the pool, built once per miss.
     pub cover: Arc<CoverInstance>,
     /// FNV-1a fingerprint of the pool's summary (see
@@ -50,64 +49,17 @@ pub struct CachedPool {
     checksum: u64,
 }
 
-/// How an entry holds its pool. The arena serves hits zero-copy; the
-/// front-coded form charges fewer bytes against the budget and decodes
-/// to a bit-identical arena on access (CPU traded for residency —
-/// opt-in via `ServeConfig::front_coded_cache`).
-#[derive(Debug, Clone)]
-enum PoolStorage {
-    Arena(Arc<PathPool>),
-    FrontCoded {
-        coded: Arc<FrontCodedPool>,
-        /// The walk tallies the coded form does not store, carried so
-        /// decoding reconstitutes the pool exactly.
-        total_samples: u64,
-        dangling: u64,
-        cycles: u64,
-    },
-}
-
 impl CachedPool {
     /// Builds an entry over a freshly sampled pool/cover pair, stamping
     /// its integrity fingerprint.
     pub fn new(pool: Arc<PathPool>, cover: Arc<CoverInstance>) -> Self {
         let checksum = Self::fingerprint(&pool);
-        CachedPool { storage: PoolStorage::Arena(pool), cover, checksum }
+        CachedPool { pool, cover, checksum }
     }
 
-    /// Builds an entry that stores the pool front-coded: the fingerprint
-    /// is stamped from the arena form, so a later
-    /// [`pool`](Self::pool) materialization that fails to reproduce it
-    /// bit-for-bit fails [`verify`](Self::verify) like any corruption.
-    pub fn new_front_coded(pool: &PathPool, cover: Arc<CoverInstance>) -> Self {
-        let checksum = Self::fingerprint(pool);
-        CachedPool {
-            storage: PoolStorage::FrontCoded {
-                coded: Arc::new(FrontCodedPool::from_pool(pool)),
-                total_samples: pool.total_samples(),
-                dangling: pool.dangling_count(),
-                cycles: pool.cycle_count(),
-            },
-            cover,
-            checksum,
-        }
-    }
-
-    /// The entry's pool in arena form: zero-copy for arena storage, a
-    /// decode for front-coded storage (bit-identical to the pool the
-    /// entry was built from).
+    /// The entry's pool (shared, zero-copy).
     pub fn pool(&self) -> Arc<PathPool> {
-        match &self.storage {
-            PoolStorage::Arena(pool) => Arc::clone(pool),
-            PoolStorage::FrontCoded { coded, total_samples, dangling, cycles } => {
-                Arc::new(coded.to_pool(*total_samples, *dangling, *cycles))
-            }
-        }
-    }
-
-    /// Whether this entry stores its pool front-coded.
-    pub fn is_front_coded(&self) -> bool {
-        matches!(self.storage, PoolStorage::FrontCoded { .. })
+        Arc::clone(&self.pool)
     }
 
     /// FNV-1a over the pool's summary statistics — cheap enough to run
@@ -134,22 +86,14 @@ impl CachedPool {
     }
 
     /// Whether the entry's pool still matches its stamped fingerprint.
-    /// Front-coded entries materialize to check — corruption anywhere in
-    /// the coded form (or a decode that drifts from the original arena)
-    /// surfaces here exactly like arena corruption.
     pub fn verify(&self) -> bool {
-        Self::fingerprint(&self.pool()) == self.checksum
+        Self::fingerprint(&self.pool) == self.checksum
     }
 
     /// Logical bytes this entry charges against the cache budget: the
-    /// resident pool representation (arena, or the smaller front-coded
-    /// form) plus the cover instance's tables.
+    /// pool's arena plus the cover instance's tables.
     pub fn heap_bytes(&self) -> usize {
-        let storage = match &self.storage {
-            PoolStorage::Arena(pool) => pool.heap_bytes(),
-            PoolStorage::FrontCoded { coded, .. } => coded.heap_bytes(),
-        };
-        storage + self.cover.heap_bytes()
+        self.pool.heap_bytes() + self.cover.heap_bytes()
     }
 }
 
@@ -665,44 +609,5 @@ mod tests {
         assert!(cache.peek(&key(9)).is_none());
         assert_eq!(cache.stats(), stats_before, "peek is not a lookup");
         assert_eq!(cache.lru_keys(), &[key(1), key(2)], "peek must not refresh recency");
-    }
-
-    #[test]
-    fn front_coded_entry_decodes_bit_identical_and_charges_fewer_bytes() {
-        let mut b = GraphBuilder::new();
-        b.add_edges(vec![(0, 2), (2, 3), (3, 1), (0, 4), (4, 1), (2, 4), (3, 5), (5, 1), (5, 4)])
-            .unwrap();
-        let g = b.build(WeightScheme::UniformByDegree).unwrap().to_csr();
-        let inst = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(1)).unwrap();
-        let pool = SampleRequest::new(30_000).seed(7).run(&inst);
-        let cover = Arc::new(CoverInstance::from_path_pool(g.node_count(), pool.clone()).unwrap());
-        let arena = CachedPool::new(Arc::new(pool.clone()), Arc::clone(&cover));
-        let coded = CachedPool::new_front_coded(&pool, cover);
-        assert!(!arena.is_front_coded());
-        assert!(coded.is_front_coded());
-        // The decode is the bit-identical arena — same answers, same
-        // fingerprint, so verify() passes on both forms.
-        assert_eq!(*coded.pool(), pool);
-        assert_eq!(coded.pool().pmax_estimate().to_bits(), pool.pmax_estimate().to_bits());
-        assert!(arena.verify() && coded.verify());
-        // What the budget sees differs: the coded form charges less.
-        assert!(
-            coded.heap_bytes() < arena.heap_bytes(),
-            "front-coded residency must cost fewer bytes ({} vs {})",
-            coded.heap_bytes(),
-            arena.heap_bytes()
-        );
-    }
-
-    #[test]
-    fn corruption_in_front_coded_entries_is_still_detected() {
-        let mut cache = PoolCache::new(usize::MAX);
-        let e = entry(500);
-        let coded = CachedPool::new_front_coded(&e.pool(), Arc::clone(&e.cover));
-        cache.insert(key(1), coded);
-        assert!(cache.get(&key(1)).is_some());
-        assert!(cache.corrupt_entry(&key(1)));
-        assert!(cache.get(&key(1)).is_none(), "corrupt coded entry must not serve");
-        assert_eq!(cache.stats().integrity_evictions, 1);
     }
 }

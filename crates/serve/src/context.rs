@@ -33,7 +33,7 @@ pub struct ServeConfig {
     /// nothing else but the pair), so answers never depend on query
     /// arrival order.
     pub seed: u64,
-    /// Sampler threads.
+    /// Sampler threads: how fast a miss samples, never what it samples.
     pub threads: usize,
     /// Byte budget of the pool cache.
     pub cache_bytes: usize,
@@ -45,11 +45,6 @@ pub struct ServeConfig {
     /// [`ServeError::Overloaded`] instead of being allowed to stall the
     /// session.
     pub admission: AdmissionPolicy,
-    /// Store cached pools front-coded (prefix-interned) instead of as
-    /// flat arenas: entries charge fewer bytes against
-    /// [`cache_bytes`](Self::cache_bytes) and decode to a bit-identical
-    /// arena on every hit — answers are unchanged, hits cost a decode.
-    pub front_coded_cache: bool,
 }
 
 impl Default for ServeConfig {
@@ -62,7 +57,6 @@ impl Default for ServeConfig {
             cache_bytes: 256 << 20,
             deadline: DeadlinePolicy::UNLIMITED,
             admission: AdmissionPolicy::OPEN,
-            front_coded_cache: false,
         }
     }
 }
@@ -141,6 +135,11 @@ pub struct CampaignAnswer {
     pub walks: u64,
     /// How many target pools were answered from the cache.
     pub hits: usize,
+    /// Whether any target pool is a deadline-truncated prefix of the
+    /// walk ceiling, exactly as [`QueryAnswer::degraded`] marks a single
+    /// pool; each target's [`samples`](CampaignTargetAnswer::samples)
+    /// says how many walks its pool holds.
+    pub degraded: bool,
 }
 
 /// The answer to one [`Query`], with the intermediate quantities the
@@ -627,7 +626,7 @@ impl<'g> SessionContext<'g> {
             }
             if let Some(at) = panic_at {
                 if walks >= at {
-                    panic!("injected fault: panic at walk {walks}");
+                    panic!("injected fault: panic at walk {at}");
                 }
             }
         };
@@ -651,11 +650,7 @@ impl<'g> SessionContext<'g> {
             }
         }
         let cover = CoverInstance::from_path_pool(self.active_csr().node_count(), pool.clone())?;
-        let entry = if self.config.front_coded_cache {
-            CachedPool::new_front_coded(&pool, Arc::new(cover))
-        } else {
-            CachedPool::new(Arc::new(pool), Arc::new(cover))
-        };
+        let entry = CachedPool::new(Arc::new(pool), Arc::new(cover));
         self.cache.insert(*key, entry.clone());
         if faults.contains(&FaultKind::CorruptCacheEntry) {
             self.cache.corrupt_entry(key);
@@ -856,6 +851,7 @@ impl<'g> SessionContext<'g> {
             arm_objectives: alloc.arm_objectives,
             walks,
             hits: hit_flags.iter().filter(|&&h| h).count(),
+            degraded: pools.iter().any(|pool| pool.total_samples() < walks),
             targets: per_target,
         })
     }
@@ -951,14 +947,9 @@ impl<'g> SessionContext<'g> {
             match repair {
                 Some(PoolRepair::Repaired { resampled: 0, .. }) => outcome.untouched += 1,
                 Some(PoolRepair::Repaired { pool, resampled, .. }) => {
-                    let rebuilt =
-                        CoverInstance::from_path_pool(node_count, pool.clone()).ok().map(|cover| {
-                            if self.config.front_coded_cache {
-                                CachedPool::new_front_coded(&pool, Arc::new(cover))
-                            } else {
-                                CachedPool::new(Arc::new(pool), Arc::new(cover))
-                            }
-                        });
+                    let rebuilt = CoverInstance::from_path_pool(node_count, pool.clone())
+                        .ok()
+                        .map(|cover| CachedPool::new(Arc::new(pool), Arc::new(cover)));
                     match rebuilt {
                         Some(fresh) => {
                             if let Some(slot) = self.cache.entry_mut(&key) {
@@ -1017,7 +1008,7 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// SplitMix64 finalizer — the same per-seed decorrelation the sampler
-/// uses for its worker threads, here decorrelating per-pair pool seeds.
+/// uses for its per-walk seeds, here decorrelating repair seeds.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e3779b97f4a7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
@@ -1543,34 +1534,6 @@ mod tests {
             assert_eq!(a.invitations, b.invitations, "alpha={alpha}");
             assert_equivalent(&a, &b);
         }
-    }
-
-    #[test]
-    fn front_coded_cache_answers_bit_identically_to_arena() {
-        // Branching routes with shared tails: stored paths are long
-        // enough that front coding actually compresses (trivially short
-        // paths can cost more coded than flat).
-        let mut b = GraphBuilder::new();
-        b.add_edges(vec![(0, 2), (2, 3), (3, 1), (0, 4), (4, 1), (2, 4), (3, 5), (5, 1), (5, 4)])
-            .unwrap();
-        let csr = b.build(WeightScheme::UniformByDegree).unwrap().to_csr();
-        let arena_cfg = ServeConfig { walks: 10_000, seed: 9, ..Default::default() };
-        let coded_cfg = ServeConfig { front_coded_cache: true, ..arena_cfg.clone() };
-        let mut arena = SessionContext::new(&csr, arena_cfg);
-        let mut coded = SessionContext::new(&csr, coded_cfg);
-        for (alpha, budget) in [(0.4, 10_000), (0.4, 10_000), (0.7, 10_000), (0.3, 4_000)] {
-            let a = arena.query(&q(alpha, budget)).unwrap();
-            let c = coded.query(&q(alpha, budget)).unwrap();
-            assert_eq!(a.cache_hit, c.cache_hit);
-            assert_equivalent(&a, &c);
-        }
-        assert_eq!(arena.stats().hits, coded.stats().hits);
-        assert!(
-            coded.resident_bytes() < arena.resident_bytes(),
-            "front-coded entries must charge fewer bytes ({} vs {})",
-            coded.resident_bytes(),
-            arena.resident_bytes()
-        );
     }
 
     fn campaign(s: usize, targets: &[usize], budget: usize) -> CampaignQuery {

@@ -4,7 +4,7 @@
 //! The serving layer's robustness contract has two halves. **Deadlines**
 //! bound how much work an *admitted* query may spend: the walk-step
 //! budget of [`DeadlinePolicy`] is threaded into the sampler as a
-//! cancellation token (checked per walk batch, see
+//! cancellation token (checked before each 256-walk block, see
 //! [`raf_model::sampler::SampleControl`]) and a query that exhausts it
 //! degrades gracefully — the answer comes from the partial pool, marked
 //! `degraded`, bit-identical for a fixed `(seed, budget)`. **Admission

@@ -25,16 +25,17 @@ use std::fmt;
 /// One injectable fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Panic inside the sampling loop once the walk counter reaches the
-    /// given walk (checked at batch boundaries). Exercises panic
-    /// isolation: the query must answer `err internal` and leave the
-    /// session consistent.
+    /// Panic inside the sampling run at every 256-walk block whose first
+    /// walk index is at or past the given walk, before the block's walks
+    /// start. The message names the given walk, so it is the same at
+    /// every sampler thread count. Exercises panic isolation: the query
+    /// must answer `err internal` and leave the session consistent.
     PanicAtWalk(u64),
     /// Cap the query's pool allocation at the given byte count; a pool
     /// larger than the cap is rejected as resource exhaustion and never
     /// cached.
     AllocCap(usize),
-    /// Sleep this many milliseconds at every sampler batch boundary —
+    /// Sleep this many milliseconds before every sampler block —
     /// forced slow sampling, which drives a wall-clock deadline into its
     /// degraded path.
     SlowBatchMs(u64),
@@ -109,11 +110,12 @@ impl FaultPlan {
 
     /// Parses the CLI spec: comma-separated `kind@query[:param]` sites.
     ///
-    /// * `panic@Q[:W]` — panic during query `Q`'s sampling at walk `W`
-    ///   (default 0: the first batch boundary);
+    /// * `panic@Q[:W]` — panic during query `Q`'s sampling at the first
+    ///   256-walk block starting at or after walk `W` (default 0: the
+    ///   first block);
     /// * `alloc@Q:BYTES` — cap query `Q`'s pool allocation at `BYTES`;
-    /// * `slow@Q[:MS]` — sleep `MS` ms (default 10) per batch boundary
-    ///   during query `Q`'s sampling;
+    /// * `slow@Q[:MS]` — sleep `MS` ms (default 10) before each block
+    ///   of query `Q`'s sampling;
     /// * `corrupt@Q` — corrupt the cache entry query `Q` inserts.
     ///
     /// An empty spec (or one of only whitespace) is the empty plan.

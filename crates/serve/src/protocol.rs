@@ -18,7 +18,8 @@
 //! covered=<c> p=<p> pmax=<estimate> inv=<id,id,...>` on success — with
 //! ` degraded=1` appended when the answer came from a deadline-truncated
 //! partial pool (`walks` then reports the walks actually sampled) — and
-//! `err s=<s> t=<t>: <message>` on a per-query failure.
+//! `err s=<s> t=<t>: <message>` on a per-query failure. An `ok campaign`
+//! line carries the same marker when any target pool was truncated.
 //!
 //! Parsing is total: any byte sequence — non-UTF-8, NUL bytes, absurd
 //! field counts, kilobyte-long numbers — produces either a request or a
@@ -243,7 +244,10 @@ pub fn format_error(query: &Query, error: &ServeError) -> String {
 /// Renders a successful campaign as one `ok campaign` response line:
 /// the shared invitation set, the winning allocation arm, and a
 /// `per=` list of `target:covered:estimate` triples in canonical
-/// (ascending target id) order.
+/// (ascending target id) order. Like [`format_answer`], a campaign
+/// answered from any deadline-truncated pool carries a trailing
+/// ` degraded=1` (`walks` still echoes the ceiling); full answers render
+/// byte-identically to a protocol without the marker.
 pub fn format_campaign_answer(query: &CampaignQuery, answer: &CampaignAnswer) -> String {
     let per: Vec<String> = answer
         .targets
@@ -251,7 +255,7 @@ pub fn format_campaign_answer(query: &CampaignQuery, answer: &CampaignAnswer) ->
         .map(|t| format!("{}:{}:{:.6}", t.target.index(), t.covered, t.estimate))
         .collect();
     let inv: Vec<String> = answer.invitations.iter().map(|v| v.index().to_string()).collect();
-    format!(
+    let mut line = format!(
         "ok campaign s={} k={} alpha={} budget={} hits={} walks={} size={} objective={:.6} \
          arm={} per={} inv={}",
         query.s.index(),
@@ -265,7 +269,11 @@ pub fn format_campaign_answer(query: &CampaignQuery, answer: &CampaignAnswer) ->
         answer.arm,
         per.join(","),
         inv.join(","),
-    )
+    );
+    if answer.degraded {
+        line.push_str(" degraded=1");
+    }
+    line
 }
 
 /// Renders a failed campaign as one `err campaign` response line.
@@ -554,6 +562,39 @@ mod tests {
         let line = format_answer(&q, &partial);
         assert!(line.ends_with(" degraded=1"), "{line}");
         assert!(line.contains(&format!("walks={}", partial.walks)));
+    }
+
+    #[test]
+    fn campaign_degraded_marker_appears_only_when_degraded() {
+        use crate::{DeadlinePolicy, ServeConfig, SessionContext};
+        use raf_graph::{GraphBuilder, WeightScheme};
+        let mut b = GraphBuilder::new();
+        b.add_edges(vec![(0, 2), (2, 3), (3, 1), (0, 4), (4, 5), (5, 1), (0, 6), (6, 7), (7, 1)])
+            .unwrap();
+        let csr = b.build(WeightScheme::UniformByDegree).unwrap().to_csr();
+        let request = match parse_line("campaign 0 7,1 0.5 4", 4_000).unwrap().unwrap() {
+            Request::Campaign(c) => c,
+            other => panic!("expected a campaign, got {other:?}"),
+        };
+        // Unbudgeted: no marker, the line still ends with the `inv=` list.
+        let cfg = ServeConfig { walks: 4_000, seed: 7, ..Default::default() };
+        let full = SessionContext::new(&csr, cfg.clone()).campaign(&request).unwrap();
+        assert!(!full.degraded);
+        let inv: Vec<String> = full.invitations.iter().map(|v| v.index().to_string()).collect();
+        let line = format_campaign_answer(&request, &full);
+        assert!(line.ends_with(&format!(" inv={}", inv.join(","))), "{line}");
+        // A work budget truncates the target pools: the campaign says so,
+        // while `walks=` keeps echoing the ceiling.
+        let limited = ServeConfig {
+            deadline: DeadlinePolicy { work_budget: Some(2_000), wall_clock_ms: None },
+            ..cfg
+        };
+        let partial = SessionContext::new(&csr, limited).campaign(&request).unwrap();
+        assert!(partial.degraded);
+        assert!(partial.targets.iter().all(|t| t.samples < partial.walks));
+        let line = format_campaign_answer(&request, &partial);
+        assert!(line.ends_with(" degraded=1"), "{line}");
+        assert!(line.contains(" walks=4000 "), "{line}");
     }
 
     #[test]

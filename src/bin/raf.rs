@@ -6,7 +6,6 @@
 //! raf vmax  --graph network.txt --s 3 --t 99
 //! raf run   --graph network.txt --s 3 --t 99 --alpha 0.3
 //!           [--epsilon 0.01] [--budget 50000] [--seed 1] [--threads 1]
-//!           [--walk-kernel scalar|lockstep|auto]
 //! raf max   --graph network.txt --s 3 --t 99 --k 10
 //!           [--realizations 50000] [--seed 1]
 //! raf serve --graph network.txt [--requests batch.txt] [--walks 100000]
@@ -17,7 +16,6 @@
 //!           [--list-scenarios] [--quick] [--check-regression]
 //!           [--max-regression 0.15] [--topology powerlaw_cluster]
 //!           [--nodes N] [--walks N] [--seed 7] [--threads N] [--reps N]
-//!           [--walk-kernel scalar|lockstep|auto]
 //! raf experiment [--dataset all] [--quick] [--targets K]
 //!           [--budgets 4,8,16] [--pairs N] [--out-csv FILE]
 //! ```
@@ -35,8 +33,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 /// Value-less boolean flags (everything else is `--flag value`).
-const SWITCHES: &[&str] =
-    &["quick", "list-scenarios", "check-regression", "no-relabel", "front-coded-cache"];
+const SWITCHES: &[&str] = &["quick", "list-scenarios", "check-regression", "no-relabel"];
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -74,20 +71,6 @@ fn dispatch(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
         "experiment" => cmd_experiment(args),
         "serve" => cmd_serve(args),
         other => Err(format!("unknown command {other:?} (try --help)").into()),
-    }
-}
-
-/// Parses `--walk-kernel` (default auto — lockstep at dataset scale,
-/// scalar below it; see [`WalkKernel`]. The kernel never changes
-/// results, only sampling speed).
-fn walk_kernel(args: &CliArgs) -> Result<WalkKernel, Box<dyn std::error::Error>> {
-    match args.get("walk-kernel") {
-        None => Ok(WalkKernel::default()),
-        Some(raw) => WalkKernel::parse(raw)
-            .ok_or_else(|| {
-                format!("unknown walk kernel {raw:?} (expected scalar, lockstep, or auto)")
-            })
-            .map_err(Into::into),
     }
 }
 
@@ -146,7 +129,6 @@ fn cmd_run(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
         budget: RealizationBudget::Capped(args.get_or("budget", 50_000)?),
         seed: args.get_or("seed", 1)?,
         threads: args.get_or("threads", threads_from_env())?,
-        kernel: walk_kernel(args)?,
         ..Default::default()
     };
     let result = RafAlgorithm::new(config).run(&instance)?;
@@ -294,7 +276,6 @@ fn cmd_bench_json(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
         config.seed = args.get_or("seed", config.seed)?;
         config.beta = args.get_or("beta", config.beta)?;
         config.threads = args.get_or("threads", config.threads)?;
-        config.kernel = walk_kernel(args)?;
         // A measurement that deviates from the profile's standard knobs
         // must not become the full/quick baseline: record it under the
         // "custom" lineage so it can never poison the regression gate.
@@ -336,16 +317,6 @@ fn cmd_bench_json(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
             println!(
                 "{name}: hub-BFS layout {hub_ms:.1} ms  →  relabel speedup {:.2}x",
                 report.relabel_speedup()
-            );
-        }
-        if report.has_kernels() {
-            println!(
-                "{name}: kernels ({} lanes) scalar {:.1} ms, lockstep {:.1} ms  →  \
-                 kernel speedup {:.2}x",
-                report.kernel_lanes,
-                report.kernel_scalar_ns as f64 / 1e6,
-                report.kernel_lockstep_ns as f64 / 1e6,
-                report.kernel_speedup(),
             );
         }
         if check {
@@ -390,44 +361,6 @@ fn cmd_bench_json(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
                         } else {
                             println!(
                                 "{name}: {:+.1}% vs baseline (machine-normalized) — ok",
-                                (ratio - 1.0) * 100.0
-                            );
-                        }
-                    }
-                }
-            }
-            // The walk-kernel gate: the lockstep kernel must not regress
-            // against its committed bake-off baseline. Normalized by the
-            // scalar kernel measured in the same run (same role the
-            // legacy replica plays above — a code path this PR froze,
-            // timed on the same machine as the lockstep number).
-            if report.has_kernels() {
-                let lineage = report.config.profile;
-                if let Some(base) = history.baseline_kernel_ns(&name, lineage, "lockstep") {
-                    let scalar = report.kernel_scalar_ns as f64;
-                    let machine = match machine_factor(
-                        history.baseline_kernel_ns(&name, lineage, "scalar"),
-                        scalar,
-                    ) {
-                        MachineFactor::Normalize(m) => Some(m),
-                        MachineFactor::Raw => Some(1.0),
-                        MachineFactor::Skip(reason) => {
-                            eprintln!("{name}: WARNING: skipping kernel gate — {reason}");
-                            None
-                        }
-                    };
-                    if let Some(machine) = machine {
-                        let ratio = report.kernel_lockstep_ns as f64 / (base * machine);
-                        if ratio > 1.0 + max_regression {
-                            regressions.push(format!(
-                                "{name}: lockstep kernel {} ns vs baseline {base:.0} ns \
-                                 ({:+.1}% machine-normalized)",
-                                report.kernel_lockstep_ns,
-                                (ratio - 1.0) * 100.0
-                            ));
-                        } else {
-                            println!(
-                                "{name}: lockstep kernel {:+.1}% vs baseline — ok",
                                 (ratio - 1.0) * 100.0
                             );
                         }
@@ -561,7 +494,7 @@ fn run_churn_cell(
 /// `arena_ns`/`legacy_ns` in the pipeline shape, so the regression gate
 /// applies to them exactly as to pipeline cells (machine-normalized by
 /// the same-run legacy sampling phase). Knob overrides
-/// (`--walks`/`--seed`/`--threads`/`--reps`/`--walk-kernel`) route the
+/// (`--walks`/`--seed`/`--threads`/`--reps`) route the
 /// entry to the `custom` lineage exactly like pipeline cells.
 ///
 /// [`allocate_budget`]: raf_cover::allocate_budget
@@ -582,7 +515,6 @@ fn run_campaign_cell(
     config.seed = args.get_or("seed", config.seed)?;
     config.threads = args.get_or("threads", config.threads)?;
     config.reps = args.get_or("reps", config.reps)?;
-    config.kernel = walk_kernel(args)?;
     let standard = campaign_config(scenario, profile);
     if config != standard {
         config.profile = "custom";
@@ -699,7 +631,6 @@ fn cmd_serve(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
             max_query_walks: args.get_typed("max-query-walks")?,
             max_inflight_walks: args.get_typed("max-inflight-walks")?,
         },
-        front_coded_cache: args.is_set("front-coded-cache"),
     };
     let fault_plan = match args.get("fault-plan") {
         None => FaultPlan::empty(),
@@ -932,8 +863,8 @@ fn cmd_serve(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
 /// load through the hub-BFS relabeled CSR layout by default; `--relabel
 /// plain|hub_bfs|degree_desc|rcm` selects another layout order and
 /// `--no-relabel` is shorthand for `--relabel plain`. Real SNAP files in
-/// `--data-dir` override the synthetic stand-ins. Deterministic for a
-/// fixed `(flags, --seed, --threads)`.
+/// `--data-dir` override the synthetic stand-ins. Deterministic for
+/// fixed flags and `--seed`; `--threads` never changes the output.
 fn cmd_experiment(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     use raf_bench::experiments::sweep::{self, SweepConfig};
 
@@ -1113,12 +1044,11 @@ USAGE:
   raf vmax  --graph <edge-list> --s <id> --t <id>
   raf run   --graph <edge-list> --s <id> --t <id> --alpha A
             [--epsilon E] [--budget N] [--seed N] [--threads N]
-            [--walk-kernel scalar|lockstep|auto]
   raf max   --graph <edge-list> --s <id> --t <id> --k BUDGET
             [--realizations N] [--seed N]
   raf serve --graph <edge-list> [--requests FILE] [--walks N]
             [--seed N] [--threads N] [--cache-mb N] [--epsilon E]
-            [--no-relabel] [--front-coded-cache]
+            [--no-relabel]
             [--work-budget N] [--deadline-ms N]
             [--max-query-walks N] [--max-inflight-walks N]
             [--retries N] [--fault-plan SPEC]
@@ -1126,7 +1056,6 @@ USAGE:
             [--quick] [--check-regression] [--max-regression R]
             [--topology NAME] [--nodes N] [--walks N] [--seed N]
             [--threads N] [--reps N] [--beta B]
-            [--walk-kernel scalar|lockstep|auto]
   raf experiment [--dataset wiki|hepth|hepph|youtube|all] [--quick]
             [--alphas A,B,...] [--budgets N,M,...] [--pairs N]
             [--scale F] [--eval-samples N] [--seed N] [--threads N]
@@ -1154,10 +1083,10 @@ admitted per batch window — batch mode retries saturation sheds in up
 to --retries (default 2) extra rounds, deterministically, before
 answering `err ... overloaded`. --fault-plan injects deterministic
 faults (`panic@Q[:W]`, `alloc@Q:BYTES`, `slow@Q[:MS]`, `corrupt@Q`,
-comma-separated; Q indexes queries in execution order) to exercise the
-recovery paths; an empty plan leaves output bit-identical.
---front-coded-cache stores cached pools front-coded (fewer resident
-bytes, a decode per access; answers stay bit-identical). A request
+comma-separated; Q indexes queries in execution order; a panic fires at
+the first 256-walk block starting at or after walk W) to exercise the
+recovery paths; an empty plan leaves output bit-identical. Answers
+never depend on --threads: each walk is seeded by its index. A request
 line `delta <+u:v|-u:v>[,...]` mutates the resident graph in place:
 cached pools whose walks never touched a churned endpoint are kept,
 the rest are repaired by resampling exactly the invalidated walk mass
@@ -1172,13 +1101,11 @@ serving cells); --check-regression fails when a scenario's
 sampling+solve total regresses > R (default 0.15) against the last
 committed entry of the same scenario and profile. Only --topology and
 --nodes define a custom one-off cell; --walks/--seed/--threads/--reps/
---beta/--walk-kernel override knobs matrix-wide and reroute the runs to
-the `custom' lineage. Dataset scenarios (dataset_wiki_7k_t1, ...) also
-record the hub-BFS relabeled layout's timings plus the walk-kernel
-bake-off (scalar vs lockstep sampling on the bit-identical pool, as
-kernel_ns); the bake-off cell (dataset_youtube_1m_t4) times every
-layout order — hub_bfs, degree_desc, rcm — on the same graph and
-records them as layout_ns.
+--beta override knobs matrix-wide and reroute the runs to the `custom'
+lineage. Dataset scenarios (dataset_wiki_7k_t1, ...) also record the
+hub-BFS relabeled layout's timings; the bake-off cell
+(dataset_youtube_1m_t4) times every layout order — hub_bfs,
+degree_desc, rcm — on the same graph and records them as layout_ns.
 Serving scenarios (serving_wiki_7k_t1, ...) record cold-vs-warm query
 latency through the serve-layer pool cache instead (no regression
 gate). Churn scenarios (churn_wiki_7k_t1, churn_youtube_220k_t4)

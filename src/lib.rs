@@ -51,7 +51,7 @@
 //! | Crate | Contents |
 //! |-------|----------|
 //! | [`graph`] (`raf-graph`) | weighted social graphs, CSR snapshots, generators, traversal, SNAP IO |
-//! | [`model`] (`raf-model`) | friending process, realizations, reverse sampling behind the `SampleRequest` builder (scalar and lockstep walk kernels), estimators |
+//! | [`model`] (`raf-model`) | friending process, realizations, reverse sampling behind the `SampleRequest` builder (one seed per walk; the sampler picks its loop), estimators |
 //! | [`cover`] (`raf-cover`) | Minimum p-Union / Minimum Subset Cover solvers |
 //! | [`core`] (`raf-core`) | the RAF algorithm, `V_max`, baselines, evaluation helpers |
 //! | [`datasets`] (`raf-datasets`) | Table I dataset stand-ins, SNAP loader, pair sampling |
@@ -88,7 +88,7 @@ pub mod prelude {
     };
     pub use raf_model::acceptance::estimate_acceptance;
     pub use raf_model::pmax::{estimate_pmax_dklr, estimate_pmax_fixed};
-    pub use raf_model::sampler::{threads_from_env, SampleRequest, WalkKernel};
+    pub use raf_model::sampler::{threads_from_env, SampleRequest};
     pub use raf_model::{FriendingInstance, InvitationSet, ModelError};
     pub use raf_serve::{
         one_shot, AdmissionLedger, AdmissionPolicy, CampaignAnswer, CampaignQuery, DeadlinePolicy,

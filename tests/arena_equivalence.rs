@@ -6,8 +6,8 @@
 //! duplicated, per-set-allocated family. The arena pool deduplicates
 //! identical paths under multiplicities and hands the cover phase a
 //! weighted CSR instance. These tests re-create the old semantics from
-//! first principles (`sample_target_path` draws the identical walk
-//! multiset for a fixed seed) and assert the two representations agree
+//! first principles (`sample_target_path` over the same per-walk seeds
+//! draws the identical walk multiset) and assert the two representations agree
 //! *exactly*: `p_max` estimates, coverage under arbitrary invitation
 //! sets, and solver outputs.
 
@@ -18,7 +18,7 @@ use raf_cover::{
 };
 use raf_graph::{generators, CsrGraph, NodeId, WeightScheme};
 use raf_model::reverse::{sample_target_path, TargetPath};
-use raf_model::sampler::{PathPool, SampleRequest, PARALLEL_THRESHOLD};
+use raf_model::sampler::{walk_rng, PathPool, SampleRequest, CANCEL_CHECK_INTERVAL};
 use raf_model::{FriendingInstance, InvitationSet};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,11 +30,13 @@ fn routes_csr(lens: &[usize]) -> CsrGraph {
 }
 
 /// The old pool: every sampled type-1 walk kept as its own vector, in
-/// the old deterministic order (lexicographic by walk sequence).
+/// the old deterministic order (lexicographic by walk sequence). Walk
+/// `i` draws from `walk_rng(seed, i)`, as the arena sampler's does.
 fn reference_pool(instance: &FriendingInstance<'_>, l: u64, seed: u64) -> Vec<TargetPath> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut paths: Vec<TargetPath> =
-        (0..l).map(|_| sample_target_path(instance, &mut rng)).filter(|tp| tp.is_type1()).collect();
+    let mut paths: Vec<TargetPath> = (0..l)
+        .map(|i| sample_target_path(instance, &mut walk_rng(seed, i)))
+        .filter(|tp| tp.is_type1())
+        .collect();
     paths.sort_by(|a, b| a.nodes.cmp(&b.nodes));
     paths
 }
@@ -154,48 +156,41 @@ fn exact_solver_matches_reference_on_tiny_pool() {
     }
 }
 
-/// Below the parallel fallback threshold, the pool is identical for every
-/// thread count; above it, each `(seed, threads)` pair is reproducible
-/// run to run.
+/// Pools are identical for every thread count, whether the walks fill
+/// part of one block or many blocks, and reproducible run to run.
 #[test]
 fn pool_determinism_across_thread_counts() {
     let g = routes_csr(&[1, 2, 3]);
     let inst = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(1)).unwrap();
-    // Small l: thread count must not matter at all.
-    let small = PARALLEL_THRESHOLD / 2;
-    let baseline = SampleRequest::new(small).seed(11).run(&inst);
-    for threads in [2usize, 4] {
-        assert_eq!(SampleRequest::new(small).seed(11).threads(threads).run(&inst), baseline);
-    }
-    // Large l: byte-identical across runs for each fixed thread count.
-    let large = PARALLEL_THRESHOLD * 4;
-    for threads in [1usize, 2, 4] {
-        let a = SampleRequest::new(large).seed(11).threads(threads).run(&inst);
-        let b = SampleRequest::new(large).seed(11).threads(threads).run(&inst);
-        assert_eq!(a, b, "pool not reproducible for threads={threads}");
-        assert_eq!(a.total_samples(), large);
+    for l in [CANCEL_CHECK_INTERVAL / 2, CANCEL_CHECK_INTERVAL * 64] {
+        let baseline = SampleRequest::new(l).seed(11).run(&inst);
+        assert_eq!(baseline.total_samples(), l);
+        for threads in [1usize, 2, 4] {
+            let a = SampleRequest::new(l).seed(11).threads(threads).run(&inst);
+            assert_eq!(a, baseline, "pool changed at l={l} threads={threads}");
+        }
     }
 }
 
-/// The full RAF pipeline stays deterministic for a fixed `(seed,
-/// threads)` configuration with the arena pool in place.
+/// The full RAF pipeline is deterministic for a fixed seed, with the
+/// same answer at every thread count.
 #[test]
 fn raf_pipeline_deterministic_with_threads() {
     use active_friending::prelude::*;
     let g = routes_csr(&[1, 2, 3]);
     let inst = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(1)).unwrap();
+    let run = |threads| {
+        let cfg = RafConfig::with_alpha(0.4)
+            .seed(23)
+            .threads(threads)
+            .budget(RealizationBudget::Fixed(20_000));
+        RafAlgorithm::new(cfg).run(&inst).unwrap()
+    };
+    let reference = run(1);
     for threads in [1usize, 2, 4] {
-        let run = || {
-            let cfg = RafConfig::with_alpha(0.4)
-                .seed(23)
-                .threads(threads)
-                .budget(RealizationBudget::Fixed(20_000));
-            RafAlgorithm::new(cfg).run(&inst).unwrap()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.invitations, b.invitations, "threads={threads}");
-        assert_eq!(a.type1_count, b.type1_count);
-        assert_eq!(a.covered, b.covered);
+        let a = run(threads);
+        assert_eq!(a.invitations, reference.invitations, "threads={threads}");
+        assert_eq!(a.type1_count, reference.type1_count);
+        assert_eq!(a.covered, reference.covered);
     }
 }

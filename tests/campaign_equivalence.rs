@@ -108,7 +108,6 @@ proptest! {
                 walks: 6_000,
                 seed: master,
                 threads,
-                lanes: None,
             });
             let Some(campaign) = campaign else { continue };
             let single = MaxFriending::new(MaxFriendingConfig {
@@ -155,7 +154,6 @@ proptest! {
             walks: 6_000,
             seed: master,
             threads: 1,
-            lanes: None,
         });
         let Some(campaign) = campaign else { return Ok(()) };
         // The allocator's own bookkeeping: joint never loses to either
@@ -205,8 +203,7 @@ proptest! {
         if targets.len() < 2 {
             return Ok(());
         }
-        let config =
-            CampaignConfig { budget: 6, walks: 4_000, seed: master, threads: 1, lanes: None };
+        let config = CampaignConfig { budget: 6, walks: 4_000, seed: master, threads: 1 };
         let Some(reference) = try_campaign(&csr, s, &targets, config.clone()) else {
             return Ok(());
         };
@@ -292,10 +289,9 @@ fn unreachable_targets_are_typed_errors() {
     let targets = vec![NodeId::new(2), NodeId::new(6)];
 
     let instance = CampaignInstance::new(&csr, s, &targets).unwrap();
-    let err =
-        Campaign::new(CampaignConfig { budget: 4, walks: 800, seed: 1, threads: 1, lanes: None })
-            .run(&instance)
-            .unwrap_err();
+    let err = Campaign::new(CampaignConfig { budget: 4, walks: 800, seed: 1, threads: 1 })
+        .run(&instance)
+        .unwrap_err();
     assert_eq!(err, CoreError::CampaignTargetUnreachable { target: 6, samples: 800 });
 
     let mut ctx = SessionContext::new(

@@ -1,7 +1,7 @@
 //! Graceful-degradation properties for deadline-bounded serving.
 //!
-//! A per-query work budget (walk-step units) truncates sampling at a
-//! deterministic prefix of the RNG stream, so a degraded answer is a
+//! A per-query work budget (walk-step units) truncates sampling to a
+//! deterministic prefix of the walk indices, so a degraded answer is a
 //! *smaller sample*, not a different experiment. That gives three
 //! testable guarantees: (1) bit-identical output for a fixed
 //! `(seed, work budget)`; (2) walks answered — and with them the
