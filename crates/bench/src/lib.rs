@@ -19,13 +19,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod campaign;
-pub mod churn;
 pub mod csv;
 pub mod experiments;
 pub mod history;
 pub mod sampling;
-pub mod serving;
 
 mod config;
 

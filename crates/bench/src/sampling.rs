@@ -90,33 +90,11 @@ pub struct Scenario {
     /// else only hub-BFS is timed. Bake-off cells are excluded from the
     /// `--quick` CI matrix (they run in the weekly full matrix).
     pub bakeoff: bool,
-    /// Whether this cell measures the **query-serving** lineage instead
-    /// of the legacy-vs-arena pipeline comparison: cold-pool vs
-    /// warm-pool (cache-hit) query latency through
-    /// `raf_serve::SessionContext` (see [`crate::serving`]). Serving
-    /// entries record `serving_ns` percentiles and cache counters rather
-    /// than `arena_ns`, so the regression gate skips them.
-    pub serving: bool,
-    /// Whether this cell measures the **edge-churn** lineage: sustained
-    /// `apply_delta` ingestion against warm resident pools, timing the
-    /// incremental repair at increasing touched-edge counts (see
-    /// [`crate::churn`]). Churn entries record `churn_ns` percentiles
-    /// per delta size rather than `arena_ns`, so the regression gate
-    /// skips them too.
-    pub churn: bool,
-    /// Whether this cell measures the **multi-target campaign**
-    /// lineage: k per-target pools plus the joint greedy budget
-    /// allocation, against k independent single-target pipelines over
-    /// the frozen legacy sampler (see [`crate::campaign`]). Campaign
-    /// entries record `arena_ns`/`legacy_ns` like pipeline cells, so the
-    /// regression gate covers them.
-    pub campaign: bool,
 }
 
 impl Scenario {
     /// The canonical scenario name, e.g. `powerlaw_cluster_10k_t1`,
-    /// `dataset_wiki_7k_t1`, `dataset_youtube_1m_t4`, or — for the
-    /// query-serving lineage — `serving_wiki_7k_t1`: the key the bench
+    /// `dataset_wiki_7k_t1` or `dataset_youtube_1m_t4`: the key the bench
     /// history and the CI regression gate group by.
     pub fn name(&self) -> String {
         let scale = if self.nodes.is_multiple_of(1_000_000) {
@@ -128,15 +106,6 @@ impl Scenario {
         };
         match self.workload {
             Workload::Synthetic(t) => format!("{}_{}_t{}", t.name(), scale, self.threads),
-            Workload::Dataset(d) if self.serving => {
-                format!("serving_{}_{}_t{}", d.spec().file_stem, scale, self.threads)
-            }
-            Workload::Dataset(d) if self.churn => {
-                format!("churn_{}_{}_t{}", d.spec().file_stem, scale, self.threads)
-            }
-            Workload::Dataset(d) if self.campaign => {
-                format!("campaign_{}_{}_t{}", d.spec().file_stem, scale, self.threads)
-            }
             Workload::Dataset(d) => {
                 format!("dataset_{}_{}_t{}", d.spec().file_stem, scale, self.threads)
             }
@@ -151,16 +120,7 @@ impl Scenario {
 /// L2, where the hub-BFS relabeling win first appears), and the
 /// `dataset_youtube_1m_t4` **bake-off** cell (1M nodes — metadata far
 /// exceeds L3, the scale where the three [`RelabelOrder`] layouts can
-/// genuinely diverge; each run times all of them) — plus the `serving`
-/// lineage: cold-vs-warm query latency through the pool cache on dataset
-/// cells spanning the same scale ladder, with the 1M Youtube cell (like
-/// the bake-off) reserved for the weekly full matrix — plus the `churn`
-/// lineage: sustained edge-delta ingestion with incremental pool repair
-/// on the Wiki cell and the 220k Youtube cell (the scale where repair
-/// has to beat a genuinely expensive full resample) — plus the
-/// `campaign` lineage: k per-target pools with one joint greedy budget
-/// allocation against k independent legacy pipelines, on the Wiki cell
-/// (see [`crate::campaign`]).
+/// genuinely diverge; each run times all of them).
 pub fn scenario_matrix() -> Vec<Scenario> {
     let mut matrix = Vec::new();
     for topology in Topology::ALL {
@@ -171,9 +131,6 @@ pub fn scenario_matrix() -> Vec<Scenario> {
                     nodes,
                     threads,
                     bakeoff: false,
-                    serving: false,
-                    churn: false,
-                    campaign: false,
                 });
             }
         }
@@ -185,9 +142,6 @@ pub fn scenario_matrix() -> Vec<Scenario> {
                 nodes: dataset.spec().nodes,
                 threads,
                 bakeoff: false,
-                serving: false,
-                churn: false,
-                campaign: false,
             });
         }
     }
@@ -196,72 +150,26 @@ pub fn scenario_matrix() -> Vec<Scenario> {
         nodes: 220_000,
         threads: 4,
         bakeoff: false,
-        serving: false,
-        churn: false,
-        campaign: false,
     });
     matrix.push(Scenario {
         workload: Workload::Dataset(Dataset::Youtube),
         nodes: 1_000_000,
         threads: 4,
         bakeoff: true,
-        serving: false,
-        churn: false,
-        campaign: false,
-    });
-    for (dataset, nodes, threads) in [
-        (Dataset::Wiki, Dataset::Wiki.spec().nodes, 1usize),
-        (Dataset::HepTh, Dataset::HepTh.spec().nodes, 1),
-        (Dataset::HepPh, Dataset::HepPh.spec().nodes, 4),
-        (Dataset::Youtube, 220_000, 4),
-        (Dataset::Youtube, 1_000_000, 4),
-    ] {
-        matrix.push(Scenario {
-            workload: Workload::Dataset(dataset),
-            nodes,
-            threads,
-            bakeoff: false,
-            serving: true,
-            churn: false,
-            campaign: false,
-        });
-    }
-    for (dataset, nodes, threads) in
-        [(Dataset::Wiki, Dataset::Wiki.spec().nodes, 1usize), (Dataset::Youtube, 220_000, 4)]
-    {
-        matrix.push(Scenario {
-            workload: Workload::Dataset(dataset),
-            nodes,
-            threads,
-            bakeoff: false,
-            serving: false,
-            churn: true,
-            campaign: false,
-        });
-    }
-    matrix.push(Scenario {
-        workload: Workload::Dataset(Dataset::Wiki),
-        nodes: Dataset::Wiki.spec().nodes,
-        threads: 1,
-        bakeoff: false,
-        serving: false,
-        churn: false,
-        campaign: true,
     });
     matrix
 }
 
 /// The quick (CI-sized) matrix: the 10k-node synthetic slice plus the
-/// dataset, serving, and churn cells (the lineages the CI gate watches) —
-/// **except** the bake-off cells and the 1M-node serving cell, whose
-/// 1M-node graphs belong in the weekly full-matrix job, not the per-push
-/// gate.
+/// dataset cells (the lineages the CI gate watches) — **except** the
+/// bake-off cell, whose 1M-node graph belongs in the weekly full-matrix
+/// job, not the per-push gate.
 pub fn quick_matrix() -> Vec<Scenario> {
     scenario_matrix()
         .into_iter()
         .filter(|s| match s.workload {
             Workload::Synthetic(_) => s.nodes == 10_000,
-            Workload::Dataset(_) => !s.bakeoff && s.nodes < 1_000_000,
+            Workload::Dataset(_) => !s.bakeoff,
         })
         .collect()
 }
@@ -371,13 +279,6 @@ impl SamplingBenchConfig {
             nodes: self.nodes,
             threads: self.threads,
             bakeoff: self.bakeoff,
-            // The pipeline comparison never runs on serving or churn
-            // cells (those route through `crate::serving` and
-            // `crate::churn`), so this is always a plain pipeline
-            // scenario.
-            serving: false,
-            churn: false,
-            campaign: false,
         }
     }
 }
@@ -1065,9 +966,8 @@ mod tests {
         let matrix = scenario_matrix();
         // Synthetic lineage (4 × 2 × 2) plus the dataset lineage:
         // {wiki, hepth, hepph} × {1, 4}, the scaled Youtube cell, and
-        // the 1M-node Youtube bake-off cell — plus the 5 serving cells,
-        // the 2 churn cells, and the 1 campaign cell.
-        assert_eq!(matrix.len(), Topology::ALL.len() * 2 * 2 + 3 * 2 + 2 + 5 + 2 + 1);
+        // the 1M-node Youtube bake-off cell.
+        assert_eq!(matrix.len(), Topology::ALL.len() * 2 * 2 + 3 * 2 + 2);
         let names: std::collections::HashSet<String> = matrix.iter().map(Scenario::name).collect();
         assert_eq!(names.len(), matrix.len(), "scenario names collide");
         for required in [
@@ -1083,14 +983,6 @@ mod tests {
             "dataset_hepph_35k_t4",
             "dataset_youtube_220k_t4",
             "dataset_youtube_1m_t4",
-            "serving_wiki_7k_t1",
-            "serving_hepth_28k_t1",
-            "serving_hepph_35k_t4",
-            "serving_youtube_220k_t4",
-            "serving_youtube_1m_t4",
-            "churn_wiki_7k_t1",
-            "churn_youtube_220k_t4",
-            "campaign_wiki_7k_t1",
         ] {
             assert!(names.contains(required), "matrix lacks {required}");
             assert!(find_scenario(required).is_some());
@@ -1100,46 +992,15 @@ mod tests {
         let one_m = find_scenario("dataset_youtube_1m_t4").unwrap();
         assert!(one_m.bakeoff && one_m.nodes == 1_000_000);
         assert_eq!(matrix.iter().filter(|s| s.bakeoff).count(), 1);
-        // Serving cells are dataset-only and never double as bake-offs.
-        assert_eq!(matrix.iter().filter(|s| s.serving).count(), 5);
-        assert!(matrix
-            .iter()
-            .filter(|s| s.serving)
-            .all(|s| matches!(s.workload, Workload::Dataset(_)) && !s.bakeoff));
-        // Churn cells are dataset-only and never double as serving or
-        // bake-off cells.
-        assert_eq!(matrix.iter().filter(|s| s.churn).count(), 2);
-        assert!(matrix.iter().filter(|s| s.churn).all(|s| matches!(
-            s.workload,
-            Workload::Dataset(_)
-        ) && !s.bakeoff
-            && !s.serving));
-        // The campaign cell is dataset-only and belongs to no other
-        // lineage.
-        assert_eq!(matrix.iter().filter(|s| s.campaign).count(), 1);
-        assert!(matrix.iter().filter(|s| s.campaign).all(|s| matches!(
-            s.workload,
-            Workload::Dataset(_)
-        ) && !s.bakeoff
-            && !s.serving
-            && !s.churn));
         // Quick keeps the synthetic 10k slice and every non-bake-off
-        // dataset/serving/churn/campaign cell below 1M nodes; the 1M
-        // graphs belong to the weekly full matrix.
+        // dataset cell; the 1M graph belongs to the weekly full matrix.
         let quick = quick_matrix();
         assert!(quick
             .iter()
             .all(|s| !matches!(s.workload, Workload::Synthetic(_)) || s.nodes == 10_000));
-        assert_eq!(quick.len(), Topology::ALL.len() * 2 + 3 * 2 + 1 + 4 + 2 + 1);
+        assert_eq!(quick.len(), Topology::ALL.len() * 2 + 3 * 2 + 1);
         assert!(quick.iter().any(|s| s.name() == "dataset_youtube_220k_t4"));
-        assert!(quick.iter().any(|s| s.name() == "serving_youtube_220k_t4"));
-        assert!(quick.iter().any(|s| s.name() == "churn_youtube_220k_t4"));
-        assert!(quick.iter().any(|s| s.name() == "campaign_wiki_7k_t1"));
-        assert!(quick.iter().all(|s| !s.bakeoff), "--quick must skip the bake-off cells");
-        assert!(
-            quick.iter().all(|s| s.name() != "serving_youtube_1m_t4"),
-            "--quick must skip the 1M serving cell"
-        );
+        assert!(quick.iter().all(|s| !s.bakeoff), "--quick must skip the bake-off cell");
     }
 
     #[test]

@@ -32,20 +32,6 @@ pub enum CoreError {
         /// Samples spent trying to observe a success.
         samples: u64,
     },
-    /// A campaign listed the same target twice.
-    DuplicateTarget {
-        /// The repeated node index.
-        target: usize,
-    },
-    /// A campaign target produced no type-1 realization: the friending
-    /// process cannot reach it at this walk budget, so the campaign as
-    /// specified is infeasible (drop the target or raise the walks).
-    CampaignTargetUnreachable {
-        /// The unreachable target's node index.
-        target: usize,
-        /// Walks sampled for the target's pool.
-        samples: u64,
-    },
 }
 
 impl fmt::Display for CoreError {
@@ -59,16 +45,6 @@ impl fmt::Display for CoreError {
             }
             CoreError::TargetUnreachable { samples } => {
                 write!(f, "target unreachable: no type-1 realization in {samples} samples")
-            }
-            CoreError::DuplicateTarget { target } => {
-                write!(f, "duplicate campaign target {target}")
-            }
-            CoreError::CampaignTargetUnreachable { target, samples } => {
-                write!(
-                    f,
-                    "campaign target {target} unreachable: no type-1 realization in {samples} \
-                     samples"
-                )
             }
         }
     }

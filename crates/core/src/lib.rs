@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod baselines;
-pub mod campaign;
 pub mod evaluator;
 pub mod max_friending;
 pub mod params;
@@ -42,9 +41,6 @@ pub mod vmax;
 
 mod error;
 
-pub use campaign::{
-    Campaign, CampaignConfig, CampaignInstance, CampaignResult, CampaignTargetReport,
-};
 pub use error::CoreError;
 pub use max_friending::{MaxFriending, MaxFriendingConfig, MaxFriendingResult};
 pub use params::ParameterSet;

@@ -773,12 +773,12 @@ pub fn threads_from_env() -> usize {
 /// pair packed as `(s << 32) | t`.
 ///
 /// This is **the** derivation shared by every layer that samples a
-/// per-pair pool from one master seed — the serve cache's pool seeds and
-/// the campaign sampler both use it — so a campaign pool for `(s, t)`
+/// per-pair pool from one master seed — the serve cache seeds single
+/// queries and campaign targets with it — so a campaign pool for `(s, t)`
 /// and a single-target serve query on the same pair draw bit-identical
-/// walk streams and can share one cache entry. Node ids are original
-/// ids, the ones queries name: serve keys, `Campaign::run`, and offline
-/// replays all pass them, so a pair keeps its seed on every layout.
+/// walk streams and share one cache entry. Node ids are original ids,
+/// the ones queries name: serve keys and offline replays both pass them,
+/// so a pair keeps its seed on every layout.
 pub fn pair_seed(master: u64, s: u32, t: u32) -> u64 {
     master ^ splitmix64((u64::from(s) << 32) | u64::from(t))
 }

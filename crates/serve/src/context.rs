@@ -77,71 +77,6 @@ pub struct Query {
     pub budget: u64,
 }
 
-/// One multi-target campaign request against the resident graph: a
-/// source, `k` distinct targets, and one shared invitation budget,
-/// allocated greedily across the targets' pools by
-/// [`raf_cover::allocate_budget`]. Each target's pool resolves through
-/// the same [`PoolCache`] keys a single-target [`Query`] for that pair
-/// would use (walk count = the context ceiling), so campaigns warm the
-/// cache for later single queries and vice versa.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignQuery {
-    /// The campaigning source.
-    pub s: NodeId,
-    /// The targets, in any order (answers are order-independent).
-    pub targets: Vec<NodeId>,
-    /// Approximation target `α`, echoed in the response line; the
-    /// budget-driven allocation itself is `α`-independent, exactly as
-    /// pool sampling is.
-    pub alpha: f64,
-    /// Shared invitation budget across all targets.
-    pub budget: usize,
-}
-
-/// One target's slice of a [`CampaignAnswer`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CampaignTargetAnswer {
-    /// The target.
-    pub target: NodeId,
-    /// Sampled walk mass (pool copies) the shared set covers for this
-    /// target.
-    pub covered: usize,
-    /// Walks in this target's pool.
-    pub samples: u64,
-    /// `covered / samples` — the target's acceptance-probability
-    /// estimate under the shared invitation set.
-    pub estimate: f64,
-    /// Whether this target's pool came from the cache.
-    pub cache_hit: bool,
-}
-
-/// The answer to one [`CampaignQuery`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignAnswer {
-    /// The shared invitation set (original-space ids, `≤ budget`).
-    pub invitations: InvitationSet,
-    /// Per-target outcomes, in canonical (ascending node id) order.
-    pub targets: Vec<CampaignTargetAnswer>,
-    /// Σ per-target estimates — the campaign objective.
-    pub objective: f64,
-    /// Which allocation arm won (`joint`, `equal_split`,
-    /// `proportional_split`); ties keep `joint`.
-    pub arm: &'static str,
-    /// Every arm's objective, in `[joint, equal_split,
-    /// proportional_split]` order — what `raf experiment --targets`
-    /// charts as joint-vs-independent-split gain.
-    pub arm_objectives: [f64; 3],
-    /// Walks requested per target pool (the context's walk ceiling).
-    pub walks: u64,
-    /// How many target pools were answered from the cache.
-    pub hits: usize,
-    /// Whether any target pool is a deadline-truncated prefix of the
-    /// walk ceiling, exactly as [`QueryAnswer::degraded`] marks a single
-    /// pool; each target's [`samples`](CampaignTargetAnswer::samples)
-    /// says how many walks its pool holds.
-    pub degraded: bool,
-}
-
 /// The answer to one [`Query`], with the intermediate quantities the
 /// paper's analysis talks about plus the cache outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -470,7 +405,7 @@ impl<'g> SessionContext<'g> {
 
     /// The snapshot queries currently run against: the owned post-churn
     /// snapshot once a delta has been applied, the borrowed one before.
-    fn active_csr(&self) -> &CsrGraph {
+    pub(crate) fn active_csr(&self) -> &CsrGraph {
         match &self.dynamic {
             Some(d) => &d.csr,
             None => self.csr,
@@ -586,7 +521,7 @@ impl<'g> SessionContext<'g> {
         splitmix64(self.pool_seed(key) ^ splitmix64(self.delta_serial))
     }
 
-    fn check_query_cap(&self, key: &PoolKey) -> Result<(), ServeError> {
+    pub(crate) fn check_query_cap(&self, key: &PoolKey) -> Result<(), ServeError> {
         if let Some(cap) = self.config.admission.max_query_walks {
             if key.walks > cap {
                 return Err(ServeError::Overloaded(ShedReason::QueryTooLarge {
@@ -602,7 +537,7 @@ impl<'g> SessionContext<'g> {
     /// a hit. A cache miss samples under the context's deadline policy
     /// (so the pool may be a deterministic truncation) and under any
     /// faults injected for this query.
-    fn entry_for(
+    pub(crate) fn entry_for(
         &mut self,
         query: &Query,
         key: &PoolKey,
@@ -722,6 +657,12 @@ impl<'g> SessionContext<'g> {
         }
     }
 
+    /// The parameter set for `α` over the resident graph: `α ∈ (ε, 1]`
+    /// or [`ServeError::Parameters`].
+    pub(crate) fn parameters(&self, alpha: f64) -> Result<ParameterSet, ServeError> {
+        Ok(ParameterSet::solve(alpha, self.config.epsilon, self.active_csr().node_count())?)
+    }
+
     fn query_inner(
         &mut self,
         query: &Query,
@@ -731,8 +672,7 @@ impl<'g> SessionContext<'g> {
         let (entry, cache_hit) = self.entry_for(query, key, faults)?;
         let pool = entry.pool();
         let degraded = pool.total_samples() < key.walks;
-        let parameters =
-            ParameterSet::solve(query.alpha, self.config.epsilon, self.active_csr().node_count())?;
+        let parameters = self.parameters(query.alpha)?;
         let b1 = pool.type1_count();
         if b1 == 0 {
             return Err(ServeError::TargetUnreachable { samples: pool.total_samples() });
@@ -760,100 +700,6 @@ impl<'g> SessionContext<'g> {
     /// the batch — a service keeps serving).
     pub fn query_batch(&mut self, queries: &[Query]) -> Vec<Result<QueryAnswer, ServeError>> {
         queries.iter().map(|q| self.query(q)).collect()
-    }
-
-    /// Answers one multi-target campaign: resolve each target's pool
-    /// through the shared [`PoolCache`] (same keys and same pure seeds a
-    /// single-target [`Query`] for that pair uses — warming is
-    /// bidirectional), then allocate the shared invitation budget across
-    /// the targets with [`raf_cover::allocate_budget`].
-    ///
-    /// Targets are canonicalized to ascending node id first, so the
-    /// answer is independent of the order the request listed them in.
-    /// Campaigns count cache hits and misses like queries do, but do not
-    /// consume a query serial (fault sites address [`query`](Self::query)
-    /// calls only).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::InvalidQuery`] for an empty or duplicated target
-    /// list (and the usual per-pair rejections),
-    /// [`ServeError::CampaignUnreachable`] when a target's pool has no
-    /// type-1 realization. Pools sampled before the failure stay cached.
-    pub fn campaign(&mut self, query: &CampaignQuery) -> Result<CampaignAnswer, ServeError> {
-        if query.targets.is_empty() {
-            return Err(ServeError::InvalidQuery(QueryRejection::NoTargets));
-        }
-        let mut targets = query.targets.clone();
-        targets.sort_by_key(|t| t.index());
-        for pair in targets.windows(2) {
-            if pair[0] == pair[1] {
-                return Err(ServeError::InvalidQuery(QueryRejection::DuplicateTarget {
-                    target: pair[0].index(),
-                }));
-            }
-        }
-        // Per-target pools at the context's walk ceiling: exactly the key
-        // a default-budget single query for the pair resolves to.
-        let walks = self.config.walks;
-        let mut pools = Vec::with_capacity(targets.len());
-        let mut hit_flags = Vec::with_capacity(targets.len());
-        let mut entries = Vec::with_capacity(targets.len());
-        for &t in &targets {
-            let probe = Query { s: query.s, t, alpha: query.alpha, budget: walks };
-            let key = self.key_for(&probe)?;
-            self.check_query_cap(&key)?;
-            let (entry, hit) = self.entry_for(&probe, &key, &[])?;
-            let pool = entry.pool();
-            if pool.type1_count() == 0 {
-                return Err(ServeError::CampaignUnreachable {
-                    target: t.index(),
-                    samples: pool.total_samples(),
-                });
-            }
-            pools.push(pool);
-            hit_flags.push(hit);
-            entries.push(entry);
-        }
-        let budget_targets: Vec<raf_cover::BudgetTarget<'_>> = entries
-            .iter()
-            .zip(&pools)
-            .map(|(entry, pool)| raf_cover::BudgetTarget {
-                sets: &entry.cover,
-                total_samples: pool.total_samples().max(1),
-            })
-            .collect();
-        let alloc = raf_cover::allocate_budget(&budget_targets, query.budget)?;
-        let node_count = self.active_csr().node_count();
-        let mut invitations = InvitationSet::empty(node_count);
-        for &v in &alloc.chosen {
-            invitations.insert(NodeId::new(v as usize));
-        }
-        let per_target: Vec<CampaignTargetAnswer> = targets
-            .iter()
-            .enumerate()
-            .map(|(i, &target)| {
-                let samples = pools[i].total_samples();
-                let covered = alloc.per_target_covered[i];
-                CampaignTargetAnswer {
-                    target,
-                    covered,
-                    samples,
-                    estimate: covered as f64 / samples.max(1) as f64,
-                    cache_hit: hit_flags[i],
-                }
-            })
-            .collect();
-        Ok(CampaignAnswer {
-            invitations,
-            objective: alloc.objective,
-            arm: alloc.arm.name(),
-            arm_objectives: alloc.arm_objectives,
-            walks,
-            hits: hit_flags.iter().filter(|&&h| h).count(),
-            degraded: pools.iter().any(|pool| pool.total_samples() < walks),
-            targets: per_target,
-        })
     }
 
     /// Applies an edge delta to the session: rebuilds the resident
@@ -1019,6 +865,7 @@ fn splitmix64(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::CampaignQuery;
     use crate::fault::FaultSite;
     use raf_graph::{GraphBuilder, WeightScheme};
 
@@ -1608,6 +1455,19 @@ mod tests {
         assert_eq!(err.to_string(), "invalid query: duplicate campaign target 1");
         let err = ctx.campaign(&campaign(0, &[0, 1], 3)).unwrap_err();
         assert!(matches!(err, ServeError::InvalidQuery(QueryRejection::SourceIsTarget)));
+        // A later out-of-range target fails before the valid one samples.
+        let err = ctx.campaign(&campaign(0, &[1, 99], 3)).unwrap_err();
+        assert!(matches!(
+            err,
+            ServeError::InvalidQuery(QueryRejection::NodeOutOfRange { node: 99, node_count: 8 })
+        ));
+        let err = ctx.campaign(&campaign(0, &[1, 7], 0)).unwrap_err();
+        assert!(matches!(err, ServeError::InvalidQuery(QueryRejection::ZeroBudget)));
+        // An α a query rejects fails the same way, before any sampling.
+        for alpha in [f64::NAN, -5.0, 1.5] {
+            let err = ctx.campaign(&CampaignQuery { alpha, ..campaign(0, &[1, 7], 3) });
+            assert!(matches!(err, Err(ServeError::Parameters(_))), "alpha={alpha}");
+        }
         assert_eq!(ctx.stats(), CacheStats::default(), "rejections must not touch the cache");
         // The session keeps serving afterwards.
         assert!(ctx.campaign(&campaign(0, &[1, 7], 3)).is_ok());

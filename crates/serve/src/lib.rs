@@ -62,15 +62,17 @@
 #![warn(missing_docs)]
 
 mod cache;
+mod campaign;
 mod context;
 mod deadline;
 mod fault;
 pub mod protocol;
 
 pub use cache::{CacheStats, CachedPool, PoolCache, PoolKey};
+pub use campaign::{CampaignAnswer, CampaignQuery, CampaignTargetAnswer};
 pub use context::{
-    one_shot, CampaignAnswer, CampaignQuery, CampaignTargetAnswer, DeltaOutcome, Query,
-    QueryAnswer, QueryRejection, ServeConfig, ServeError, SessionContext, SessionStats,
+    one_shot, DeltaOutcome, Query, QueryAnswer, QueryRejection, ServeConfig, ServeError,
+    SessionContext, SessionStats,
 };
 pub use deadline::{AdmissionLedger, AdmissionPolicy, DeadlinePolicy, ShedReason};
 pub use fault::{FaultKind, FaultPlan, FaultSite};

@@ -26,7 +26,8 @@
 //! deterministic error string, never a panic and never a dead session
 //! (fuzzed in `crates/serve/tests/proptest_protocol.rs`).
 
-use crate::context::{CampaignAnswer, CampaignQuery, DeltaOutcome, Query, QueryAnswer, ServeError};
+use crate::campaign::{CampaignAnswer, CampaignQuery};
+use crate::context::{DeltaOutcome, Query, QueryAnswer, ServeError};
 use raf_graph::{EdgeDelta, NodeId};
 
 /// Longest field rendering quoted back in a parse error: a hostile

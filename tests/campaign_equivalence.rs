@@ -1,26 +1,26 @@
 //! Campaign equivalence properties — the contracts the multi-target
-//! generalization must keep:
+//! generalization must keep, checked through
+//! [`SessionContext::campaign`], the one campaign pipeline:
 //!
-//! 1. **`k = 1` bit-identity.** A one-target [`Campaign`] is the
+//! 1. **`k = 1` bit-identity.** A one-target serve campaign is the
 //!    existing single-target pipeline byte for byte: seeding
-//!    [`MaxFriending`] with `pair_seed(master, s, t)` (the campaign's —
-//!    and the serve cache's — per-pair derivation) reproduces the same
-//!    pool, the same invitation set, and the same float estimate, across
-//!    seeds, thread counts, and graph families.
+//!    [`MaxFriending`] with `pair_seed(master, s, t)` (the serve cache's
+//!    per-pair derivation) reproduces the same pool, the same invitation
+//!    set, and the same float estimate, across seeds, thread counts, and
+//!    graph families.
 //! 2. **Joint dominance.** The campaign objective never loses to the
 //!    best *independent* split of the same budget — checked against
 //!    genuinely independent per-target [`MaxFriending`] runs, not just
 //!    the allocator's own arm bookkeeping.
 //! 3. **Target-order invariance.** Permuting the caller's target list
-//!    changes nothing, through both the core pipeline and the serve
-//!    layer (where the relabeled layout must also answer identically).
+//!    changes nothing, on the plain and the relabeled layout.
 //! 4. **Structured failure.** Duplicate and unreachable targets are
 //!    typed errors, never panics, and never poison session state; ties
 //!    in the allocator break deterministically by target index.
 
 use active_friending::prelude::*;
 use proptest::prelude::*;
-use raf_core::{CoreError, MaxFriending, MaxFriendingConfig};
+use raf_core::{MaxFriending, MaxFriendingConfig};
 use raf_graph::{generators, Relabeling, SocialGraph};
 use raf_model::sampler::{pair_seed, threads_from_env};
 use raf_serve::QueryRejection;
@@ -67,19 +67,22 @@ fn pick_targets(g: &SocialGraph, s: NodeId, k: usize) -> Vec<NodeId> {
     targets
 }
 
-/// Runs a campaign, tolerating unreachable targets (sparse random
-/// graphs legitimately strand a pocket); `None` means the cell can't be
-/// tested, not that it failed.
+/// The serve configuration every campaign here runs under.
+fn serve_config(walks: u64, seed: u64, threads: usize) -> ServeConfig {
+    ServeConfig { walks, seed, threads, cache_bytes: 32 << 20, ..Default::default() }
+}
+
+/// Runs a campaign on a fresh session, tolerating unreachable targets
+/// (sparse random graphs legitimately strand a pocket); `None` means the
+/// cell can't be tested, not that it failed.
 fn try_campaign(
-    g: &CsrGraph,
-    s: NodeId,
-    targets: &[NodeId],
-    config: CampaignConfig,
-) -> Option<CampaignResult> {
-    let instance = CampaignInstance::new(g, s, targets).ok()?;
-    match Campaign::new(config).run(&instance) {
-        Ok(result) => Some(result),
-        Err(CoreError::CampaignTargetUnreachable { .. }) => None,
+    csr: &CsrGraph,
+    config: ServeConfig,
+    query: &CampaignQuery,
+) -> Option<CampaignAnswer> {
+    match SessionContext::new(csr, config).campaign(query) {
+        Ok(answer) => Some(answer),
+        Err(ServeError::CampaignUnreachable { .. }) => None,
         Err(other) => panic!("campaign failed structurally: {other}"),
     }
 }
@@ -87,9 +90,9 @@ fn try_campaign(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// `k = 1` bit-identity: a one-target campaign equals the
+    /// `k = 1` bit-identity: a one-target serve campaign equals the
     /// single-target [`MaxFriending`] pipeline on every byte — the
-    /// campaign seeds target `t` with `pair_seed(master, s, t)`, so the
+    /// session seeds target `t` with `pair_seed(master, s, t)`, so the
     /// single-target run must be handed exactly that derived seed.
     #[test]
     fn single_target_campaign_is_max_friending_bit_for_bit(
@@ -102,14 +105,12 @@ proptest! {
         let csr = g.to_csr();
         let s = NodeId::new(0);
         let Some(&t) = pick_targets(&g, s, 1).first() else { return Ok(()) };
+        let query = CampaignQuery { s, targets: vec![t], alpha: 0.5, budget };
         for threads in thread_matrix() {
-            let campaign = try_campaign(&csr, s, &[t], CampaignConfig {
-                budget,
-                walks: 6_000,
-                seed: master,
-                threads,
-            });
-            let Some(campaign) = campaign else { continue };
+            let Some(campaign) = try_campaign(&csr, serve_config(6_000, master, threads), &query)
+            else {
+                continue;
+            };
             let single = MaxFriending::new(MaxFriendingConfig {
                 budget,
                 realizations: 6_000,
@@ -127,7 +128,7 @@ proptest! {
             prop_assert_eq!(campaign.targets[0].samples, single.realizations_used);
             // k = 1 always reports the joint arm (all arms coincide and
             // ties keep the first).
-            prop_assert_eq!(campaign.arm.name(), "joint");
+            prop_assert_eq!(campaign.arm, "joint");
         }
     }
 
@@ -149,13 +150,10 @@ proptest! {
         if targets.len() < 2 {
             return Ok(());
         }
-        let campaign = try_campaign(&csr, s, &targets, CampaignConfig {
-            budget,
-            walks: 6_000,
-            seed: master,
-            threads: 1,
-        });
-        let Some(campaign) = campaign else { return Ok(()) };
+        let query = CampaignQuery { s, targets: targets.clone(), alpha: 0.5, budget };
+        let Some(campaign) = try_campaign(&csr, serve_config(6_000, master, 1), &query) else {
+            return Ok(());
+        };
         // The allocator's own bookkeeping: joint never loses to either
         // split arm it evaluated on the same pools.
         prop_assert!(campaign.objective >= campaign.arm_objectives[1]);
@@ -187,9 +185,9 @@ proptest! {
     }
 
     /// Target-order invariance, end to end: every permutation of the
-    /// target list produces the identical result through the core
-    /// pipeline, and the serve layer answers identically on the plain
-    /// and hub-BFS-relabeled layouts (original-space ids throughout).
+    /// target list produces the identical answer, and the plain and
+    /// hub-BFS-relabeled layouts answer identically (original-space ids
+    /// throughout).
     #[test]
     fn campaigns_are_order_and_layout_invariant(
         family in 0u8..3,
@@ -203,8 +201,9 @@ proptest! {
         if targets.len() < 2 {
             return Ok(());
         }
-        let config = CampaignConfig { budget: 6, walks: 4_000, seed: master, threads: 1 };
-        let Some(reference) = try_campaign(&csr, s, &targets, config.clone()) else {
+        let config = serve_config(4_000, master, 1);
+        let query = CampaignQuery { s, targets: targets.clone(), alpha: 0.4, budget: 6 };
+        let Some(reference) = try_campaign(&csr, config.clone(), &query) else {
             return Ok(());
         };
         let mut reversed = targets.clone();
@@ -212,41 +211,26 @@ proptest! {
         let mut rotated = targets.clone();
         rotated.rotate_left(1);
         for permutation in [reversed, rotated] {
-            let permuted = try_campaign(&csr, s, &permutation, config.clone())
+            let permuted_query = CampaignQuery { targets: permutation, ..query.clone() };
+            let permuted = try_campaign(&csr, config.clone(), &permuted_query)
                 .expect("reachability cannot depend on target order");
             prop_assert_eq!(&permuted, &reference);
         }
 
-        // Serve layer: the same campaign through a session context, on
-        // the plain and relabeled layouts, with permuted target lists.
-        let serve_cfg = ServeConfig {
-            walks: 4_000,
-            epsilon: 0.01,
-            seed: master,
-            threads: 1,
-            cache_bytes: 32 << 20,
-            ..Default::default()
-        };
-        let query = CampaignQuery { s, targets: targets.clone(), alpha: 0.4, budget: 6 };
-        let mut plain_ctx = SessionContext::new(&csr, serve_cfg.clone());
-        let plain = plain_ctx.campaign(&query).expect("reachable via the core pipeline");
+        // The relabeled layout, with a permuted target list.
         let relabeling = Arc::new(Relabeling::hub_bfs(&g));
         let relabeled_csr = g.to_csr_relabeled(&relabeling);
-        let mut hub_ctx =
-            SessionContext::with_relabeling(&relabeled_csr, relabeling, serve_cfg);
+        let mut hub_ctx = SessionContext::with_relabeling(&relabeled_csr, relabeling, config);
         let mut permuted_query = query.clone();
         permuted_query.targets.reverse();
         let hub = hub_ctx.campaign(&permuted_query).expect("layouts agree on reachability");
-        prop_assert_eq!(&hub.invitations, &plain.invitations);
-        prop_assert_eq!(hub.objective, plain.objective);
-        prop_assert_eq!(&hub.targets, &plain.targets);
-        prop_assert_eq!(hub.arm, plain.arm);
+        prop_assert_eq!(&hub, &reference);
     }
 }
 
-/// Duplicate targets are a typed error at both layers, and the serve
-/// session keeps answering afterward — a rejected campaign must not
-/// poison the cache or the context.
+/// Duplicate targets are a typed error, and the session keeps answering
+/// afterward — a rejected campaign must not poison the cache or the
+/// context.
 #[test]
 fn duplicate_targets_fail_structurally_without_killing_the_session() {
     let g = random_graph(0, 100, 42);
@@ -255,17 +239,15 @@ fn duplicate_targets_fail_structurally_without_killing_the_session() {
     let targets = pick_targets(&g, s, 2);
     assert!(targets.len() == 2, "generator produced no valid pair");
 
+    let mut ctx = SessionContext::new(&csr, serve_config(3_000, 7, 1));
     let dup = vec![targets[0], targets[1], targets[0]];
-    let err = CampaignInstance::new(&csr, s, &dup).unwrap_err();
-    assert_eq!(err, CoreError::DuplicateTarget { target: targets[0].index() });
-
-    let mut ctx = SessionContext::new(
-        &csr,
-        ServeConfig { walks: 3_000, seed: 7, cache_bytes: 16 << 20, ..Default::default() },
-    );
     let bad = CampaignQuery { s, targets: dup, alpha: 0.3, budget: 4 };
     let err = ctx.campaign(&bad).unwrap_err();
-    assert!(matches!(err, ServeError::InvalidQuery(QueryRejection::DuplicateTarget { .. })));
+    assert!(matches!(
+        err,
+        ServeError::InvalidQuery(QueryRejection::DuplicateTarget { target })
+            if target == targets[0].index()
+    ));
     // The session still serves: the same targets, deduplicated, answer.
     let good = CampaignQuery { s, targets, alpha: 0.3, budget: 4 };
     match ctx.campaign(&good) {
@@ -275,32 +257,24 @@ fn duplicate_targets_fail_structurally_without_killing_the_session() {
     }
 }
 
-/// An unreachable target is a typed error naming the target, at both
-/// layers — never a panic, never an empty-pool unwrap.
+/// An unreachable target is a typed error naming the target and its
+/// walks — never a panic, never an empty-pool unwrap.
 #[test]
 fn unreachable_targets_are_typed_errors() {
     // Two components: 0-1-2 and 6-7. Target 6 can never be reached
     // from source 0.
     let mut b = GraphBuilder::new();
     b.add_edges(vec![(0, 1), (1, 2), (6, 7)]).unwrap();
-    let g = b.build(WeightScheme::UniformByDegree).unwrap();
-    let csr = g.to_csr();
-    let s = NodeId::new(0);
-    let targets = vec![NodeId::new(2), NodeId::new(6)];
-
-    let instance = CampaignInstance::new(&csr, s, &targets).unwrap();
-    let err = Campaign::new(CampaignConfig { budget: 4, walks: 800, seed: 1, threads: 1 })
-        .run(&instance)
-        .unwrap_err();
-    assert_eq!(err, CoreError::CampaignTargetUnreachable { target: 6, samples: 800 });
-
-    let mut ctx = SessionContext::new(
-        &csr,
-        ServeConfig { walks: 800, seed: 1, cache_bytes: 8 << 20, ..Default::default() },
-    );
-    let query = CampaignQuery { s, targets, alpha: 0.3, budget: 4 };
+    let csr = b.build(WeightScheme::UniformByDegree).unwrap().to_csr();
+    let mut ctx = SessionContext::new(&csr, serve_config(800, 1, 1));
+    let query = CampaignQuery {
+        s: NodeId::new(0),
+        targets: vec![NodeId::new(2), NodeId::new(6)],
+        alpha: 0.3,
+        budget: 4,
+    };
     let err = ctx.campaign(&query).unwrap_err();
-    assert!(matches!(err, ServeError::CampaignUnreachable { target: 6, .. }));
+    assert!(matches!(err, ServeError::CampaignUnreachable { target: 6, samples: 800 }));
 }
 
 /// Allocator ties break deterministically by target index: two targets
