@@ -1,6 +1,7 @@
 //! Criterion bench for the arena realization pool: legacy (per-walk
-//! `Vec`, mutex + sort, per-set copy) vs arena (`PathPool` + zero-copy
-//! weighted cover) pipelines on a 10k-node powerlaw-cluster instance.
+//! `Vec`, mutex + sort, per-set copy) vs arena (`PathPool` + weighted
+//! cover in local element ids) pipelines on a 10k-node powerlaw-cluster
+//! instance.
 //!
 //! `raf bench-json` runs the same workloads via
 //! [`raf_bench::sampling::run_sampling_bench`] and records the measured

@@ -10,9 +10,9 @@
 //!   re-copies every path into a fresh `Vec<Vec<u32>>` (one allocation
 //!   and one sort per path) before solving the duplicated family;
 //! * **arena** — the current pipeline: allocation-free sampling into the
-//!   flat [`PathPool`] arena, multiplicity dedup at assembly, and the
-//!   zero-copy [`CoverInstance::from_path_pool`] handoff into the
-//!   weighted portfolio solve.
+//!   flat [`PathPool`] arena, multiplicity dedup at assembly, and
+//!   [`CoverInstance::from_path_pool`], which rewrites the unique paths
+//!   to local element ids for the weighted portfolio solve.
 //!
 //! Both produce statistically identical pools (same seeds, same walk
 //! multiset), so the wall-clock ratio is a pure data-structure
@@ -768,7 +768,8 @@ pub fn arena_sample_pool(
     SampleRequest::new(l).seed(master_seed).threads(threads).run(instance)
 }
 
-/// Arena cover phase: zero-copy handoff and weighted portfolio solve.
+/// Arena cover phase: the weighted instance over the pool's unique paths
+/// (local element ids) and its portfolio solve.
 pub fn arena_solve(universe: usize, pool: PathPool, beta: f64) -> CoverSolution {
     let b1 = pool.type1_count();
     let cover = CoverInstance::from_path_pool(universe, pool).expect("pool ids in range");

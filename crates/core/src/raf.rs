@@ -284,8 +284,9 @@ impl RafAlgorithm {
         if b1 == 0 {
             return Err(CoreError::TargetUnreachable { samples: total_samples });
         }
-        // Zero-copy handoff (Alg. 3 line 3): the pool's arena becomes the
-        // weighted cover instance — no per-path allocation, no re-sort.
+        // The weighted cover instance over the pool's unique paths (Alg. 3
+        // line 3), in local element ids: the solve scales with the pool,
+        // not with the graph.
         let cover = CoverInstance::from_path_pool(n, pool)?;
         let p = raf_cover::cover_requirement(parameters.beta, b1);
         let solver: Box<dyn MpuSolver> = match self.config.solver {

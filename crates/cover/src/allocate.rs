@@ -124,21 +124,23 @@ pub fn allocate_budget(
     targets: &[BudgetTarget<'_>],
     budget: usize,
 ) -> Result<Allocation, CoverError> {
-    let universe = check_targets(targets)?;
+    check_targets(targets)?;
 
-    let joint = joint_greedy(targets, budget, universe, None);
-    let equal = split_greedy(targets, budget, universe, &equal_slices(targets.len(), budget));
-    let prop = split_greedy(targets, budget, universe, &proportional_slices(targets, budget));
+    let joint = joint_greedy(targets, budget);
+    let equal = split_greedy(targets, budget, &equal_slices(targets.len(), budget));
+    let prop = split_greedy(targets, budget, &proportional_slices(targets, budget));
 
     let arms = [
         (AllocationArm::Joint, joint),
         (AllocationArm::EqualSplit, equal),
         (AllocationArm::ProportionalSplit, prop),
     ];
+    let covered: Vec<Vec<usize>> =
+        arms.iter().map(|(_, chosen)| covered_counts(targets, chosen)).collect();
     let arm_objectives = [
-        objective(targets, &arms[0].1),
-        objective(targets, &arms[1].1),
-        objective(targets, &arms[2].1),
+        objective(targets, &covered[0]),
+        objective(targets, &covered[1]),
+        objective(targets, &covered[2]),
     ];
     // Strictly-better scan: ties keep the earlier arm, so k = 1 (where
     // all three arms coincide) always reports Joint.
@@ -148,21 +150,18 @@ pub fn allocate_budget(
             best = i;
         }
     }
-    let (arm, mask) = (arms[best].0, &arms[best].1);
-    let chosen: Vec<u32> =
-        mask.iter().enumerate().filter(|(_, &m)| m).map(|(v, _)| v as u32).collect();
-    let per_target_covered = targets.iter().map(|t| t.sets.covered_count(mask)).collect();
+    let (arm, chosen) = arms[best].clone();
     Ok(Allocation {
         chosen,
-        per_target_covered,
+        per_target_covered: covered[best].clone(),
         objective: arm_objectives[best],
         arm,
         arm_objectives,
     })
 }
 
-/// Validates the target list, returning the common universe.
-fn check_targets(targets: &[BudgetTarget<'_>]) -> Result<usize, CoverError> {
+/// Validates the target list.
+fn check_targets(targets: &[BudgetTarget<'_>]) -> Result<(), CoverError> {
     let first = targets.first().ok_or(CoverError::NoTargets)?;
     let universe = first.sets.universe();
     for t in &targets[1..] {
@@ -173,20 +172,32 @@ fn check_targets(targets: &[BudgetTarget<'_>]) -> Result<usize, CoverError> {
             });
         }
     }
-    Ok(universe)
+    Ok(())
 }
 
-/// The summed acceptance estimate of a node mask.
-fn objective(targets: &[BudgetTarget<'_>], mask: &[bool]) -> f64 {
+/// Weighted covered path mass per target under the chosen ground-id
+/// node set.
+fn covered_counts(targets: &[BudgetTarget<'_>], chosen: &[u32]) -> Vec<usize> {
     targets
         .iter()
         .map(|t| {
-            if t.total_samples == 0 {
-                0.0
-            } else {
-                t.sets.covered_count(mask) as f64 / t.total_samples as f64
+            let mut mask = vec![false; t.sets.element_count()];
+            for &v in chosen {
+                if let Some(e) = t.sets.local(v) {
+                    mask[e as usize] = true;
+                }
             }
+            t.sets.covered_count(&mask)
         })
+        .collect()
+}
+
+/// The summed acceptance estimate of per-target covered masses.
+fn objective(targets: &[BudgetTarget<'_>], covered: &[usize]) -> f64 {
+    targets
+        .iter()
+        .zip(covered)
+        .map(|(t, &c)| if t.total_samples == 0 { 0.0 } else { c as f64 / t.total_samples as f64 })
         .sum()
 }
 
@@ -226,22 +237,18 @@ fn proportional_slices(targets: &[BudgetTarget<'_>], budget: usize) -> Vec<usize
 }
 
 /// Independent per-target greedy under the given budget slices; returns
-/// the union mask (each target solved on a fresh mask, so the arms model
-/// genuinely independent campaigns sharing nothing but the graph).
-fn split_greedy(
-    targets: &[BudgetTarget<'_>],
-    budget: usize,
-    universe: usize,
-    slices: &[usize],
-) -> Vec<bool> {
+/// the union of the chosen ground ids, sorted (each target solved on its
+/// own, so the arms model genuinely independent campaigns sharing nothing
+/// but the graph).
+fn split_greedy(targets: &[BudgetTarget<'_>], budget: usize, slices: &[usize]) -> Vec<u32> {
     debug_assert_eq!(slices.iter().sum::<usize>(), budget.min(slices.iter().sum()));
-    let mut union = vec![false; universe];
-    for (i, target) in targets.iter().enumerate() {
-        let mask = joint_greedy(std::slice::from_ref(target), slices[i], universe, None);
-        for (u, m) in union.iter_mut().zip(&mask) {
-            *u |= m;
-        }
-    }
+    let mut union: Vec<u32> = targets
+        .iter()
+        .zip(slices)
+        .flat_map(|(target, &slice)| joint_greedy(std::slice::from_ref(target), slice))
+        .collect();
+    union.sort_unstable();
+    union.dedup();
     union
 }
 
@@ -249,30 +256,26 @@ fn split_greedy(
 /// `(target, set)` candidate with the highest exact marginal density
 /// `wᵢ / (tsᵢ · cᵢ)` (`c` = nodes the set still needs) that fits the
 /// remaining budget. Ties: smaller cost, then smaller target index,
-/// then smaller set index (the scan keeps the first best). `seed_mask`
-/// pre-populates the chosen set (unused by the public arms today; kept
-/// for warm-start experiments).
-fn joint_greedy(
-    targets: &[BudgetTarget<'_>],
-    budget: usize,
-    universe: usize,
-    seed_mask: Option<Vec<bool>>,
-) -> Vec<bool> {
-    let mut mask = seed_mask.unwrap_or_else(|| vec![false; universe]);
-    let mut spent = mask.iter().filter(|&&m| m).count();
-    if spent >= budget {
-        return mask;
+/// then smaller set index (the scan keeps the first best). Returns the
+/// chosen ground ids, sorted.
+///
+/// Each target keeps a mask over its own local ids. A picked set's new
+/// nodes are mapped to ground ids and marked in every target that
+/// mentions them, so each mask is the chosen set restricted to its
+/// target: at most `budget × k` table lookups per call.
+fn joint_greedy(targets: &[BudgetTarget<'_>], budget: usize) -> Vec<u32> {
+    let mut chosen: Vec<u32> = Vec::new();
+    if budget == 0 {
+        return chosen;
     }
-    // Covered flags per (target, set): pre-mark sets already contained
-    // in the mask (empty sets included) so every live candidate has
-    // cost ≥ 1 and the density rational is well-defined.
+    let mut masks: Vec<Vec<bool>> =
+        targets.iter().map(|t| vec![false; t.sets.element_count()]).collect();
+    // Covered flags per (target, set): pre-mark the empty sets so every
+    // live candidate has cost ≥ 1 and the density rational is
+    // well-defined.
     let mut covered: Vec<Vec<bool>> = targets
         .iter()
-        .map(|t| {
-            (0..t.sets.set_count())
-                .map(|j| t.sets.set(j).iter().all(|&e| mask[e as usize]))
-                .collect()
-        })
+        .map(|t| (0..t.sets.set_count()).map(|j| t.sets.set(j).is_empty()).collect())
         .collect();
     loop {
         // (weight, ts, cost, target, set) of the best candidate so far.
@@ -283,8 +286,8 @@ fn joint_greedy(
                 if done {
                     continue;
                 }
-                let cost = target.sets.marginal(j, &mask);
-                if spent + cost > budget {
+                let cost = target.sets.marginal(j, &masks[ti]);
+                if chosen.len() + cost > budget {
                     continue;
                 }
                 let w = target.sets.weight(j) as u128;
@@ -302,25 +305,35 @@ fn joint_greedy(
                 }
             }
         }
-        let Some((_, _, cost, ti, j)) = best else { break };
-        for &e in targets[ti].sets.set(j) {
-            mask[e as usize] = true;
+        let Some((_, _, _, ti, j)) = best else { break };
+        let picked = targets[ti].sets;
+        for &e in picked.set(j) {
+            if masks[ti][e as usize] {
+                continue;
+            }
+            let v = picked.node(e);
+            chosen.push(v);
+            for (target, mask) in targets.iter().zip(masks.iter_mut()) {
+                if let Some(local) = target.sets.local(v) {
+                    mask[local as usize] = true;
+                }
+            }
         }
-        spent += cost;
         // Prune every set the pick completed — across *all* targets:
         // shared route segments cover sibling targets' paths for free.
-        for (target, done) in targets.iter().zip(covered.iter_mut()) {
+        for ((target, done), mask) in targets.iter().zip(covered.iter_mut()).zip(&masks) {
             for (j, done) in done.iter_mut().enumerate() {
                 if !*done && target.sets.set(j).iter().all(|&e| mask[e as usize]) {
                     *done = true;
                 }
             }
         }
-        if spent >= budget || covered.iter().all(|c| c.iter().all(|&x| x)) {
+        if chosen.len() >= budget || covered.iter().all(|c| c.iter().all(|&x| x)) {
             break;
         }
     }
-    mask
+    chosen.sort_unstable();
+    chosen
 }
 
 #[cfg(test)]
@@ -394,6 +407,25 @@ mod tests {
             assert!(alloc.objective >= alloc.arm_objectives[2] - 0.0);
             assert!(alloc.chosen.len() <= budget);
         }
+    }
+
+    #[test]
+    fn nodes_bought_for_one_target_serve_the_others() {
+        // Target 0's path [1, 2] is also one of target 1's: once bought
+        // for target 0 it covers target 1's copy too and is never bought
+        // again, however much budget is left.
+        let a = inst(4, vec![vec![1, 2]]);
+        let b = inst(4, vec![vec![1, 2], vec![3]]);
+        let alloc = allocate_budget(
+            &[
+                BudgetTarget { sets: &a, total_samples: 1 },
+                BudgetTarget { sets: &b, total_samples: 1 },
+            ],
+            5,
+        )
+        .unwrap();
+        assert_eq!(alloc.chosen, vec![1, 2, 3]);
+        assert_eq!(alloc.per_target_covered, vec![1, 2]);
     }
 
     #[test]

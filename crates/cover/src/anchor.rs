@@ -87,26 +87,29 @@ impl MpuSolver for AnchorSolver {
         if p == 0 {
             return Ok(CoverSolution::from_sets(instance, Vec::new()));
         }
-        // Weighted frequency of each element across the multiset family,
-        // plus the element → sets inverted index (built in the same pass,
-        // so each anchor attempt looks candidates up instead of rescanning
-        // the whole family).
-        let mut freq = vec![0u64; instance.universe()];
-        let mut index: Vec<Vec<u32>> = vec![Vec::new(); instance.universe()];
+        // Weighted frequency of each local element across the multiset
+        // family, plus the element → sets inverted index (built in the
+        // same pass, so each anchor attempt looks candidates up instead of
+        // rescanning the whole family).
+        let elements = instance.element_count();
+        let mut freq = vec![0u64; elements];
+        let mut index: Vec<Vec<u32>> = vec![Vec::new(); elements];
         for (i, s) in instance.iter_sets().enumerate() {
             for &e in s {
                 freq[e as usize] += instance.weight(i) as u64;
                 index[e as usize].push(i as u32);
             }
         }
-        let mut by_freq: Vec<u32> = (0..instance.universe() as u32).collect();
+        // Stable sort: frequency ties go to the smaller local id, which is
+        // the smaller ground id.
+        let mut by_freq: Vec<u32> = (0..elements as u32).collect();
         by_freq.sort_by_key(|&e| std::cmp::Reverse(freq[e as usize]));
         let mut best: Option<CoverSolution> = None;
         // Buffers shared by every anchor attempt: greedy scratch plus the
         // taken/union masks (reset per attempt, allocated once).
         let mut scratch = GreedyScratch::new();
         let mut taken = vec![false; instance.set_count()];
-        let mut in_union = vec![false; instance.universe()];
+        let mut in_union = vec![false; elements];
         for &anchor in by_freq.iter().take(self.anchors) {
             if freq[anchor as usize] == 0 {
                 break;
@@ -189,6 +192,16 @@ mod tests {
         let inst = CoverInstance::new(3, vec![vec![0]]).unwrap();
         let sol = AnchorSolver::new().solve(&inst, 0).unwrap();
         assert_eq!(sol.set_count(), 0);
+    }
+
+    #[test]
+    fn frequency_ties_break_by_ground_id() {
+        // Nodes 3 and 9 each lie on two sets and 9 is seen first: the
+        // single anchor must be 3, the smaller ground id.
+        let inst =
+            CoverInstance::new(10, vec![vec![9, 5], vec![9, 6], vec![3, 7], vec![3, 8]]).unwrap();
+        let sol = AnchorSolver::with_anchors(1).solve(&inst, 2).unwrap();
+        assert_eq!(sol.union, vec![3, 7, 8]);
     }
 
     #[test]

@@ -32,8 +32,8 @@ impl GreedyMarginal {
 
 /// Reusable scratch buffers for [`greedy_fill`], so callers that run the
 /// greedy repeatedly (the portfolio's anchor arm tries many anchors per
-/// solve) never re-allocate the `O(universe)`-sized inverted index or the
-/// bucket queue between runs.
+/// solve) never re-allocate the inverted index (one list per local
+/// element) or the bucket queue between runs.
 #[derive(Debug, Default)]
 pub(crate) struct GreedyScratch {
     marginal: Vec<u32>,
@@ -48,7 +48,7 @@ impl GreedyScratch {
     }
 
     /// Resets the buffers for an instance, reusing allocations.
-    fn reset(&mut self, universe: usize, m: usize, bucket_levels: usize) {
+    fn reset(&mut self, elements: usize, m: usize, bucket_levels: usize) {
         self.marginal.clear();
         self.marginal.resize(m, 0);
         for b in &mut self.buckets {
@@ -60,8 +60,8 @@ impl GreedyScratch {
         for e in &mut self.elem_sets {
             e.clear();
         }
-        if self.elem_sets.len() < universe {
-            self.elem_sets.resize_with(universe, Vec::new);
+        if self.elem_sets.len() < elements {
+            self.elem_sets.resize_with(elements, Vec::new);
         }
     }
 }
@@ -69,7 +69,8 @@ impl GreedyScratch {
 /// Greedy state shared with the anchor solver's padding phase: continues
 /// a partially chosen solution until the chosen sets' total weight
 /// reaches `target_weight`. `covered_weight` carries the weight already
-/// chosen on entry and is updated in place.
+/// chosen on entry and is updated in place; `in_union` is a mask over the
+/// instance's local ids.
 pub(crate) fn greedy_fill(
     instance: &CoverInstance,
     taken: &mut [bool],
@@ -90,7 +91,7 @@ pub(crate) fn greedy_fill(
             max_size = max_size.max(instance.set(i).len());
         }
     }
-    scratch.reset(instance.universe(), m, max_size + 1);
+    scratch.reset(instance.element_count(), m, max_size + 1);
     let GreedyScratch { marginal, buckets, elem_sets } = scratch;
     for (i, &t) in taken.iter().enumerate() {
         if !t {
@@ -156,7 +157,7 @@ impl MpuSolver for GreedyMarginal {
     fn solve(&self, instance: &CoverInstance, p: usize) -> Result<CoverSolution, CoverError> {
         check_p(instance, p)?;
         let mut taken = vec![false; instance.set_count()];
-        let mut in_union = vec![false; instance.universe()];
+        let mut in_union = vec![false; instance.element_count()];
         let mut chosen = Vec::with_capacity(p.min(instance.set_count()));
         let mut covered_weight = 0usize;
         let mut scratch = GreedyScratch::new();
@@ -262,7 +263,7 @@ mod tests {
             let fast = GreedyMarginal::new().solve(&inst, p).unwrap();
             assert!(fast.verify(&inst, p));
             // Replay.
-            let mut in_union = vec![false; inst.universe()];
+            let mut in_union = vec![false; inst.element_count()];
             let mut taken = vec![false; m];
             for &idx in &fast.chosen_sets {
                 let chosen_marg = inst.marginal(idx, &in_union);

@@ -7,9 +7,7 @@ use serde::{Deserialize, Serialize};
 /// A (weighted) Minimum p-Union instance: a ground set `0..universe` and
 /// a family of subsets, each carrying a positive integer *weight* (its
 /// multiplicity in the original multiset family). Sets are stored in a
-/// flat CSR arena — one `Vec<u32>` of elements plus an offset table — so
-/// building an instance from a sampled [`PathPool`] is a pure move with
-/// no per-set allocation.
+/// flat CSR arena — one `Vec<u32>` of elements plus an offset table.
 ///
 /// In the RAF pipeline, each set is a sampled backward path `t(g)` (its
 /// weight = how many sampled walks produced it) and the ground set is the
@@ -18,22 +16,39 @@ use serde::{Deserialize, Serialize};
 /// exactly equivalent to the paper's duplicated one: covering a path
 /// covers every sampled copy of it.
 ///
+/// **Local element ids.** The family usually touches a tiny part of the
+/// ground set (a few hundred nodes of a million-node graph), so every
+/// constructor rewrites the arena to dense *local* ids `0..element_count`,
+/// assigned in ascending ground-set order, and keeps the local → ground
+/// table ([`node`](Self::node), inverted by [`local`](Self::local)).
+/// [`set`](Self::set), [`iter_sets`](Self::iter_sets),
+/// [`marginal`](Self::marginal) and [`covered_count`](Self::covered_count)
+/// speak local ids, so solver scratch scales with the family, not with
+/// [`universe`](Self::universe). Because the map is monotone, ordering by
+/// local id is ordering by ground id: tie-breaks and sorted unions are
+/// the same in both spaces.
+///
 /// ```
 /// use raf_cover::{CoverInstance, GreedyMarginal, MpuSolver};
 ///
 /// # fn main() -> Result<(), raf_cover::CoverError> {
-/// let inst = CoverInstance::new(5, vec![vec![0, 1], vec![1, 2], vec![3, 4]])?;
+/// let inst = CoverInstance::new(50, vec![vec![10, 20], vec![20, 30], vec![40, 45]])?;
+/// assert_eq!(inst.element_count(), 5);
+/// assert_eq!(inst.set(1), &[1, 2]); // local ids of nodes 20 and 30
 /// let sol = GreedyMarginal::new().solve(&inst, 2)?;
-/// assert_eq!(sol.cost(), 3); // the two overlapping sets
+/// assert_eq!(sol.union, vec![10, 20, 30]); // the two overlapping sets
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CoverInstance {
     universe: usize,
-    /// Concatenated elements; set `i` is `elems[offsets[i]..offsets[i+1]]`.
+    /// Concatenated local element ids; set `i` is
+    /// `elems[offsets[i]..offsets[i+1]]`.
     elems: Vec<u32>,
     offsets: Vec<u32>,
+    /// Local → ground id table, strictly ascending.
+    nodes: Vec<u32>,
     /// Per-set weights; `None` means every weight is 1 (the unweighted
     /// case built by [`CoverInstance::new`]).
     weights: Option<Vec<u32>>,
@@ -57,45 +72,32 @@ impl CoverInstance {
         for mut set in sets {
             set.sort_unstable();
             set.dedup();
-            if let Some(&max) = set.last() {
-                if max as usize >= universe {
-                    return Err(CoverError::ElementOutOfRange { element: max, universe });
-                }
-            }
             elems.extend_from_slice(&set);
             assert!(elems.len() <= u32::MAX as usize, "set family overflows u32 offsets");
             offsets.push(elems.len() as u32);
         }
-        Ok(CoverInstance { universe, elems, offsets, weights: None, total_weight: m })
+        Self::localize(universe, elems, offsets, None)
     }
 
-    /// Builds a weighted instance directly from a sampled [`PathPool`] —
-    /// the zero-copy Alg. 3 handoff. The pool's flat arena becomes the
-    /// instance storage verbatim: no per-set allocation, no re-sort, no
-    /// copy. Set `i` is the pool's unique path `i` (elements in walk
-    /// order — distinct by the walk's cycle check, but *not* sorted) with
-    /// weight = the path's multiplicity.
+    /// Builds a weighted instance from a sampled [`PathPool`] (Alg. 3
+    /// line 3); the owned form of
+    /// [`from_path_pool_ref`](Self::from_path_pool_ref), with the same
+    /// result.
     ///
     /// # Errors
     ///
     /// Returns [`CoverError::ElementOutOfRange`] when a path mentions a
     /// node `≥ universe`.
     pub fn from_path_pool(universe: usize, pool: PathPool) -> Result<Self, CoverError> {
-        let (elems, offsets, weights) = pool.into_flat_parts();
-        if let Some(&max) = elems.iter().max() {
-            if max as usize >= universe {
-                return Err(CoverError::ElementOutOfRange { element: max, universe });
-            }
-        }
-        let total_weight = weights.iter().map(|&w| w as usize).sum();
-        Ok(CoverInstance { universe, elems, offsets, weights: Some(weights), total_weight })
+        Self::from_path_pool_ref(universe, &pool)
     }
 
-    /// Builds a weighted instance from a *borrowed* [`PathPool`] — the
-    /// same layout as [`CoverInstance::from_path_pool`] (paths in walk
-    /// order, weight = multiplicity, canonical pool order preserved) but
-    /// copying the arena instead of consuming it. Use this when the pool
-    /// must stay available for post-solve evaluation.
+    /// Builds a weighted instance from a borrowed [`PathPool`]: set `i` is
+    /// the pool's unique path `i` (canonical pool order; elements in walk
+    /// order, distinct by the walk's cycle check but *not* sorted) with
+    /// weight = the path's multiplicity. The arena is copied once and
+    /// rewritten to local ids; the pool stays available for post-solve
+    /// evaluation and repair.
     ///
     /// # Errors
     ///
@@ -105,34 +107,111 @@ impl CoverInstance {
         let mut elems = Vec::new();
         let mut offsets = vec![0u32];
         let mut weights = Vec::new();
-        let mut total_weight = 0usize;
         for (path, mult) in pool.iter() {
-            if let Some(&max) = path.iter().max() {
-                if max as usize >= universe {
-                    return Err(CoverError::ElementOutOfRange { element: max, universe });
-                }
-            }
             elems.extend_from_slice(path);
             assert!(elems.len() <= u32::MAX as usize, "set family overflows u32 offsets");
             offsets.push(elems.len() as u32);
             weights.push(mult);
-            total_weight += mult as usize;
         }
-        Ok(CoverInstance { universe, elems, offsets, weights: Some(weights), total_weight })
+        Self::localize(universe, elems, offsets, Some(weights))
     }
 
-    /// Ground-set size.
+    /// The one remapping step behind every constructor: checks the
+    /// ground-id arena against `universe`, then rewrites it in place to
+    /// local ids in ascending ground-id order.
+    ///
+    /// A small ground set under a large family (a 7k-node graph under a
+    /// pool of 134k elements) is ranked through a ground-sized table,
+    /// which costs `O(universe + arena)` and is taken only when the
+    /// universe is no larger than the arena; otherwise the distinct
+    /// elements are sorted and each element binary-searched, in
+    /// `O(arena · log arena)`. Either way the cost follows the family.
+    fn localize(
+        universe: usize,
+        mut elems: Vec<u32>,
+        offsets: Vec<u32>,
+        weights: Option<Vec<u32>>,
+    ) -> Result<Self, CoverError> {
+        if let Some(&max) = elems.iter().max() {
+            if max as usize >= universe {
+                return Err(CoverError::ElementOutOfRange { element: max, universe });
+            }
+        }
+        let nodes = if universe <= elems.len() {
+            const ABSENT: u32 = u32::MAX;
+            let mut rank = vec![ABSENT; universe];
+            for &v in &elems {
+                rank[v as usize] = 0;
+            }
+            let mut nodes = Vec::new();
+            for (v, r) in rank.iter_mut().enumerate() {
+                if *r != ABSENT {
+                    *r = nodes.len() as u32;
+                    nodes.push(v as u32);
+                }
+            }
+            for e in &mut elems {
+                *e = rank[*e as usize];
+            }
+            nodes
+        } else {
+            let mut nodes = elems.clone();
+            nodes.sort_unstable();
+            nodes.dedup();
+            for e in &mut elems {
+                *e = nodes.binary_search(e).expect("the table holds every element") as u32;
+            }
+            nodes
+        };
+        let total_weight = match &weights {
+            Some(w) => w.iter().map(|&w| w as usize).sum(),
+            None => offsets.len() - 1,
+        };
+        Ok(CoverInstance { universe, elems, offsets, nodes, weights, total_weight })
+    }
+
+    /// Ground-set size (the graph's node count in the RAF pipeline) —
+    /// the range constructors check against, not the size of any
+    /// solver's scratch.
     #[inline]
     pub fn universe(&self) -> usize {
         self.universe
     }
 
-    /// Logical heap footprint of the instance's arena in bytes (lengths,
-    /// not capacities, of the flat tables) — the counterpart of
-    /// `PathPool::heap_bytes` for byte-budgeted caches that keep the
-    /// built cover instance resident next to the pool it came from.
+    /// Number of distinct elements the family mentions: local ids are
+    /// `0..element_count()`.
+    #[inline]
+    pub fn element_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// The ground id of local element `e`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e ≥ element_count()`.
+    #[inline]
+    pub fn node(&self, e: u32) -> u32 {
+        self.nodes[e as usize]
+    }
+
+    /// The local id of ground element `v`, or `None` when no set mentions
+    /// it. A binary search of the local → ground table.
+    #[inline]
+    pub fn local(&self, v: u32) -> Option<u32> {
+        self.nodes.binary_search(&v).ok().map(|e| e as u32)
+    }
+
+    /// Logical heap footprint of the instance in bytes (lengths, not
+    /// capacities, of the flat tables, the local → ground table included)
+    /// — the counterpart of `PathPool::heap_bytes` for byte-budgeted
+    /// caches that keep the built cover instance resident next to the
+    /// pool it came from.
     pub fn heap_bytes(&self) -> usize {
-        (self.elems.len() + self.offsets.len() + self.weights.as_ref().map_or(0, Vec::len))
+        (self.elems.len()
+            + self.offsets.len()
+            + self.nodes.len()
+            + self.weights.as_ref().map_or(0, Vec::len))
             * std::mem::size_of::<u32>()
     }
 
@@ -165,9 +244,9 @@ impl CoverInstance {
         self.total_weight
     }
 
-    /// The `i`-th set. Unweighted instances store sets sorted and
-    /// deduplicated; pool-built instances store paths in walk order
-    /// (elements distinct but unsorted).
+    /// The `i`-th set, in local ids. Unweighted instances store sets
+    /// sorted and deduplicated; pool-built instances store paths in walk
+    /// order (elements distinct but unsorted).
     ///
     /// # Panics
     ///
@@ -177,19 +256,19 @@ impl CoverInstance {
         &self.elems[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
-    /// Iterates over all sets in index order.
+    /// Iterates over all sets in index order, in local ids.
     pub fn iter_sets(&self) -> impl Iterator<Item = &[u32]> + '_ {
         (0..self.set_count()).map(|i| self.set(i))
     }
 
     /// Marginal cost of adding set `i` to the partial union described by
-    /// `in_union`: `|S_i \ A|`.
+    /// `in_union`, a mask over local ids: `|S_i \ A|`.
     pub fn marginal(&self, i: usize, in_union: &[bool]) -> usize {
         self.set(i).iter().filter(|&&e| !in_union[e as usize]).count()
     }
 
-    /// Weighted number of sets fully contained in the element mask
-    /// `mask` (each contained set counts its multiplicity).
+    /// Weighted number of sets fully contained in `mask`, a mask over
+    /// local ids (each contained set counts its multiplicity).
     pub fn covered_count(&self, mask: &[bool]) -> usize {
         (0..self.set_count())
             .filter(|&i| self.set(i).iter().all(|&e| mask[e as usize]))
@@ -211,7 +290,8 @@ mod tests {
     #[test]
     fn normalizes_sets() {
         let inst = CoverInstance::new(5, vec![vec![3, 1, 3, 0]]).unwrap();
-        assert_eq!(inst.set(0), &[0, 1, 3]);
+        let nodes: Vec<u32> = inst.set(0).iter().map(|&e| inst.node(e)).collect();
+        assert_eq!(nodes, [0, 1, 3]);
         assert_eq!(inst.weight(0), 1);
         assert_eq!(inst.total_weight(), 1);
     }
@@ -271,7 +351,8 @@ mod tests {
         assert!(type1 > 0);
         let inst = CoverInstance::from_path_pool(5, pool).unwrap();
         assert_eq!(inst.set_count(), 1);
-        assert_eq!(inst.set(0), &[4, 3, 2]); // walk order, not sorted
+        let nodes: Vec<u32> = inst.set(0).iter().map(|&e| inst.node(e)).collect();
+        assert_eq!(nodes, [4, 3, 2]); // walk order, not sorted
         assert_eq!(inst.weight(0), type1);
         assert_eq!(inst.total_weight(), type1);
         // Universe too small: the node ids 2..=4 are out of range.

@@ -10,9 +10,12 @@
 //! Instances are stored as flat CSR arenas with per-set *weights*
 //! (multiplicities): the RAF pipeline hands its deduplicated
 //! [`raf_model::sampler::PathPool`] to
-//! [`CoverInstance::from_path_pool`] without copying or re-sorting, and
-//! every solver counts a chosen set's weight toward `p`, which is
-//! exactly equivalent to solving the paper's duplicated multiset family.
+//! [`CoverInstance::from_path_pool`], and every solver counts a chosen
+//! set's weight toward `p`, which is exactly equivalent to solving the
+//! paper's duplicated multiset family. Every instance rewrites its
+//! elements to dense local ids over only the nodes its sets mention, so
+//! solver and allocator scratch scales with the family, not with the
+//! graph; answers come back in ground ids.
 //!
 //! The paper invokes the Chlamtáč et al. `2√|U|`-approximation [10] as a
 //! black box. That algorithm relies on LP-rounding machinery for the

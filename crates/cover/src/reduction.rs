@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// `V*` and the subsets it covers.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MscSolution {
-    /// The chosen elements `V*`, sorted.
+    /// The chosen elements `V*`, sorted, in ground ids.
     pub elements: Vec<u32>,
     /// Indices of **all** distinct sets covered by `V*` (may exceed `p`:
     /// covering `p` sets can incidentally cover more, which Remark 2
@@ -52,7 +52,12 @@ pub fn solve_msc<S: MpuSolver + ?Sized>(
     p: usize,
 ) -> Result<MscSolution, CoverError> {
     let mpu = solver.solve(instance, p)?;
-    let mask = mpu.union_mask(instance.universe());
+    let mut mask = vec![false; instance.element_count()];
+    for &i in &mpu.chosen_sets {
+        for &e in instance.set(i) {
+            mask[e as usize] = true;
+        }
+    }
     let covered_sets: Vec<usize> = (0..instance.set_count())
         .filter(|&i| instance.set(i).iter().all(|&e| mask[e as usize]))
         .collect();

@@ -9,24 +9,30 @@ use serde::{Deserialize, Serialize};
 pub struct CoverSolution {
     /// Indices (into the instance's family) of the chosen sets.
     pub chosen_sets: Vec<usize>,
-    /// The union of the chosen sets, sorted.
+    /// The union of the chosen sets, sorted, in ground ids.
     pub union: Vec<u32>,
 }
 
 impl CoverSolution {
-    /// Assembles a solution from chosen set indices, computing the union.
+    /// Assembles a solution from chosen set indices, computing the union
+    /// over the instance's local ids and mapping it back to ground ids.
     ///
     /// # Panics
     ///
     /// Panics if an index is out of range for the instance.
     pub fn from_sets(instance: &CoverInstance, chosen: Vec<usize>) -> Self {
-        let mut mask = vec![false; instance.universe()];
+        let mut mask = vec![false; instance.element_count()];
         for &i in &chosen {
             for &e in instance.set(i) {
                 mask[e as usize] = true;
             }
         }
-        let union = mask.iter().enumerate().filter(|(_, &m)| m).map(|(e, _)| e as u32).collect();
+        let union = mask
+            .iter()
+            .enumerate()
+            .filter(|(_, &m)| m)
+            .map(|(e, _)| instance.node(e as u32))
+            .collect();
         CoverSolution { chosen_sets: chosen, union }
     }
 
@@ -67,15 +73,6 @@ impl CoverSolution {
         let recomputed = CoverSolution::from_sets(instance, self.chosen_sets.clone());
         recomputed.union == self.union
     }
-
-    /// The union as a membership mask over the universe.
-    pub fn union_mask(&self, universe: usize) -> Vec<bool> {
-        let mut mask = vec![false; universe];
-        for &e in &self.union {
-            mask[e as usize] = true;
-        }
-        mask
-    }
 }
 
 #[cfg(test)]
@@ -109,13 +106,6 @@ mod tests {
         assert!(!wrong_union.verify(&inst(), 1));
         let out_of_range = CoverSolution { chosen_sets: vec![9], union: vec![] };
         assert!(!out_of_range.verify(&inst(), 1));
-    }
-
-    #[test]
-    fn union_mask_roundtrip() {
-        let s = CoverSolution::from_sets(&inst(), vec![2]);
-        let mask = s.union_mask(6);
-        assert_eq!(mask, vec![false, false, false, true, true, true]);
     }
 
     #[test]

@@ -167,11 +167,11 @@ impl PathPool {
         }
     }
 
-    /// Reconstitutes a pool from already-canonical flat parts plus its
-    /// walk tallies — the inverse of [`into_flat_parts`](Self::into_flat_parts)
-    /// used by the repair path. The caller
-    /// guarantees the parts are in canonical lexicographic order with
-    /// consistent offsets; debug builds re-check the invariants.
+    /// Reconstitutes a pool from already-canonical flat parts `(nodes,
+    /// offsets, multiplicity)` plus its walk tallies, for the repair
+    /// path. The caller guarantees the parts are in canonical
+    /// lexicographic order with consistent offsets; debug builds re-check
+    /// the invariants.
     pub(crate) fn from_canonical_parts(
         nodes: Vec<u32>,
         offsets: Vec<u32>,
@@ -318,13 +318,6 @@ impl PathPool {
             return 0.0;
         }
         self.covered_count(invitations) as f64 / self.total_samples as f64
-    }
-
-    /// Decomposes the pool into its flat parts `(nodes, offsets,
-    /// multiplicity)` — the zero-copy handoff used by
-    /// `raf_cover::CoverInstance::from_path_pool`.
-    pub fn into_flat_parts(self) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-        (self.nodes, self.offsets, self.multiplicity)
     }
 
     /// Logical heap footprint of the pool's arena in bytes: the *length*

@@ -584,7 +584,7 @@ impl<'g> SessionContext<'g> {
                 return Err(ServeError::ResourceExhausted { needed, cap });
             }
         }
-        let cover = CoverInstance::from_path_pool(self.active_csr().node_count(), pool.clone())?;
+        let cover = CoverInstance::from_path_pool_ref(self.active_csr().node_count(), &pool)?;
         let entry = CachedPool::new(Arc::new(pool), Arc::new(cover));
         self.cache.insert(*key, entry.clone());
         if faults.contains(&FaultKind::CorruptCacheEntry) {
@@ -669,10 +669,12 @@ impl<'g> SessionContext<'g> {
         key: &PoolKey,
         faults: &[FaultKind],
     ) -> Result<QueryAnswer, ServeError> {
+        // Reject a bad `α` before the lookup, so it never samples or
+        // caches a pool.
+        let parameters = self.parameters(query.alpha)?;
         let (entry, cache_hit) = self.entry_for(query, key, faults)?;
         let pool = entry.pool();
         let degraded = pool.total_samples() < key.walks;
-        let parameters = self.parameters(query.alpha)?;
         let b1 = pool.type1_count();
         if b1 == 0 {
             return Err(ServeError::TargetUnreachable { samples: pool.total_samples() });
@@ -793,7 +795,7 @@ impl<'g> SessionContext<'g> {
             match repair {
                 Some(PoolRepair::Repaired { resampled: 0, .. }) => outcome.untouched += 1,
                 Some(PoolRepair::Repaired { pool, resampled, .. }) => {
-                    let rebuilt = CoverInstance::from_path_pool(node_count, pool.clone())
+                    let rebuilt = CoverInstance::from_path_pool_ref(node_count, &pool)
                         .ok()
                         .map(|cover| CachedPool::new(Arc::new(pool), Arc::new(cover)));
                     match rebuilt {
@@ -1033,6 +1035,15 @@ mod tests {
         assert_eq!(ctx.stats(), CacheStats::default(), "rejection must not touch the cache");
         let err = ctx.query(&plain_oob).unwrap_err();
         assert_eq!(err.to_string(), "invalid query: node 999 out of range (graph has 8 nodes)");
+        // An `α` the parameter system rejects fails before the lookup
+        // too: it neither samples nor caches the pair's pool.
+        for alpha in [f64::NAN, -5.0, 1.5, 0.001] {
+            assert!(
+                matches!(ctx.query(&q(alpha, 5_000)), Err(ServeError::Parameters(_))),
+                "alpha={alpha}"
+            );
+            assert_eq!(ctx.stats(), CacheStats::default(), "alpha={alpha} touched the cache");
+        }
     }
 
     #[test]
