@@ -1,16 +1,13 @@
-//! Criterion bench for the arena realization pool: legacy (per-walk
-//! `Vec`, mutex + sort, per-set copy) vs arena (`PathPool` + weighted
-//! cover in local element ids) pipelines on a 10k-node powerlaw-cluster
-//! instance.
+//! Criterion bench for the Alg. 3 pipeline on a 10k-node
+//! powerlaw-cluster instance: sampling into the `PathPool` arena, the
+//! weighted cover solve in local element ids, and both end to end.
 //!
-//! `raf bench-json` runs the same workloads via
-//! [`raf_bench::sampling::run_sampling_bench`] and records the measured
-//! speedup in `BENCH_sampling.json`.
+//! `raf bench-json` times the same pipeline over the scenario matrix via
+//! [`raf_bench::sampling::run_sampling_bench`] and records it in
+//! `BENCH_sampling.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use raf_bench::sampling::{
-    arena_sample_pool, arena_solve, legacy_sample_pool, legacy_solve, workload, LegacyCsr,
-};
+use raf_bench::sampling::{arena_sample_pool, arena_solve, workload};
 use raf_model::FriendingInstance;
 
 const NODES: usize = 10_000;
@@ -22,25 +19,13 @@ fn bench_sampling_pipeline(c: &mut Criterion) {
     let (csr, s, t) = workload(NODES, SEED);
     let instance = FriendingInstance::new(&csr, s, t).expect("screened pair");
     let n = csr.node_count();
-    let legacy_csr = LegacyCsr::from_csr(&csr);
     let mut group = c.benchmark_group("sampling_pipeline");
     group.sample_size(5);
-    group.bench_function("legacy_sample", |b| {
-        b.iter(|| legacy_sample_pool(&instance, &legacy_csr, WALKS, SEED, 1))
-    });
     group.bench_function("arena_sample", |b| {
         b.iter(|| arena_sample_pool(&instance, WALKS, SEED, 1))
     });
-    let legacy_pool = legacy_sample_pool(&instance, &legacy_csr, WALKS, SEED, 1);
-    group.bench_function("legacy_solve", |b| b.iter(|| legacy_solve(n, &legacy_pool, BETA)));
     let arena_pool = arena_sample_pool(&instance, WALKS, SEED, 1);
     group.bench_function("arena_solve", |b| b.iter(|| arena_solve(n, arena_pool.clone(), BETA)));
-    group.bench_function("legacy_end_to_end", |b| {
-        b.iter(|| {
-            let pool = legacy_sample_pool(&instance, &legacy_csr, WALKS, SEED, 1);
-            legacy_solve(n, &pool, BETA)
-        })
-    });
     group.bench_function("arena_end_to_end", |b| {
         b.iter(|| {
             let pool = arena_sample_pool(&instance, WALKS, SEED, 1);

@@ -1,8 +1,6 @@
 //! Append-only benchmark history for `BENCH_sampling.json`.
 //!
-//! The file used to hold a single report object that every `raf
-//! bench-json` run overwrote — the perf trajectory across PRs was lost
-//! (a ROADMAP open item). It is now a schema-versioned history:
+//! The file is a schema-versioned history:
 //!
 //! ```json
 //! {
@@ -13,19 +11,18 @@
 //! ```
 //!
 //! Each run **appends** one entry per scenario; the last entry for a
-//! `(scenario, profile)` pair is the current baseline the CI
-//! `bench-regression` job gates against. A legacy single-object v1 file
-//! is migrated in place: it becomes the first history entry, tagged with
-//! the scenario the old hard-coded workload corresponds to.
+//! `(scenario, profile)` pair is the baseline `raf bench-json
+//! --check-regression` gates against. The gate ([`gate_counts`]) pins the
+//! entry's deterministic counts exactly; timings are only printed. New
+//! entries carry a [`Stamp`] naming the commit, toolchain, machine and
+//! time that produced them.
 //!
 //! The workspace's vendored `serde` is a no-op shim, so this module
 //! carries a small hand-rolled JSON reader/writer ([`JsonValue`]) that
 //! covers the subset the bench reports emit.
 
 use std::fmt::Write as _;
-
-/// The scenario name of the workload the v1 single-object file measured.
-pub const V1_SCENARIO: &str = "powerlaw_cluster_10k_t1";
+use std::process::Command;
 
 /// Current history schema version.
 pub const SCHEMA_VERSION: u64 = 2;
@@ -385,9 +382,8 @@ pub struct BenchHistory {
 }
 
 impl BenchHistory {
-    /// Parses a history file, migrating a legacy v1 single-object report
-    /// (no `schema_version`) into the first entry. An empty or
-    /// whitespace-only text yields an empty history.
+    /// Parses a schema v2 history file. An empty or whitespace-only text
+    /// yields an empty history.
     ///
     /// # Errors
     ///
@@ -397,25 +393,13 @@ impl BenchHistory {
             return Ok(BenchHistory::default());
         }
         let value = parse_json(text)?;
-        if value.get("schema_version").is_some() {
-            let entries = match value.get("entries") {
-                Some(JsonValue::Arr(items)) => items.clone(),
-                _ => return Err("schema v2 file lacks an \"entries\" array".into()),
-            };
-            return Ok(BenchHistory { entries });
+        if value.get("schema_version").and_then(JsonValue::as_f64) != Some(SCHEMA_VERSION as f64) {
+            return Err(format!("not a schema v{SCHEMA_VERSION} bench history"));
         }
-        // v1: one bare report object for the old hard-coded workload.
-        if value.get("benchmark").is_none() {
-            return Err("neither a v2 history nor a v1 report".into());
+        match value.get("entries") {
+            Some(JsonValue::Arr(items)) => Ok(BenchHistory { entries: items.clone() }),
+            _ => Err(format!("schema v{SCHEMA_VERSION} file lacks an \"entries\" array")),
         }
-        let mut entry = vec![
-            ("scenario".to_string(), JsonValue::Str(V1_SCENARIO.into())),
-            ("profile".to_string(), JsonValue::Str("full".into())),
-        ];
-        if let JsonValue::Obj(fields) = value {
-            entry.extend(fields.into_iter().filter(|(k, _)| k != "benchmark"));
-        }
-        Ok(BenchHistory { entries: vec![JsonValue::Obj(entry)] })
     }
 
     /// Appends one entry.
@@ -442,78 +426,171 @@ impl BenchHistory {
         text.push('\n');
         text
     }
+}
 
-    /// The arena sampling+solve total (ns) of the most recent entry for
-    /// the pair, i.e. the regression baseline.
-    pub fn baseline_total_ns(&self, scenario: &str, profile: &str) -> Option<f64> {
-        self.last_for(scenario, profile)?.path_f64(&["arena_ns", "total"])
+/// The entry fields the gate pins, as dotted paths. Each is a pure
+/// function of the cell (scenario, profile knobs and seed): the graph and
+/// screened pair, the pool's walk outcomes and arena size, and the cover
+/// solve's cost. No thread count or layout changes them.
+pub const COUNTED_FIELDS: [&str; 11] = [
+    "graph.nodes",
+    "graph.edges",
+    "graph.s",
+    "graph.t",
+    "pool.type1",
+    "pool.unique_paths",
+    "pool.cover_p",
+    "pool.arena_bytes",
+    "pool.dangling",
+    "pool.cycles",
+    "cost.arena",
+];
+
+fn counted(entry: &JsonValue, field: &str) -> Option<f64> {
+    let path: Vec<&str> = field.split('.').collect();
+    entry.path_f64(&path)
+}
+
+/// The gate's verdict on one new entry.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CountGate {
+    /// Not gated, for the reason given: no baseline, or a baseline that
+    /// predates a counted field.
+    Skipped(String),
+    /// Every counted field equals the baseline's.
+    Equal,
+    /// One `FIELD baseline X now Y` line per counted field that differs,
+    /// in [`COUNTED_FIELDS`] order.
+    Changed(Vec<String>),
+}
+
+/// Gates a new entry against its baseline, the last committed entry of
+/// the same scenario and profile: every field of [`COUNTED_FIELDS`] must
+/// be equal. Timings are not compared.
+pub fn gate_counts(baseline: Option<&JsonValue>, entry: &JsonValue) -> CountGate {
+    let Some(baseline) = baseline else {
+        return CountGate::Skipped("no committed baseline".into());
+    };
+    let mut changes = Vec::new();
+    for field in COUNTED_FIELDS {
+        let Some(base) = counted(baseline, field) else {
+            return CountGate::Skipped(format!("baseline predates {field}"));
+        };
+        match counted(entry, field) {
+            Some(now) if now == base => {}
+            Some(now) => changes.push(format!("{field} baseline {base} now {now}")),
+            None => changes.push(format!("{field} baseline {base} now missing")),
+        }
     }
-
-    /// The legacy sampling time (ns) of the same baseline entry. The
-    /// legacy sampler is a frozen replica of the pre-arena code, so its
-    /// wall clock calibrates machine speed and lets the regression gate
-    /// compare runs recorded on different machines.
-    pub fn baseline_legacy_sample_ns(&self, scenario: &str, profile: &str) -> Option<f64> {
-        self.last_for(scenario, profile)?.path_f64(&["legacy_ns", "sample"])
+    if changes.is_empty() {
+        CountGate::Equal
+    } else {
+        CountGate::Changed(changes)
     }
 }
 
-/// How the regression gate should account for machine speed when
-/// comparing a fresh measurement against a committed baseline, derived
-/// from the calibration timing (the frozen legacy sampler) recorded in
-/// both.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MachineFactor {
-    /// Both calibration timings are sane: multiply the baseline by this
-    /// `current / baseline` factor before gating.
-    Normalize(f64),
-    /// The baseline entry predates calibration timings: compare raw ns
-    /// (the historical fallback; noisy across machines but not wrong).
-    Raw,
-    /// At least one calibration timing is zero, denormal, or non-finite.
-    /// The gate must be *skipped with this warning* — dividing by (or
-    /// multiplying with) such a value used to collapse the factor to 1.0
-    /// and pass the gate vacuously.
-    Skip(&'static str),
+/// What makes an entry attributable: the code, the toolchain, the machine
+/// and the time. Field names and sources follow the serving benchmark's
+/// result stamp (`perfbench`), plus the time.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Stamp {
+    /// `git rev-parse HEAD` of the checkout, or `unknown` outside git.
+    pub git_rev: String,
+    /// `rustc -V`, or `unknown`.
+    pub rustc: String,
+    /// CPU model name from `/proc/cpuinfo`, or `unknown`.
+    pub cpu: String,
+    /// Available parallelism.
+    pub nproc: usize,
+    /// Seconds since the Unix epoch when the stamp was collected.
+    pub unix_time: u64,
 }
 
-/// Derives the [`MachineFactor`] from a baseline calibration timing (as
-/// recorded in the history entry, `None` when the entry predates the
-/// field) and the same calibration measured in the current run.
-pub fn machine_factor(baseline_ns: Option<f64>, current_ns: f64) -> MachineFactor {
-    // A denormal (or zero, or non-finite) timing cannot calibrate
-    // anything: a division by it is ±inf or garbage in the last ulps.
-    // `MIN_POSITIVE` is the smallest *normal* f64, so this catches the
-    // whole subnormal range too.
-    fn unusable(x: f64) -> bool {
-        !x.is_finite() || x < f64::MIN_POSITIVE
+impl Stamp {
+    /// Collects the stamp of this process's run.
+    pub fn collect() -> Stamp {
+        // Pin git to the checkout's own `.git` so it never walks up into
+        // an enclosing repository.
+        let git_rev =
+            command_line(Command::new("git").args(["--git-dir", ".git", "rev-parse", "HEAD"]))
+                .unwrap_or_else(|| "unknown".into());
+        let rustc =
+            command_line(Command::new("rustc").arg("-V")).unwrap_or_else(|| "unknown".into());
+        let cpu = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .find(|l| l.starts_with("model name"))
+                    .and_then(|l| l.split_once(':'))
+                    .map(|(_, model)| model.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".into());
+        let nproc = std::thread::available_parallelism().map_or(1, usize::from);
+        let unix_time = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.as_secs());
+        Stamp { git_rev, rustc, cpu, nproc, unix_time }
     }
-    match baseline_ns {
-        None => MachineFactor::Raw,
-        Some(b) if unusable(b) => {
-            MachineFactor::Skip("baseline calibration timing is zero/denormal")
-        }
-        Some(_) if unusable(current_ns) => {
-            MachineFactor::Skip("current calibration timing is zero/denormal")
-        }
-        Some(b) => MachineFactor::Normalize(current_ns / b),
+
+    /// The stamp as a history-entry object.
+    pub fn to_json(&self) -> JsonValue {
+        JsonValue::Obj(vec![
+            ("git_rev".into(), JsonValue::Str(self.git_rev.clone())),
+            ("rustc".into(), JsonValue::Str(self.rustc.clone())),
+            ("cpu".into(), JsonValue::Str(self.cpu.clone())),
+            ("nproc".into(), JsonValue::Num(self.nproc as f64)),
+            ("unix_time".into(), JsonValue::Num(self.unix_time as f64)),
+        ])
     }
+}
+
+/// The first stdout line of a command that exits 0.
+fn command_line(command: &mut Command) -> Option<String> {
+    let output = command.stderr(std::process::Stdio::null()).output().ok()?;
+    if !output.status.success() {
+        return None;
+    }
+    let text = String::from_utf8(output.stdout).ok()?;
+    text.lines().next().map(|l| l.trim().to_string()).filter(|l| !l.is_empty())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const V1: &str = r#"{
+    /// A one-entry v2 history: the committed `powerlaw_cluster_10k_t1`
+    /// quick baseline under a made-up stamp.
+    const V2: &str = r#"{
+  "schema_version": 2,
   "benchmark": "sampling_pipeline",
-  "graph": { "kind": "powerlaw_cluster", "nodes": 10000, "edges": 19997, "s": 7, "t": 3633 },
-  "config": { "walks": 200000, "seed": 7, "threads": 1, "reps": 3, "beta": 0.3 },
-  "pool": { "type1": 51517, "unique_paths": 793, "dedup_factor": 64.965, "pmax_estimate": 0.257585, "cover_p": 15456 },
-  "legacy_ns": { "sample": 33467145, "solve": 14859407, "total": 48326552 },
-  "arena_ns": { "sample": 19919465, "solve": 1494507, "total": 21413972 },
-  "cost": { "legacy": 1, "arena": 1 },
-  "speedup": 2.257
+  "entries": [
+    {
+      "scenario": "powerlaw_cluster_10k_t1",
+      "profile": "quick",
+      "stamp": { "git_rev": "0123abcd", "rustc": "rustc 1.0.0", "cpu": "Test CPU", "nproc": 2, "unix_time": 1700000000 },
+      "graph": { "kind": "powerlaw_cluster", "nodes": 10000, "edges": 19997, "s": 7, "t": 3633 },
+      "config": { "walks": 30000, "seed": 7, "threads": 1, "reps": 2, "beta": 0.3 },
+      "pool": { "type1": 7826, "unique_paths": 162, "dedup_factor": 48.309, "pmax_estimate": 0.260867, "cover_p": 2348, "arena_bytes": 6344, "dangling": 0, "cycles": 22174 },
+      "arena_ns": { "sample": 2965029, "solve": 256670, "total": 3221699 },
+      "cost": { "arena": 1 }
+    }
+  ]
 }"#;
+
+    fn v2_entry() -> JsonValue {
+        BenchHistory::from_text(V2).unwrap().entries.remove(0)
+    }
+
+    /// `entry` with the dotted field `field` set to `value`.
+    fn with_field(entry: &JsonValue, field: &str, value: f64) -> JsonValue {
+        let mut entry = entry.clone();
+        let (outer, inner) = field.split_once('.').unwrap();
+        let JsonValue::Obj(fields) = &mut entry else { unreachable!() };
+        let (_, group) = fields.iter_mut().find(|(k, _)| k == outer).unwrap();
+        let JsonValue::Obj(group) = group else { unreachable!() };
+        group.iter_mut().find(|(k, _)| k == inner).unwrap().1 = JsonValue::Num(value);
+        entry
+    }
 
     #[test]
     fn free_text_strings_round_trip_through_render_and_parse() {
@@ -571,44 +648,29 @@ mod tests {
 
     #[test]
     fn integers_survive_round_trip() {
-        let v = parse_json(V1).unwrap();
+        let v = parse_json(V2).unwrap();
         let text = v.render();
-        assert!(text.contains("21413972"), "ns total mangled: {text}");
-        assert!(text.contains("2.257"), "float mangled");
+        assert!(text.contains("3221699"), "ns total mangled: {text}");
+        assert!(text.contains("1700000000"), "unix time mangled: {text}");
+        assert!(text.contains("0.260867"), "float mangled");
         let again = parse_json(&text).unwrap();
         assert_eq!(v, again);
     }
 
     #[test]
-    fn migrates_v1_to_history() {
-        let h = BenchHistory::from_text(V1).unwrap();
-        assert_eq!(h.entries.len(), 1);
-        let e = &h.entries[0];
-        assert_eq!(e.get("scenario").and_then(JsonValue::as_str), Some(V1_SCENARIO));
-        assert_eq!(e.get("profile").and_then(JsonValue::as_str), Some("full"));
-        assert_eq!(h.baseline_total_ns(V1_SCENARIO, "full"), Some(21_413_972.0));
-        assert_eq!(h.baseline_legacy_sample_ns(V1_SCENARIO, "full"), Some(33_467_145.0));
-        assert_eq!(h.baseline_total_ns(V1_SCENARIO, "quick"), None);
-    }
-
-    #[test]
     fn history_appends_and_reloads() {
-        let mut h = BenchHistory::from_text(V1).unwrap();
-        h.push(JsonValue::Obj(vec![
-            ("scenario".into(), JsonValue::Str(V1_SCENARIO.into())),
-            ("profile".into(), JsonValue::Str("full".into())),
-            (
-                "arena_ns".into(),
-                JsonValue::Obj(vec![("total".into(), JsonValue::Num(15_000_000.0))]),
-            ),
-        ]));
+        let mut h = BenchHistory::from_text(V2).unwrap();
+        assert_eq!(h.entries.len(), 1);
+        h.push(with_field(&v2_entry(), "arena_ns.total", 15_000_000.0));
         let text = h.to_text();
         let h2 = BenchHistory::from_text(&text).unwrap();
         assert_eq!(h2.entries.len(), 2);
-        // Latest entry wins as the baseline.
-        assert_eq!(h2.baseline_total_ns(V1_SCENARIO, "full"), Some(15_000_000.0));
+        // Latest entry wins as the baseline; other lineages have none.
+        let baseline = h2.last_for("powerlaw_cluster_10k_t1", "quick").unwrap();
+        assert_eq!(baseline.path_f64(&["arena_ns", "total"]), Some(15_000_000.0));
+        assert!(h2.last_for("powerlaw_cluster_10k_t1", "full").is_none());
         // Round trip again: stable.
-        assert_eq!(BenchHistory::from_text(&h2.to_text()).unwrap().entries.len(), 2);
+        assert_eq!(BenchHistory::from_text(&h2.to_text()).unwrap().to_text(), text);
     }
 
     #[test]
@@ -623,56 +685,64 @@ mod tests {
     fn unknown_schema_is_an_error() {
         assert!(BenchHistory::from_text("{\"foo\": 1}").is_err());
         assert!(BenchHistory::from_text("{\"schema_version\": 2}").is_err());
+        assert!(BenchHistory::from_text("{\"schema_version\": 3, \"entries\": []}").is_err());
     }
 
     #[test]
-    fn machine_factor_normalizes_sane_timings() {
-        assert_eq!(machine_factor(Some(2.0e6), 1.0e6), MachineFactor::Normalize(0.5));
-        assert_eq!(machine_factor(Some(1.0e6), 3.0e6), MachineFactor::Normalize(3.0));
-        // A baseline entry predating calibration timings falls back to
-        // the raw-ns comparison, as the gate always did.
-        assert_eq!(machine_factor(None, 1.0e6), MachineFactor::Raw);
+    fn gate_passes_equal_counts_whatever_the_timings() {
+        let baseline = v2_entry();
+        let slower = with_field(&baseline, "arena_ns.total", 9.9e9);
+        let slower = with_field(&slower, "arena_ns.sample", 9.9e9);
+        assert_eq!(gate_counts(Some(&baseline), &slower), CountGate::Equal);
+        assert_eq!(gate_counts(Some(&baseline), &baseline), CountGate::Equal);
     }
 
     #[test]
-    fn machine_factor_skips_on_zero_or_denormal_timings() {
-        // Every unusable shape must *skip*, never normalize to 1.0: the
-        // old `.filter(...).map_or(1.0, ...)` collapsed all of these into
-        // a vacuous gate pass.
-        for bad in [0.0, -1.0, f64::MIN_POSITIVE / 2.0, f64::NAN, f64::INFINITY] {
-            assert!(
-                matches!(machine_factor(Some(bad), 1.0e6), MachineFactor::Skip(_)),
-                "baseline {bad} must skip"
-            );
-            assert!(
-                matches!(machine_factor(Some(1.0e6), bad), MachineFactor::Skip(_)),
-                "current {bad} must skip"
+    fn gate_fails_and_names_each_changed_count() {
+        let baseline = v2_entry();
+        for field in COUNTED_FIELDS {
+            let old = counted(&baseline, field).unwrap();
+            let changed = with_field(&baseline, field, old + 1.0);
+            assert_eq!(
+                gate_counts(Some(&baseline), &changed),
+                CountGate::Changed(vec![format!("{field} baseline {old} now {}", old + 1.0)]),
             );
         }
-        // The boundary itself is usable: MIN_POSITIVE is a normal f64.
-        assert!(matches!(
-            machine_factor(Some(f64::MIN_POSITIVE), f64::MIN_POSITIVE),
-            MachineFactor::Normalize(_)
-        ));
     }
 
     #[test]
-    fn machine_factor_skips_on_a_zeroed_history_entry() {
-        // A synthetic baseline entry whose legacy sampling time is zero —
-        // the exact shape that used to slip through the quick gate.
-        let entry = parse_json(
-            r#"{
-  "scenario": "powerlaw_cluster_10k_t1",
-  "profile": "quick",
-  "legacy_ns": { "sample": 0, "solve": 100, "total": 100 },
-  "arena_ns": { "sample": 50, "solve": 50, "total": 100 }
-}"#,
-        )
-        .unwrap();
-        let mut history = BenchHistory::default();
-        history.push(entry);
-        let baseline = history.baseline_legacy_sample_ns("powerlaw_cluster_10k_t1", "quick");
-        assert_eq!(baseline, Some(0.0));
-        assert!(matches!(machine_factor(baseline, 1.0e6), MachineFactor::Skip(_)));
+    fn gate_skips_without_a_baseline_or_its_counts() {
+        let entry = v2_entry();
+        assert!(matches!(gate_counts(None, &entry), CountGate::Skipped(_)));
+        // An entry recorded before `pool.dangling` existed, and one
+        // without counts at all.
+        let old = BenchHistory::from_text(&V2.replace(", \"dangling\": 0, \"cycles\": 22174", ""))
+            .unwrap()
+            .entries
+            .remove(0);
+        let CountGate::Skipped(reason) = gate_counts(Some(&old), &entry) else {
+            panic!("a baseline without pool.dangling must skip");
+        };
+        assert!(reason.contains("pool.dangling"), "{reason}");
+        let bare = parse_json(r#"{ "scenario": "powerlaw_cluster_10k_t1", "profile": "quick" }"#);
+        assert!(matches!(gate_counts(Some(&bare.unwrap()), &entry), CountGate::Skipped(_)));
+    }
+
+    #[test]
+    fn stamp_renders_every_field() {
+        let stamp = Stamp {
+            git_rev: "0123abcd".into(),
+            rustc: "rustc 1.0.0".into(),
+            cpu: "Test \"CPU\"".into(),
+            nproc: 2,
+            unix_time: 1_700_000_000,
+        };
+        let value = parse_json(&stamp.to_json().render()).unwrap();
+        assert_eq!(value.get("git_rev").and_then(JsonValue::as_str), Some("0123abcd"));
+        assert_eq!(value.get("cpu").and_then(JsonValue::as_str), Some("Test \"CPU\""));
+        assert_eq!(value.path_f64(&["nproc"]), Some(2.0));
+        assert_eq!(value.path_f64(&["unix_time"]), Some(1_700_000_000.0));
+        let collected = Stamp::collect();
+        assert!(collected.nproc >= 1 && collected.unix_time > 0);
     }
 }

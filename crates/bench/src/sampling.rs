@@ -1,58 +1,46 @@
-//! The legacy-vs-arena sampling+solve pipeline comparison.
+//! The Alg. 3 pipeline, sample `B_l` then solve Minimum Subset Cover,
+//! timed over the scenario matrix.
 //!
 //! Shared by the `sampling` criterion bench and the `raf bench-json`
-//! subcommand, so both measure exactly the same two pipelines:
+//! subcommand. One run samples a screened pair's pool through
+//! [`SampleRequest`] into the flat [`PathPool`] arena, then solves the
+//! cover over its type-1 paths with [`CoverInstance::from_path_pool`]
+//! and the portfolio solver.
 //!
-//! * **legacy** — a faithful replica of the pre-arena realization pool:
-//!   every backward walk heap-allocates its own `Vec` of node ids, the
-//!   parallel sampler funnels results through a `Mutex` and
-//!   lexicographically sorts the whole pool, and the cover phase
-//!   re-copies every path into a fresh `Vec<Vec<u32>>` (one allocation
-//!   and one sort per path) before solving the duplicated family;
-//! * **arena** — the current pipeline: allocation-free sampling into the
-//!   flat [`PathPool`] arena, multiplicity dedup at assembly, and
-//!   [`CoverInstance::from_path_pool`], which rewrites the unique paths
-//!   to local element ids for the weighted portfolio solve.
+//! A report carries two kinds of numbers. The graph, pool and cost
+//! counts are pure functions of the cell: walk `i` draws from
+//! `walk_rng(seed, i)`, so neither the thread count nor the layout
+//! changes them, and `raf bench-json --check-regression` pins them
+//! exactly ([`crate::history::gate_counts`]). The best-of-reps timings
+//! are advisory.
 //!
-//! Both produce statistically identical pools (same seeds, same walk
-//! multiset), so the wall-clock ratio is a pure data-structure
-//! comparison. Cover solutions coincide on the sparse synthetic
-//! workloads; on dense dataset workloads the weighted portfolio can find
-//! a strictly *cheaper* union than the duplicated-family solve (its
-//! p-smallest arm takes whole high-multiplicity paths where the
-//! duplicated family crosses `p` on an interleaved prefix of copies), so
-//! cost parity is asserted only as `arena ≤ legacy` there.
-//!
-//! Dataset cells additionally run the arena pipeline on the **hub-BFS
-//! relabeled** layout of the same graph. Relabeled snapshots keep
-//! neighbor slices in image order, so the relabeled run samples the
-//! *bit-identical* pool (asserted on every run) and its timing isolates
-//! the pure locality effect of the renumbering. **Bake-off** cells
-//! ([`Scenario::bakeoff`]) go further and time every
-//! [`RelabelOrder`] — hub-BFS, degree-descending, reverse Cuthill–McKee
-//! — on the same graph in the same entry (`layout_ns`), producing the
-//! apples-to-apples layout comparison at a scale (1M nodes) where
-//! per-node metadata far exceeds L3 and the orders can diverge.
+//! Dataset cells also time the pipeline on the **hub-BFS relabeled**
+//! layout of the same graph, and **bake-off** cells
+//! ([`Scenario::bakeoff`]) on every [`RelabelOrder`]: hub-BFS,
+//! degree-descending and reverse Cuthill–McKee. Relabeled snapshots keep
+//! neighbor slices in image order, so every layout samples the
+//! bit-identical pool, asserted on every rep. Each round times every
+//! layout once, and the layout that goes first rotates from round to
+//! round, so machine drift and cache state fall on all layouts alike.
 
 use raf_cover::{ChlamtacPortfolio, CoverInstance, CoverSolution, MpuSolver};
 use raf_datasets::synthetic::{generate_topology, Topology};
 use raf_datasets::Dataset;
-use raf_graph::{generators, CsrGraph, NodeId, RelabelOrder, SocialGraph, WeightScheme};
-use raf_model::reverse::WalkOutcome;
-use raf_model::sampler::{walk_rng, PathPool, SampleRequest};
+use raf_graph::{generators, CsrGraph, NodeId, RelabelOrder, Relabeling, WeightScheme};
+use raf_model::sampler::{PathPool, SampleRequest};
 use raf_model::FriendingInstance;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The graph family of a scenario cell: a generated structural topology
 /// (the original matrix axis) or a Table-I dataset stand-in (real SNAP
 /// file when one is present in `data/`).
 ///
-/// Dataset cells additionally measure the arena pipeline on the hub-BFS
-/// relabeled layout (see [`raf_graph::Relabeling::hub_bfs`]) next to the plain one,
-/// recording the locality win in the same history entry.
+/// Dataset cells additionally measure the pipeline on the hub-BFS
+/// relabeled layout (see [`raf_graph::Relabeling::hub_bfs`]) next to the
+/// plain one, recording both in the same history entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
     /// A generated topology family.
@@ -117,7 +105,7 @@ impl Scenario {
 /// {1, 4} sampler threads, plus the `dataset` lineage — the Table-I
 /// stand-ins {wiki, hepth, hepph} at full Table-I scale × {1, 4} threads,
 /// a 20%-scaled Youtube cell (220k nodes — per-node metadata overflows
-/// L2, where the hub-BFS relabeling win first appears), and the
+/// L2, the serving benchmark's size), and the
 /// `dataset_youtube_1m_t4` **bake-off** cell (1M nodes — metadata far
 /// exceeds L3, the scale where the three [`RelabelOrder`] layouts can
 /// genuinely diverge; each run times all of them).
@@ -231,7 +219,7 @@ pub fn scenario_config(scenario: Scenario, profile: BenchProfile) -> SamplingBen
     }
 }
 
-/// Knobs of one pipeline comparison run.
+/// Knobs of one pipeline run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SamplingBenchConfig {
     /// Graph family of the generated workload.
@@ -242,9 +230,9 @@ pub struct SamplingBenchConfig {
     pub walks: u64,
     /// Master RNG seed (graph generation, pair screening, sampling).
     pub seed: u64,
-    /// Sampler threads (both pipelines use the same count).
+    /// Sampler threads.
     pub threads: usize,
-    /// Timed repetitions per pipeline; the minimum is reported.
+    /// Timed rounds; each layout's minimum is reported.
     pub reps: usize,
     /// Covering fraction `β` used to derive the cover requirement `p`.
     pub beta: f64,
@@ -281,9 +269,27 @@ impl SamplingBenchConfig {
             bakeoff: self.bakeoff,
         }
     }
+
+    /// Checks that the run can honour the knobs as given.
+    ///
+    /// # Errors
+    ///
+    /// Names the first of `walks`, `threads` and `reps` that is zero:
+    /// zero walks sample no pool, and a run with zero threads or reps
+    /// would record a config it did not run.
+    pub fn validate(&self) -> Result<(), String> {
+        for (knob, value) in
+            [("walks", self.walks), ("threads", self.threads as u64), ("reps", self.reps as u64)]
+        {
+            if value == 0 {
+                return Err(format!("{knob} must be positive"));
+            }
+        }
+        Ok(())
+    }
 }
 
-/// Measured outcome of one legacy-vs-arena comparison.
+/// Measured outcome of one pipeline run over every layout of a cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SamplingBenchReport {
     /// The configuration that produced this report.
@@ -299,39 +305,30 @@ pub struct SamplingBenchReport {
     pub type1: usize,
     /// Distinct type-1 paths after dedup.
     pub unique_paths: usize,
+    /// Type-0 walks that dangled.
+    pub dangling: u64,
+    /// Type-0 walks that closed a cycle.
+    pub cycles: u64,
     /// The pool's `p_max` estimate.
     pub pmax_estimate: f64,
     /// Cover requirement `p = ceil(β · |B¹_l|)`.
     pub cover_p: usize,
-    /// Legacy pipeline: best-of-reps sampling time (ns).
-    pub legacy_sample_ns: u128,
-    /// Legacy pipeline: best-of-reps cover-build + solve time (ns).
-    pub legacy_solve_ns: u128,
-    /// Arena pipeline: best-of-reps sampling time (ns).
+    /// Plain layout: best-of-reps sampling time (ns).
     pub arena_sample_ns: u128,
-    /// Arena pipeline: best-of-reps cover-build + solve time (ns).
+    /// Plain layout: best-of-reps cover-build + solve time (ns).
     pub arena_solve_ns: u128,
-    /// Arena pipeline on the hub-BFS relabeled layout: best-of-reps
-    /// sampling time (ns). Measured only for dataset workloads; 0 means
-    /// not measured.
-    pub relabeled_sample_ns: u128,
-    /// Arena pipeline on the hub-BFS relabeled layout: best-of-reps
-    /// cover-build + solve time (ns). 0 means not measured.
-    pub relabeled_solve_ns: u128,
-    /// Per-order layout timings of the bake-off (one entry per measured
-    /// [`RelabelOrder`]; hub-BFS only for ordinary dataset cells, all
-    /// three for bake-off cells, empty for synthetic cells).
+    /// Per-order timings of the relabeled layouts: hub-BFS only for
+    /// ordinary dataset cells, all three for bake-off cells, empty for
+    /// synthetic cells.
     pub layouts: Vec<LayoutTiming>,
     /// Heap bytes of the sampled pool's flat arena.
     pub pool_arena_bytes: usize,
-    /// Union cost of the legacy solve.
-    pub legacy_cost: usize,
-    /// Union cost of the arena solve.
+    /// Union cost of the solve.
     pub arena_cost: usize,
 }
 
-/// Best-of-reps arena timings of one relabeled layout, measured on a
-/// pool asserted bit-identical to the plain layout's.
+/// Best-of-reps timings of one relabeled layout, measured on a pool
+/// asserted bit-identical to the plain layout's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayoutTiming {
     /// The layout order measured.
@@ -349,18 +346,15 @@ impl LayoutTiming {
     }
 }
 
-impl SamplingBenchReport {
-    /// End-to-end (sampling + solve) speedup of arena over legacy.
-    pub fn speedup(&self) -> f64 {
-        let legacy = (self.legacy_sample_ns + self.legacy_solve_ns) as f64;
-        let arena = (self.arena_sample_ns + self.arena_solve_ns) as f64;
-        if arena == 0.0 {
-            f64::INFINITY
-        } else {
-            legacy / arena
-        }
-    }
+/// A `{ sample, solve, total }` timing object of a history entry.
+fn ns_json(sample_ns: u128, solve_ns: u128) -> String {
+    format!(
+        "{{ \"sample\": {sample_ns}, \"solve\": {solve_ns}, \"total\": {} }}",
+        sample_ns + solve_ns
+    )
+}
 
+impl SamplingBenchReport {
     /// Dedup factor: sampled type-1 walks per distinct path.
     pub fn dedup_factor(&self) -> f64 {
         if self.unique_paths == 0 {
@@ -370,66 +364,51 @@ impl SamplingBenchReport {
         }
     }
 
-    /// Whether the hub-BFS relabeled layout was measured (dataset cells).
-    pub fn has_relabeled(&self) -> bool {
-        self.relabeled_sample_ns + self.relabeled_solve_ns > 0
+    /// Plain-layout sampling + solve total (ns).
+    pub fn arena_total_ns(&self) -> u128 {
+        self.arena_sample_ns + self.arena_solve_ns
     }
 
-    /// Sampling+solve speedup of the hub-BFS relabeled layout over the
-    /// plain arena layout (1.0 when not measured).
-    pub fn relabel_speedup(&self) -> f64 {
-        if !self.has_relabeled() {
-            return 1.0;
-        }
-        let plain = (self.arena_sample_ns + self.arena_solve_ns) as f64;
-        let hub = (self.relabeled_sample_ns + self.relabeled_solve_ns) as f64;
-        if hub == 0.0 {
-            f64::INFINITY
-        } else {
-            plain / hub
-        }
+    /// The hub-BFS layout's timing (dataset cells only).
+    pub fn hub_bfs(&self) -> Option<&LayoutTiming> {
+        self.layouts.iter().find(|l| l.order == RelabelOrder::HubBfs)
+    }
+
+    /// How much faster a relabeled layout ran than the plain one: plain
+    /// total over the layout's total.
+    pub fn speed_vs_plain(&self, layout: &LayoutTiming) -> f64 {
+        self.arena_total_ns() as f64 / layout.total_ns() as f64
     }
 
     /// Hand-rolled JSON rendering (the workspace's serde is an offline
     /// no-op shim), stable field order: one `BENCH_sampling.json` history
-    /// entry (see [`crate::history`]). Dataset cells add a
-    /// `relabeled_ns` object — the arena pipeline on the hub-BFS layout —
-    /// and a `relabel_speedup` next to the legacy-vs-arena `speedup`;
-    /// bake-off cells additionally record a `layout_ns` object with one
-    /// `{ sample, solve, total }` triple per measured [`RelabelOrder`].
-    pub fn to_json(&self) -> String {
-        let mut relabeled = if self.has_relabeled() {
-            format!(
-                "  \"relabeled_ns\": {{ \"sample\": {}, \"solve\": {}, \"total\": {} }},\n  \
-                 \"relabel_speedup\": {:.3},\n",
-                self.relabeled_sample_ns,
-                self.relabeled_solve_ns,
-                self.relabeled_sample_ns + self.relabeled_solve_ns,
-                self.relabel_speedup(),
-            )
-        } else {
-            String::new()
-        };
+    /// entry (see [`crate::history`]), attributed by `stamp`. Dataset
+    /// cells add a `relabeled_ns` object, the hub-BFS layout's timing,
+    /// and its `relabel_speedup` over the plain layout; bake-off cells
+    /// also record a `layout_ns` object with one `{ sample, solve, total }`
+    /// triple per measured [`RelabelOrder`].
+    pub fn to_json(&self, stamp: &crate::history::Stamp) -> String {
+        let mut relabeled = String::new();
+        if let Some(hub) = self.hub_bfs() {
+            relabeled = format!(
+                "  \"relabeled_ns\": {},\n  \"relabel_speedup\": {:.3},\n",
+                ns_json(hub.sample_ns, hub.solve_ns),
+                self.speed_vs_plain(hub),
+            );
+        }
         if self.layouts.len() > 1 {
             let columns: Vec<String> = self
                 .layouts
                 .iter()
-                .map(|l| {
-                    format!(
-                        "\"{}\": {{ \"sample\": {}, \"solve\": {}, \"total\": {} }}",
-                        l.order.name(),
-                        l.sample_ns,
-                        l.solve_ns,
-                        l.total_ns(),
-                    )
-                })
+                .map(|l| format!("\"{}\": {}", l.order.name(), ns_json(l.sample_ns, l.solve_ns)))
                 .collect();
             relabeled.push_str(&format!("  \"layout_ns\": {{ {} }},\n", columns.join(", ")));
         }
         format!(
-            "{{\n  \"scenario\": \"{}\",\n  \"profile\": \"{}\",\n  \"graph\": {{ \"kind\": \"{}\", \"nodes\": {}, \"edges\": {}, \"s\": {}, \"t\": {} }},\n  \"config\": {{ \"walks\": {}, \"seed\": {}, \"threads\": {}, \"reps\": {}, \"beta\": {} }},\n  \"pool\": {{ \"type1\": {}, \"unique_paths\": {}, \"dedup_factor\": {:.3}, \"pmax_estimate\": {:.6}, \"cover_p\": {}, \"arena_bytes\": {} }},\n  \"legacy_ns\": {{ \"sample\": {}, \"solve\": {}, \"total\": {} }},\n  \"arena_ns\": {{ \"sample\": {}, \"solve\": {}, \"total\": {} }},\n{relabeled}  \"cost\": {{ \"legacy\": {}, \"arena\": {} }},\n  \"speedup\": {:.3}\n}}\n",
+            "{{\n  \"scenario\": \"{}\",\n  \"profile\": \"{}\",\n  \"stamp\": {},\n  \"graph\": {{ \"kind\": \"{}\", \"nodes\": {}, \"edges\": {}, \"s\": {}, \"t\": {} }},\n  \"config\": {{ \"walks\": {}, \"seed\": {}, \"threads\": {}, \"reps\": {}, \"beta\": {} }},\n  \"pool\": {{ \"type1\": {}, \"unique_paths\": {}, \"dedup_factor\": {:.3}, \"pmax_estimate\": {:.6}, \"cover_p\": {}, \"arena_bytes\": {}, \"dangling\": {}, \"cycles\": {} }},\n  \"arena_ns\": {},\n{relabeled}  \"cost\": {{ \"arena\": {} }}\n}}\n",
             self.config.scenario().name(),
             self.config.profile,
+            stamp.to_json().render(),
             self.config.workload.kind_name(),
             self.nodes,
             self.edges,
@@ -446,15 +425,10 @@ impl SamplingBenchReport {
             self.pmax_estimate,
             self.cover_p,
             self.pool_arena_bytes,
-            self.legacy_sample_ns,
-            self.legacy_solve_ns,
-            self.legacy_sample_ns + self.legacy_solve_ns,
-            self.arena_sample_ns,
-            self.arena_solve_ns,
-            self.arena_sample_ns + self.arena_solve_ns,
-            self.legacy_cost,
+            self.dangling,
+            self.cycles,
+            ns_json(self.arena_sample_ns, self.arena_solve_ns),
             self.arena_cost,
-            self.speedup(),
         )
     }
 }
@@ -494,22 +468,26 @@ pub fn scenario_workload(
     screened_pair(csr, seed)
 }
 
+/// One relabeled snapshot of a dataset cell's graph.
+pub struct RelabeledLayout {
+    /// The order that numbered it.
+    pub order: RelabelOrder,
+    /// The snapshot, neighbor slices in image order.
+    pub csr: CsrGraph,
+    /// The renumbering, original ↔ layout ids.
+    pub relabeling: Arc<Relabeling>,
+}
+
 /// A fully prepared scenario workload: the plain-layout snapshot with a
-/// screened pair, plus — for dataset cells — the source graph and the
-/// [`RelabelOrder`]s whose layouts the runner builds *one at a time*
-/// (hub-BFS only, or every order for bake-off cells; a 1M-node CSR is
-/// ~hundreds of MB, so holding all three relabeled copies simultaneously
-/// would triple peak memory for no measurement benefit). Their arena
-/// timings go into the `relabeled_ns` / `layout_ns` history fields.
+/// screened pair, plus, for dataset cells, every relabeled layout the
+/// run times next to it. All of them stay resident, so each round can
+/// time every layout.
 pub struct PreparedWorkload {
     /// Plain-layout snapshot.
     pub csr: CsrGraph,
-    /// The source graph relabeled layouts are built from on demand
-    /// (dataset workloads only).
-    pub social: Option<SocialGraph>,
-    /// The layout orders to measure, in [`RelabelOrder::ALL`] order
-    /// (empty for synthetic cells).
-    pub orders: Vec<RelabelOrder>,
+    /// The relabeled layouts, in [`RelabelOrder::ALL`] order (empty for
+    /// synthetic cells).
+    pub layouts: Vec<RelabeledLayout>,
     /// The screened initiator (original/plain ids).
     pub s: NodeId,
     /// The screened target (original/plain ids).
@@ -519,7 +497,7 @@ pub struct PreparedWorkload {
 /// Prepares a [`Workload`]: synthetic families generate as before;
 /// dataset cells load via `raf_datasets` (real SNAP file in `data/` when
 /// present, calibrated stand-in otherwise) at `nodes / table_i_nodes`
-/// scale and select the relabeled layout(s) to measure — hub-BFS alone,
+/// scale and build the relabeled layout(s) to measure — hub-BFS alone,
 /// or all of [`RelabelOrder::ALL`] when `bakeoff` is set.
 pub fn prepare_workload(
     workload_kind: Workload,
@@ -530,7 +508,7 @@ pub fn prepare_workload(
     match workload_kind {
         Workload::Synthetic(topology) => {
             let (csr, s, t) = scenario_workload(topology, nodes, seed);
-            PreparedWorkload { csr, social: None, orders: Vec::new(), s, t }
+            PreparedWorkload { csr, layouts: Vec::new(), s, t }
         }
         Workload::Dataset(dataset) => {
             let scale = nodes as f64 / dataset.spec().nodes as f64;
@@ -538,10 +516,17 @@ pub fn prepare_workload(
                 raf_datasets::load_dataset(dataset, scale, seed, std::path::Path::new("data"))
                     .expect("dataset stand-in generation cannot fail at bench scales")
                     .graph;
-            let orders =
-                if bakeoff { RelabelOrder::ALL.to_vec() } else { vec![RelabelOrder::HubBfs] };
+            let orders: &[RelabelOrder] =
+                if bakeoff { &RelabelOrder::ALL } else { &[RelabelOrder::HubBfs] };
+            let layouts = orders
+                .iter()
+                .map(|&order| {
+                    let relabeling = Arc::new(order.relabeling(&social));
+                    RelabeledLayout { order, csr: social.to_csr_relabeled(&relabeling), relabeling }
+                })
+                .collect();
             let (csr, s, t) = screened_pair(social.to_csr(), seed);
-            PreparedWorkload { csr, social: Some(social), orders, s, t }
+            PreparedWorkload { csr, layouts, s, t }
         }
     }
 }
@@ -564,200 +549,7 @@ fn screened_pair(csr: CsrGraph, seed: u64) -> (CsrGraph, NodeId, NodeId) {
     (csr, s, t)
 }
 
-/// The pre-arena pool: every type-1 walk keeps its own `Vec` of node ids.
-pub struct LegacyPool {
-    /// The type-1 paths, one `Vec<NodeId>` each (duplicates included).
-    pub type1_paths: Vec<Vec<NodeId>>,
-    /// Walks sampled in total.
-    pub total_samples: u64,
-}
-
-/// Replica of the pre-arena `CsrGraph` storage: per-node metadata
-/// scattered across an offset table, a totals table, and a uniform-flag
-/// table (the layout this PR replaced with one packed record per node).
-///
-/// Selections replicate the pre-arena arithmetic verbatim: the uniform
-/// fast path computes `⌊(r / total) · d⌋`, while the packed graph now
-/// precomputes `⌊r · (d / total)⌋`. The two double-rounded products
-/// agree except when a draw lands within an ulp of a bucket boundary on
-/// a node whose `total ≠ 1.0` (probability ~1e-16 per draw), so walk
-/// parity with the live sampler is exact in practice and *deterministic*
-/// under the fixed seeds the equivalence tests use — but it is no longer
-/// bit-guaranteed by construction. On non-uniform nodes the cumulative
-/// table is *reconstructed* from rounded `in_weight` differences and may
-/// likewise diverge in the last ulps at bucket boundaries; don't rely on
-/// exact walk parity for non-uniform weight schemes.
-pub struct LegacyCsr {
-    offsets: Vec<usize>,
-    neighbors: Vec<NodeId>,
-    cum_weights: Vec<f64>,
-    totals: Vec<f64>,
-    uniform: Vec<bool>,
-}
-
-impl LegacyCsr {
-    /// Reconstructs the scattered pre-arena layout from a [`CsrGraph`].
-    pub fn from_csr(g: &CsrGraph) -> Self {
-        let n = g.node_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::new();
-        let mut cum_weights = Vec::new();
-        let mut totals = Vec::with_capacity(n);
-        let mut uniform = Vec::with_capacity(n);
-        offsets.push(0);
-        for v in g.nodes() {
-            let ns = g.neighbors(v);
-            neighbors.extend_from_slice(ns);
-            let mut acc = 0.0;
-            let first = ns.first().map(|&u| g.in_weight(u, v).expect("edge weight"));
-            let mut is_uniform = true;
-            for &u in ns {
-                let w = g.in_weight(u, v).expect("edge weight");
-                acc += w;
-                cum_weights.push(acc);
-                if let Some(f) = first {
-                    if (w - f).abs() > 1e-15 {
-                        is_uniform = false;
-                    }
-                }
-            }
-            // Use the graph's own total (exact prefix-sum value) so the
-            // `r >= total` boundary matches bit for bit.
-            totals.push(g.total_in_weight(v));
-            uniform.push(is_uniform);
-            offsets.push(neighbors.len());
-        }
-        LegacyCsr { offsets, neighbors, cum_weights, totals, uniform }
-    }
-
-    /// Verbatim pre-arena `select_with`: scattered loads, unconditional
-    /// division on the uniform fast path.
-    #[inline]
-    fn select_with(&self, v: NodeId, r: f64) -> Option<NodeId> {
-        let i = v.index();
-        let total = self.totals[i];
-        if r >= total {
-            return None;
-        }
-        let base = self.offsets[i];
-        let d = self.offsets[i + 1] - base;
-        if self.uniform[i] {
-            let idx = ((r / total) * d as f64) as usize;
-            return Some(self.neighbors[base + idx.min(d - 1)]);
-        }
-        let slice = &self.cum_weights[base..base + d];
-        let idx = slice.partition_point(|&c| c <= r);
-        Some(self.neighbors[base + idx.min(d - 1)])
-    }
-}
-
-/// Verbatim replica of the pre-arena `sample_target_path` hot loop: the
-/// walk builds its own `vec![t, …]` (one allocation plus incremental
-/// regrowth per walk) over the scattered [`LegacyCsr`] layout — exactly
-/// the cost model the arena sampler removed. The RNG draw sequence and
-/// every selection are identical to [`raf_model::reverse::sample_walk_into`]
-/// on the packed graph, so both pipelines sample the same walk for the
-/// same walk seed.
-fn legacy_sample_target_path<R: rand::Rng>(
-    instance: &FriendingInstance<'_>,
-    csr: &LegacyCsr,
-    rng: &mut R,
-) -> (Vec<NodeId>, WalkOutcome) {
-    let mut nodes = vec![instance.target()];
-    let mut overflow: Option<std::collections::HashSet<NodeId>> = None;
-    const SCAN_LIMIT: usize = 64;
-    let mut current = instance.target();
-    loop {
-        match csr.select_with(current, rng.gen::<f64>()) {
-            None => return (nodes, WalkOutcome::Dangling),
-            Some(next) => {
-                let revisited = match &overflow {
-                    Some(set) => set.contains(&next),
-                    None => nodes.contains(&next),
-                };
-                if revisited {
-                    return (nodes, WalkOutcome::Cycle);
-                }
-                if instance.is_seed(next) {
-                    return (nodes, WalkOutcome::ReachedSeed);
-                }
-                nodes.push(next);
-                if overflow.is_none() && nodes.len() > SCAN_LIMIT {
-                    overflow = Some(nodes.iter().copied().collect());
-                } else if let Some(set) = &mut overflow {
-                    set.insert(next);
-                }
-                current = next;
-            }
-        }
-    }
-}
-
-/// Replica of the pre-arena sampler: per-walk allocation, and — exactly
-/// as in the pre-arena code — `Mutex` aggregation plus a global
-/// lexicographic sort of the pool only on the multi-threaded path (the
-/// sequential fallback returned the pool unsorted). Walk `i` draws from
-/// [`walk_rng`]`(master_seed, i)`, the live sampler's per-walk seeding,
-/// so both pipelines sample the same walk multiset at any thread count.
-pub fn legacy_sample_pool(
-    instance: &FriendingInstance<'_>,
-    csr: &LegacyCsr,
-    l: u64,
-    master_seed: u64,
-    threads: usize,
-) -> LegacyPool {
-    let threads = threads.max(1) as u64;
-    let sample_walks = |walks: std::ops::Range<u64>| {
-        let mut local: Vec<Vec<NodeId>> = Vec::new();
-        for walk in walks {
-            let mut rng = walk_rng(master_seed, walk);
-            let (nodes, outcome) = legacy_sample_target_path(instance, csr, &mut rng);
-            if outcome == WalkOutcome::ReachedSeed {
-                local.push(nodes);
-            }
-        }
-        local
-    };
-    let type1_paths = if threads == 1 {
-        sample_walks(0..l)
-    } else {
-        let collected: Mutex<Vec<Vec<NodeId>>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            let mut start = 0u64;
-            for i in 0..threads {
-                let share = l / threads + u64::from(l % threads > i);
-                let walks = start..start + share;
-                start += share;
-                let collected = &collected;
-                let sample_walks = &sample_walks;
-                scope.spawn(move || {
-                    let local = sample_walks(walks);
-                    collected.lock().expect("legacy sampler mutex").extend(local);
-                });
-            }
-        });
-        let mut pool = collected.into_inner().expect("legacy sampler mutex");
-        // Deterministic order regardless of thread interleaving (the
-        // pre-arena code sorted only here, not on the sequential path).
-        pool.sort();
-        pool
-    };
-    LegacyPool { type1_paths, total_samples: l }
-}
-
-/// Legacy cover phase: re-copy every path into a fresh per-set `Vec`
-/// (the pre-arena `NodeId` → `u32` conversion), normalize (sort) each,
-/// and solve the duplicated family.
-pub fn legacy_solve(universe: usize, pool: &LegacyPool, beta: f64) -> CoverSolution {
-    let sets: Vec<Vec<u32>> =
-        pool.type1_paths.iter().map(|tp| tp.iter().map(|v| v.index() as u32).collect()).collect();
-    let b1 = sets.len();
-    let cover = CoverInstance::new(universe, sets).expect("legacy sets in range");
-    let p = raf_cover::cover_requirement(beta, b1);
-    ChlamtacPortfolio::new().solve(&cover, p).expect("feasible legacy instance")
-}
-
-/// Arena sampling: the current `PathPool` pipeline, through the unified
+/// Sampling: the production `PathPool` pipeline, through the unified
 /// [`SampleRequest`] API.
 pub fn arena_sample_pool(
     instance: &FriendingInstance<'_>,
@@ -768,7 +560,7 @@ pub fn arena_sample_pool(
     SampleRequest::new(l).seed(master_seed).threads(threads).run(instance)
 }
 
-/// Arena cover phase: the weighted instance over the pool's unique paths
+/// Cover phase: the weighted instance over the pool's unique paths
 /// (local element ids) and its portfolio solve.
 pub fn arena_solve(universe: usize, pool: PathPool, beta: f64) -> CoverSolution {
     let b1 = pool.type1_count();
@@ -777,161 +569,124 @@ pub fn arena_solve(universe: usize, pool: PathPool, beta: f64) -> CoverSolution 
     ChlamtacPortfolio::new().solve(&cover, p).expect("feasible arena instance")
 }
 
-/// Runs the full comparison: both pipelines `reps` times each on the same
-/// workload, reporting best-of-reps phase timings and solution costs.
-/// Dataset workloads additionally time the arena pipeline on the
-/// relabeled layout(s) — hub-BFS, or the full [`RelabelOrder`] bake-off —
-/// after asserting each layout's pool is bit-identical to the plain
-/// layout's (the relabeling equivariance guarantee).
+/// Runs one cell: an untimed reference pass on the plain layout yields
+/// the counts, then `reps` timed rounds each sample and solve on every
+/// layout — the plain one and, for dataset cells, the relabeled ones —
+/// starting from a different layout each round. Every timed pool must
+/// equal the reference pool and every solve its cost.
+///
+/// # Panics
+///
+/// On a config [`SamplingBenchConfig::validate`] rejects, on a screened
+/// pair whose pool holds no type-1 walk, and when a layout's pool or
+/// cost diverges from the reference.
 pub fn run_sampling_bench(config: SamplingBenchConfig) -> SamplingBenchReport {
+    if let Err(e) = config.validate() {
+        panic!("invalid sampling bench config: {e}");
+    }
     let prepared = prepare_workload(config.workload, config.nodes, config.seed, config.bakeoff);
-    let (csr, s, t) = (&prepared.csr, prepared.s, prepared.t);
-    let instance = FriendingInstance::new(csr, s, t).expect("screened pair is valid");
-    let n = csr.node_count();
-    let legacy_csr = LegacyCsr::from_csr(csr);
-
-    let mut legacy_sample_ns = u128::MAX;
-    let mut legacy_solve_ns = u128::MAX;
-    let mut legacy_cost = 0usize;
-    for _ in 0..config.reps.max(1) {
-        let start = Instant::now();
-        let pool =
-            legacy_sample_pool(&instance, &legacy_csr, config.walks, config.seed, config.threads);
-        legacy_sample_ns = legacy_sample_ns.min(start.elapsed().as_nanos());
-        if pool.type1_paths.is_empty() {
-            panic!("degenerate workload: no type-1 walks; change the seed");
-        }
-        let start = Instant::now();
-        let sol = legacy_solve(n, &pool, config.beta);
-        legacy_solve_ns = legacy_solve_ns.min(start.elapsed().as_nanos());
-        legacy_cost = sol.cost();
+    let (s, t) = (prepared.s, prepared.t);
+    let n = prepared.csr.node_count();
+    let mut instances =
+        vec![FriendingInstance::new(&prepared.csr, s, t).expect("screened pair is valid")];
+    for layout in &prepared.layouts {
+        instances.push(
+            FriendingInstance::relabeled(&layout.csr, s, t, layout.relabeling.clone())
+                .expect("screened pair is valid under relabeling"),
+        );
     }
+    let layout_name =
+        |i: usize| if i == 0 { "plain" } else { prepared.layouts[i - 1].order.name() };
+    let sample =
+        |i: usize| arena_sample_pool(&instances[i], config.walks, config.seed, config.threads);
 
-    let mut arena_sample_ns = u128::MAX;
-    let mut arena_solve_ns = u128::MAX;
-    let mut arena_cost = 0usize;
-    let mut type1 = 0usize;
-    let mut unique_paths = 0usize;
-    let mut pmax_estimate = 0.0f64;
-    let mut cover_p = 0usize;
-    let mut pool_arena_bytes = 0usize;
-    for _ in 0..config.reps.max(1) {
-        let start = Instant::now();
-        let pool = arena_sample_pool(&instance, config.walks, config.seed, config.threads);
-        arena_sample_ns = arena_sample_ns.min(start.elapsed().as_nanos());
-        type1 = pool.type1_count();
-        unique_paths = pool.unique_count();
-        pmax_estimate = pool.pmax_estimate();
-        cover_p = raf_cover::cover_requirement(config.beta, type1);
-        pool_arena_bytes = pool.heap_bytes();
-        let start = Instant::now();
-        let sol = arena_solve(n, pool, config.beta);
-        arena_solve_ns = arena_solve_ns.min(start.elapsed().as_nanos());
-        arena_cost = sol.cost();
+    let reference = sample(0);
+    if reference.type1_count() == 0 {
+        panic!("degenerate workload: no type-1 walks; change the seed");
     }
+    let arena_cost = arena_solve(n, reference.clone(), config.beta).cost();
 
-    let mut relabeled_sample_ns = 0u128;
-    let mut relabeled_solve_ns = 0u128;
-    let mut layouts: Vec<LayoutTiming> = Vec::with_capacity(prepared.orders.len());
-    if let Some(social) = &prepared.social {
-        // Equivariance reference: every layout must sample the exact
-        // same (original-space) pool — any divergence would mean the
-        // timings measure different work.
-        let plain_pool = arena_sample_pool(&instance, config.walks, config.seed, config.threads);
-        for &order in &prepared.orders {
-            // Built (and dropped) per order: one relabeled snapshot
-            // resident at a time, not the whole bake-off slate.
-            let relabeling = Arc::new(order.relabeling(social));
-            let layout_csr = social.to_csr_relabeled(&relabeling);
-            let layout_instance =
-                FriendingInstance::relabeled(&layout_csr, s, t, relabeling.clone())
-                    .expect("screened pair is valid under relabeling");
-            let layout_pool =
-                arena_sample_pool(&layout_instance, config.walks, config.seed, config.threads);
+    // (sample, solve) best of reps per layout, plain first.
+    let mut best = vec![(u128::MAX, u128::MAX); instances.len()];
+    for round in 0..config.reps {
+        for k in 0..instances.len() {
+            let i = (round + k) % instances.len();
+            let start = Instant::now();
+            let pool = sample(i);
+            let sample_ns = start.elapsed().as_nanos();
+            assert_eq!(pool, reference, "{} layout diverged from the plain layout", layout_name(i));
+            let start = Instant::now();
+            let sol = arena_solve(n, pool, config.beta);
+            let solve_ns = start.elapsed().as_nanos();
             assert_eq!(
-                plain_pool,
-                layout_pool,
-                "{} layout diverged from the plain layout",
-                order.name()
+                sol.cost(),
+                arena_cost,
+                "{} solve diverged from the plain solve",
+                layout_name(i)
             );
-            let mut sample_ns = u128::MAX;
-            let mut solve_ns = u128::MAX;
-            for _ in 0..config.reps.max(1) {
-                let start = Instant::now();
-                let pool =
-                    arena_sample_pool(&layout_instance, config.walks, config.seed, config.threads);
-                sample_ns = sample_ns.min(start.elapsed().as_nanos());
-                let start = Instant::now();
-                let sol = arena_solve(n, pool, config.beta);
-                solve_ns = solve_ns.min(start.elapsed().as_nanos());
-                assert_eq!(
-                    sol.cost(),
-                    arena_cost,
-                    "{} solve diverged from the plain solve",
-                    order.name()
-                );
-            }
-            if order == RelabelOrder::HubBfs {
-                relabeled_sample_ns = sample_ns;
-                relabeled_solve_ns = solve_ns;
-            }
-            layouts.push(LayoutTiming { order, sample_ns, solve_ns });
+            best[i] = (best[i].0.min(sample_ns), best[i].1.min(solve_ns));
         }
     }
+    let layouts = prepared
+        .layouts
+        .iter()
+        .zip(&best[1..])
+        .map(|(layout, &(sample_ns, solve_ns))| LayoutTiming {
+            order: layout.order,
+            sample_ns,
+            solve_ns,
+        })
+        .collect();
 
     SamplingBenchReport {
-        config,
-        nodes: csr.node_count(),
-        edges: csr.edge_count(),
+        nodes: n,
+        edges: prepared.csr.edge_count(),
         pair: (s.index(), t.index()),
-        type1,
-        unique_paths,
-        pmax_estimate,
-        cover_p,
-        legacy_sample_ns,
-        legacy_solve_ns,
-        arena_sample_ns,
-        arena_solve_ns,
-        relabeled_sample_ns,
-        relabeled_solve_ns,
+        type1: reference.type1_count(),
+        unique_paths: reference.unique_count(),
+        dangling: reference.dangling_count(),
+        cycles: reference.cycle_count(),
+        pmax_estimate: reference.pmax_estimate(),
+        cover_p: raf_cover::cover_requirement(config.beta, reference.type1_count()),
+        arena_sample_ns: best[0].0,
+        arena_solve_ns: best[0].1,
         layouts,
-        pool_arena_bytes,
-        legacy_cost,
+        pool_arena_bytes: reference.heap_bytes(),
         arena_cost,
+        config,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::{gate_counts, parse_json, CountGate, JsonValue, Stamp};
 
-    /// Legacy sort-dedup vs arena streaming interner: exact multiset
-    /// equality of `(path, multiplicity)` pairs for one seed's walk
-    /// multiset, sampled at `threads` threads by both pipelines.
+    /// The arena pool against first principles: walk `i` of
+    /// `sample_target_path` drawn from `walk_rng(seed, i)`, every type-1
+    /// walk kept with its duplicates, sorted and run-length encoded, must
+    /// equal the pool `arena_sample_pool` builds at `threads` threads,
+    /// path for path and multiplicity for multiplicity.
     fn assert_pipelines_agree(nodes: usize, walks: u64, seed: u64, threads: usize) {
+        use raf_model::reverse::sample_target_path;
+        use raf_model::sampler::walk_rng;
         let (csr, s, t) = workload(nodes, seed);
         let instance = FriendingInstance::new(&csr, s, t).unwrap();
-        let legacy_csr = LegacyCsr::from_csr(&csr);
-        let legacy = legacy_sample_pool(&instance, &legacy_csr, walks, seed, threads);
+        let mut reference: Vec<Vec<u32>> = (0..walks)
+            .map(|i| sample_target_path(&instance, &mut walk_rng(seed, i)))
+            .filter(|tp| tp.is_type1())
+            .map(|tp| tp.nodes.iter().map(|v| v.index() as u32).collect())
+            .collect();
+        reference.sort();
         let arena = arena_sample_pool(&instance, walks, seed, threads);
         // Same seeds ⇒ the exact same walk multiset ⇒ identical pmax.
-        assert_eq!(legacy.type1_paths.len(), arena.type1_count(), "threads={threads}");
-        let legacy_pmax = legacy.type1_paths.len() as f64 / walks as f64;
-        assert_eq!(arena.pmax_estimate(), legacy_pmax, "threads={threads}");
+        assert_eq!(reference.len(), arena.type1_count(), "threads={threads}");
+        let reference_pmax = reference.len() as f64 / walks as f64;
+        assert_eq!(arena.pmax_estimate(), reference_pmax, "threads={threads}");
         let total: usize = arena.iter().map(|(_, m)| m as usize).sum();
         assert_eq!(total, arena.type1_count());
-        // Legacy-with-duplicates vs arena sorted-unique: sorting the
-        // legacy walks (the multi-threaded legacy path is pre-sorted, the
-        // sequential one unsorted, as in the pre-arena code) and
-        // run-length encoding must equal the arena.
-        let mut as_u32: Vec<Vec<u32>> = legacy
-            .type1_paths
-            .iter()
-            .map(|tp| tp.iter().map(|v| v.index() as u32).collect())
-            .collect();
-        as_u32.sort();
         let mut runs: Vec<(&[u32], usize)> = Vec::new();
-        for p in &as_u32 {
+        for p in &reference {
             match runs.last_mut() {
                 Some((path, count)) if *path == p.as_slice() => *count += 1,
                 _ => runs.push((p.as_slice(), 1)),
@@ -952,13 +707,22 @@ mod tests {
     #[test]
     fn pipelines_agree_across_thread_counts_and_seeds() {
         // Many blocks, so threads > 1 exercises the per-thread interner
-        // merge against the legacy mutex-and-sort aggregation, including
-        // whatever RAF_THREADS the CI matrix sets.
+        // merge, including whatever RAF_THREADS the CI matrix sets.
         let env = raf_model::sampler::threads_from_env();
         for seed in [3u64, 11] {
             for threads in [1usize, 2, 4, env] {
                 assert_pipelines_agree(400, 20_000, seed, threads);
             }
+        }
+    }
+
+    fn test_stamp() -> Stamp {
+        Stamp {
+            git_rev: "0123abcd".into(),
+            rustc: "rustc 1.0.0".into(),
+            cpu: "Test CPU".into(),
+            nproc: 2,
+            unix_time: 1_700_000_000,
         }
     }
 
@@ -1019,21 +783,19 @@ mod tests {
             };
             let report = run_sampling_bench(config);
             assert!(report.type1 > 0, "{}: empty pool", topology.name());
-            assert!(!report.has_relabeled(), "synthetic cells skip the hub layout");
-            assert_eq!(
-                report.legacy_cost,
-                report.arena_cost,
-                "{}: pipelines disagree",
-                topology.name()
-            );
+            assert!(report.arena_cost > 0, "{}: empty cover", topology.name());
+            assert!(report.layouts.is_empty(), "synthetic cells skip the relabeled layouts");
+            // Every walk is type-1, dangling or a cycle.
+            let walks = report.type1 as u64 + report.dangling + report.cycles;
+            assert_eq!(walks, report.config.walks, "{}", topology.name());
         }
     }
 
     #[test]
     fn dataset_workload_measures_the_hub_layout() {
         // A scaled-down Wiki cell: the dataset path must load the
-        // stand-in, keep the pipelines in agreement, and time the hub-BFS
-        // layout (whose pool equality is asserted inside the runner).
+        // stand-in and time the hub-BFS layout (whose pool equality is
+        // asserted inside the runner).
         let config = SamplingBenchConfig {
             workload: Workload::Dataset(Dataset::Wiki),
             nodes: 400,
@@ -1044,32 +806,22 @@ mod tests {
         };
         let report = run_sampling_bench(config);
         assert!(report.type1 > 0, "empty pool on the wiki stand-in");
-        // On dense dataset workloads the weighted portfolio can legally
-        // find a *cheaper* union than the duplicated-family legacy solve
-        // (the p-smallest arm takes whole high-multiplicity paths instead
-        // of an interleaved prefix of copies), so costs are bounded, not
-        // equal, here — the exact equality pipelines keep is pool-level.
-        assert!(report.arena_cost <= report.legacy_cost, "weighted solve worse than duplicated");
         assert!(report.arena_cost > 0);
-        assert!(report.has_relabeled(), "dataset cells must time the hub layout");
-        assert!(report.relabeled_sample_ns > 0 && report.relabeled_solve_ns > 0);
-        assert!(report.relabel_speedup() > 0.0);
+        let hub = *report.hub_bfs().expect("dataset cells must time the hub layout");
+        assert!(hub.sample_ns > 0 && hub.solve_ns > 0);
+        assert!(report.speed_vs_plain(&hub) > 0.0);
         // A non-bake-off dataset cell times hub-BFS alone — no layout_ns.
         assert_eq!(report.layouts.len(), 1);
-        assert_eq!(report.layouts[0].order, RelabelOrder::HubBfs);
-        let json = report.to_json();
+        let json = report.to_json(&test_stamp());
         assert!(json.contains("\"relabeled_ns\""));
         assert!(json.contains("\"relabel_speedup\""));
         assert!(!json.contains("\"layout_ns\""), "single-layout cells must not emit layout_ns");
-        let value = crate::history::parse_json(&json).unwrap();
-        assert_eq!(
-            value.get("scenario").and_then(crate::history::JsonValue::as_str),
-            Some("dataset_wiki_400_t1")
-        );
-        assert!(value.path_f64(&["relabeled_ns", "total"]).unwrap() > 0.0);
+        let value = parse_json(&json).unwrap();
+        assert_eq!(value.get("scenario").and_then(JsonValue::as_str), Some("dataset_wiki_400_t1"));
+        assert_eq!(value.path_f64(&["relabeled_ns", "total"]), Some(hub.total_ns() as f64));
         assert!(value.path_f64(&["pool", "arena_bytes"]).unwrap() > 0.0);
         assert_eq!(
-            value.get("graph").unwrap().get("kind").and_then(crate::history::JsonValue::as_str),
+            value.get("graph").unwrap().get("kind").and_then(JsonValue::as_str),
             Some("wiki")
         );
     }
@@ -1084,7 +836,7 @@ mod tests {
             nodes: 600,
             walks: 6_000,
             seed: 3,
-            reps: 1,
+            reps: 2,
             bakeoff: true,
             ..Default::default()
         };
@@ -1095,19 +847,17 @@ mod tests {
             assert_eq!(timing.order, order);
             assert!(timing.sample_ns > 0 && timing.solve_ns > 0, "{}", order.name());
         }
-        // The hub-BFS column doubles as the back-compatible relabeled_ns.
-        assert_eq!(report.layouts[0].sample_ns, report.relabeled_sample_ns);
-        assert_eq!(report.layouts[0].solve_ns, report.relabeled_solve_ns);
-        let json = report.to_json();
-        let value = crate::history::parse_json(&json).unwrap();
+        let json = report.to_json(&test_stamp());
+        let value = parse_json(&json).unwrap();
         assert_eq!(
-            value.get("scenario").and_then(crate::history::JsonValue::as_str),
+            value.get("scenario").and_then(JsonValue::as_str),
             Some("dataset_youtube_600_t1")
         );
         for order in RelabelOrder::ALL {
             let total = value.path_f64(&["layout_ns", order.name(), "total"]);
             assert!(total.unwrap() > 0.0, "layout_ns lacks {}", order.name());
         }
+        // relabeled_ns is the hub-BFS column.
         assert_eq!(
             value.path_f64(&["layout_ns", "hub_bfs", "total"]),
             value.path_f64(&["relabeled_ns", "total"]),
@@ -1134,21 +884,70 @@ mod tests {
         let report = run_sampling_bench(cfg);
         assert!(report.type1 > 0);
         assert!(report.unique_paths <= report.type1);
-        assert_eq!(report.legacy_cost, report.arena_cost, "pipelines disagree on solution cost");
-        let json = report.to_json();
+        let json = report.to_json(&test_stamp());
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"speedup\""));
         // The entry parses with the history JSON reader and carries the
-        // scenario/profile keys the regression gate groups by.
-        let value = crate::history::parse_json(&json).unwrap();
+        // scenario/profile keys the gate groups by, the stamp, and every
+        // counted field.
+        let value = parse_json(&json).unwrap();
         assert_eq!(
-            value.get("scenario").and_then(crate::history::JsonValue::as_str),
+            value.get("scenario").and_then(JsonValue::as_str),
             Some("powerlaw_cluster_400_t1")
         );
-        assert_eq!(value.get("profile").and_then(crate::history::JsonValue::as_str), Some("full"));
+        assert_eq!(value.get("profile").and_then(JsonValue::as_str), Some("full"));
+        assert_eq!(value.get("stamp"), Some(&test_stamp().to_json()));
+        assert_eq!(value.path_f64(&["pool", "dangling"]), Some(report.dangling as f64));
+        assert_eq!(value.path_f64(&["pool", "cycles"]), Some(report.cycles as f64));
+        assert_eq!(value.path_f64(&["cost", "arena"]), Some(report.arena_cost as f64));
         assert!(value.path_f64(&["arena_ns", "total"]).unwrap() > 0.0);
-        assert!(value.path_f64(&["pool", "arena_bytes"]).unwrap() > 0.0);
+        // A synthetic entry carries exactly these fields, no layout
+        // timings, and one cost.
+        let keys = |v: &JsonValue| match v {
+            JsonValue::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect(),
+            _ => Vec::new(),
+        };
+        assert_eq!(
+            keys(&value),
+            ["scenario", "profile", "stamp", "graph", "config", "pool", "arena_ns", "cost"]
+        );
+        assert_eq!(keys(value.get("cost").unwrap()), ["arena"]);
+    }
+
+    #[test]
+    fn counted_fields_do_not_depend_on_threads_or_reps() {
+        // The gate's premise: the counts are a pure function of the cell,
+        // whatever the thread count or the number of timed rounds.
+        let run = |threads: usize, reps: usize| {
+            let report = run_sampling_bench(SamplingBenchConfig {
+                workload: Workload::Dataset(Dataset::Wiki),
+                nodes: 400,
+                walks: 6_000,
+                seed: 3,
+                threads,
+                reps,
+                ..Default::default()
+            });
+            parse_json(&report.to_json(&test_stamp())).unwrap()
+        };
+        let baseline = run(1, 1);
+        assert_eq!(gate_counts(Some(&baseline), &run(3, 2)), CountGate::Equal);
+    }
+
+    #[test]
+    fn zero_knobs_are_rejected() {
+        let quick = scenario_config(find_scenario("ring_10k_t1").unwrap(), BenchProfile::Quick);
+        assert!(quick.validate().is_ok());
+        assert!(SamplingBenchConfig::default().validate().is_ok());
+        let mut cfg = quick.clone();
+        cfg.walks = 0;
+        assert!(cfg.validate().unwrap_err().contains("walks"));
+        let mut cfg = quick.clone();
+        cfg.threads = 0;
+        assert!(cfg.validate().unwrap_err().contains("threads"));
+        let mut cfg = quick;
+        cfg.reps = 0;
+        assert!(cfg.validate().unwrap_err().contains("reps"));
     }
 
     #[test]

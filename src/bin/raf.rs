@@ -35,12 +35,6 @@ use std::process::ExitCode;
 /// Value-less boolean flags (everything else is `--flag value`).
 const SWITCHES: &[&str] = &["quick", "list-scenarios", "check-regression", "no-relabel"];
 
-/// The `bench-json --check-regression` threshold: the largest
-/// machine-normalized slowdown a quick-profile cell may show against its
-/// committed baseline. Run-to-run noise in the committed quick entries
-/// reaches ~27% (`erdos_renyi_10k_t1`), so a tighter gate flags noise.
-const MAX_REGRESSION: f64 = 0.30;
-
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     // `--help` anywhere is a help request: it is in no subcommand's
@@ -171,20 +165,23 @@ fn cmd_max(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Measures legacy-vs-arena sampling+solve throughput over the scenario
-/// matrix and **appends** one entry per scenario to the history file
-/// (`BENCH_sampling.json`, the repo's perf trajectory record). With
-/// `--check-regression`, fails when a scenario's sampling+solve total
-/// regresses more than [`MAX_REGRESSION`] against the last committed
-/// entry for the same `(scenario, profile)`. Runs whose
-/// `--walks`/`--reps`/`--seed`/`--beta` deviate from the profile's
-/// standard knobs are recorded under the `custom` profile lineage so
-/// they can never become a `full`/`quick` regression baseline.
+/// Times the Alg. 3 pipeline (sample, then solve the cover) over the
+/// scenario matrix and **appends** one stamped entry per scenario to the
+/// history file (`BENCH_sampling.json`, the repo's perf trajectory
+/// record). With `--check-regression`, fails when any counted field of a
+/// new entry (graph, pool and cost counts, see
+/// [`raf_bench::history::COUNTED_FIELDS`]) differs from the last
+/// committed entry of the same `(scenario, profile)`; timings against
+/// that entry are printed and advisory. Every cell's knobs are validated
+/// before any cell runs. Runs whose `--walks`/`--reps`/`--seed`/`--beta`/
+/// `--threads` deviate from the profile's standard knobs are recorded
+/// under the `custom` profile lineage so they can never become a
+/// `full`/`quick` baseline.
 fn cmd_bench_json(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
-    use raf_bench::history::{machine_factor, parse_json, BenchHistory, MachineFactor};
+    use raf_bench::history::{gate_counts, parse_json, BenchHistory, CountGate, Stamp};
     use raf_bench::sampling::{
         find_scenario, quick_matrix, run_sampling_bench, scenario_config, scenario_matrix,
-        BenchProfile, Scenario, Workload,
+        BenchProfile, SamplingBenchConfig, Scenario, Workload,
     };
     use raf_datasets::synthetic::Topology;
 
@@ -235,14 +232,7 @@ fn cmd_bench_json(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
         scenario_matrix()
     };
 
-    let mut history = match std::fs::read_to_string(&out) {
-        Ok(text) => BenchHistory::from_text(&text).map_err(|e| format!("{out}: {e}"))?,
-        // Only a genuinely absent file starts a fresh history; any other
-        // read error must not end in overwriting the committed record.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => BenchHistory::default(),
-        Err(e) => return Err(format!("{out}: {e}").into()),
-    };
-    let mut regressions: Vec<String> = Vec::new();
+    let mut configs: Vec<SamplingBenchConfig> = Vec::with_capacity(scenarios.len());
     for scenario in scenarios {
         let mut config = scenario_config(scenario, profile);
         config.walks = args.get_or("walks", config.walks)?;
@@ -250,107 +240,80 @@ fn cmd_bench_json(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
         config.seed = args.get_or("seed", config.seed)?;
         config.beta = args.get_or("beta", config.beta)?;
         config.threads = args.get_or("threads", config.threads)?;
+        config.validate().map_err(|e| format!("bench-json: {e}"))?;
         // A measurement that deviates from the profile's standard knobs
         // must not become the full/quick baseline: record it under the
         // "custom" lineage so it can never poison the regression gate.
-        let standard = scenario_config(scenario, profile);
-        if config != standard {
+        if config != scenario_config(scenario, profile) {
             config.profile = "custom";
         }
-        let name = scenario.name();
+        configs.push(config);
+    }
+
+    let mut history = match std::fs::read_to_string(&out) {
+        Ok(text) => BenchHistory::from_text(&text).map_err(|e| format!("{out}: {e}"))?,
+        // Only a genuinely absent file starts a fresh history; any other
+        // read error must not end in overwriting the committed record.
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => BenchHistory::default(),
+        Err(e) => return Err(format!("{out}: {e}").into()),
+    };
+    let stamp = Stamp::collect();
+    let mut changed: Vec<String> = Vec::new();
+    for config in configs {
+        let name = config.scenario().name();
+        let lineage = config.profile;
         eprintln!(
-            "benchmarking {name} [{}]: {} nodes, {} walks, {} thread(s), {} rep(s)…",
-            config.profile, config.nodes, config.walks, config.threads, config.reps
+            "benchmarking {name} [{lineage}]: {} nodes, {} walks, {} thread(s), {} rep(s)…",
+            config.nodes, config.walks, config.threads, config.reps
         );
         let report = run_sampling_bench(config);
-        let legacy_ms = (report.legacy_sample_ns + report.legacy_solve_ns) as f64 / 1e6;
-        let arena_total = report.arena_sample_ns + report.arena_solve_ns;
-        let arena_ms = arena_total as f64 / 1e6;
+        let arena_ms = report.arena_total_ns() as f64 / 1e6;
         println!(
-            "{name}: legacy {legacy_ms:.1} ms, arena {arena_ms:.1} ms  →  speedup {:.2}x  \
-             (type-1 {} → {} unique, dedup {:.1}x)",
-            report.speedup(),
+            "{name}: arena {arena_ms:.1} ms (type-1 {} → {} unique, dedup {:.1}x, cost {})",
             report.type1,
             report.unique_paths,
             report.dedup_factor(),
+            report.arena_cost,
         );
-        if report.layouts.len() > 1 {
-            // Bake-off cells: the full per-order table (hub-BFS included,
-            // so the single-layout line below would be redundant).
-            let plain = arena_total as f64;
-            for timing in &report.layouts {
-                println!(
-                    "{name}: layout {:>11} {:.1} ms  →  {:.2}x vs plain arena",
-                    timing.order.name(),
-                    timing.total_ns() as f64 / 1e6,
-                    plain / timing.total_ns() as f64,
-                );
-            }
-        } else if report.has_relabeled() {
-            let hub_ms = (report.relabeled_sample_ns + report.relabeled_solve_ns) as f64 / 1e6;
+        for timing in &report.layouts {
             println!(
-                "{name}: hub-BFS layout {hub_ms:.1} ms  →  relabel speedup {:.2}x",
-                report.relabel_speedup()
+                "{name}: layout {:>11} {:.1} ms  →  {:.2}x vs plain",
+                timing.order.name(),
+                timing.total_ns() as f64 / 1e6,
+                report.speed_vs_plain(timing),
             );
         }
+        let entry = parse_json(&report.to_json(&stamp)).map_err(|e| format!("entry JSON: {e}"))?;
         if check {
-            let lineage = report.config.profile;
-            match history.baseline_total_ns(&name, lineage) {
-                None => println!("{name}: no committed {lineage} baseline, skipping gate"),
-                Some(base) => {
-                    // Normalize by the legacy *sampling* phase measured
-                    // in the same run: baselines are recorded on a
-                    // different machine than CI runners, and the legacy
-                    // sampler is a frozen in-crate replica of the
-                    // pre-arena code (its hot loop does not change when
-                    // the live pipeline is optimized), so its wall clock
-                    // calibrates away the machine-speed offset. Not a
-                    // perfect isolator — it still shares the RNG and
-                    // `is_seed` with the live tree — but far more stable
-                    // than comparing raw ns across machines. Falls back
-                    // to raw ns when the baseline entry predates legacy
-                    // timings; a zero/denormal calibration timing skips
-                    // the gate with a warning instead of silently gating
-                    // with factor 1.0 (a vacuous pass).
-                    let legacy_sample = report.legacy_sample_ns as f64;
-                    let machine = match machine_factor(
-                        history.baseline_legacy_sample_ns(&name, lineage),
-                        legacy_sample,
-                    ) {
-                        MachineFactor::Normalize(m) => Some(m),
-                        MachineFactor::Raw => Some(1.0),
-                        MachineFactor::Skip(reason) => {
-                            eprintln!("{name}: WARNING: skipping regression gate — {reason}");
-                            None
-                        }
-                    };
-                    if let Some(machine) = machine {
-                        let ratio = arena_total as f64 / (base * machine);
-                        if ratio > 1.0 + MAX_REGRESSION {
-                            regressions.push(format!(
-                                "{name}: {arena_total} ns vs baseline {base:.0} ns \
-                                 ({:+.1}% machine-normalized)",
-                                (ratio - 1.0) * 100.0
-                            ));
-                        } else {
-                            println!(
-                                "{name}: {:+.1}% vs baseline (machine-normalized) — ok",
-                                (ratio - 1.0) * 100.0
-                            );
-                        }
+            let baseline = history.last_for(&name, lineage);
+            match gate_counts(baseline, &entry) {
+                CountGate::Skipped(reason) => {
+                    println!("{name}: {lineage} gate skipped: {reason}");
+                }
+                CountGate::Equal => println!("{name}: counts equal the {lineage} baseline"),
+                CountGate::Changed(changes) => {
+                    for change in &changes {
+                        println!("{name}: count changed: {change}");
                     }
+                    changed.push(name.clone());
                 }
             }
+            if let Some(base) = baseline.and_then(|b| b.path_f64(&["arena_ns", "total"])) {
+                println!(
+                    "{name}: advisory timing: arena {arena_ms:.1} ms vs baseline {:.1} ms",
+                    base / 1e6
+                );
+            }
         }
-        history.push(parse_json(&report.to_json()).map_err(|e| format!("entry JSON: {e}"))?);
+        history.push(entry);
     }
     std::fs::write(&out, history.to_text())?;
     println!("wrote {out} ({} entries)", history.entries.len());
-    if !regressions.is_empty() {
+    if !changed.is_empty() {
         return Err(format!(
-            "sampling+solve regressed beyond {:.0}%: {}",
-            MAX_REGRESSION * 100.0,
-            regressions.join("; ")
+            "counted fields differ from the committed baseline in {} (listed above); if the \
+             change is intended, commit the entries this run appended to {out}",
+            changed.join(", ")
         )
         .into());
     }
@@ -874,18 +837,22 @@ the rest are repaired by resampling exactly the invalidated walk mass
 post-churn graph, and batch mode applies each delta as a barrier at
 its position in the file.
 
-bench-json appends one history entry per scenario to FILE (default
-BENCH_sampling.json). Without --scenario it runs the whole matrix
-(--quick: the CI-sized slice, which skips the 1M-node bake-off cell);
---check-regression fails when a scenario's machine-normalized
-sampling+solve total regresses more than 30% against the last
-committed entry of the same scenario and profile. Only --topology and
---nodes define a custom one-off cell; --walks/--seed/--threads/--reps/
---beta override knobs matrix-wide and reroute the runs to the `custom'
-lineage. Dataset scenarios (dataset_wiki_7k_t1, ...) also record the
-hub-BFS relabeled layout's timings; the bake-off cell
-(dataset_youtube_1m_t4) times every layout order — hub_bfs,
-degree_desc, rcm — on the same graph and records them as layout_ns.
+bench-json times sampling plus the cover solve and appends one stamped
+history entry per scenario to FILE (default BENCH_sampling.json).
+Without --scenario it runs the whole matrix (--quick: the CI-sized
+slice, which skips the 1M-node bake-off cell). --check-regression fails
+when a scenario's graph, pool or cost counts differ from the last
+committed entry of the same scenario and profile; these counts do not
+depend on timing, threads or layout. Timings against that entry are
+printed and advisory. To accept an intended count change, commit the
+entries the failing run appended. --walks, --threads and --reps must be
+positive. Only --topology and --nodes define a custom one-off cell;
+--walks/--seed/--threads/--reps/--beta override knobs matrix-wide and
+reroute the runs to the `custom' lineage. Dataset scenarios
+(dataset_wiki_7k_t1, ...) also time the hub-BFS relabeled layout; the
+bake-off cell (dataset_youtube_1m_t4) times every layout order
+(hub_bfs, degree_desc, rcm) on the same graph, recorded as layout_ns.
+Each round times every layout, starting from a different one each time.
 
 experiment runs the Table-I sweep (RAF vs HD/SP over an alpha × budget
 grid per dataset) and writes a schema-versioned CSV (default
