@@ -1,14 +1,19 @@
 //! Ablation benches for the design choices called out in DESIGN.md:
 //! cover-solver choice, the `V_max` reduction, and realization budgets.
 //!
-//! These quantify the engineering trade-offs rather than reproduce a
-//! paper artifact; results feed the "Further Discussion" analysis in
-//! EXPERIMENTS.md.
+//! The solver ablation runs `solve_msc` on one pool's cover instance; the
+//! others time the whole `RafAlgorithm` pipeline. These quantify the
+//! engineering trade-offs rather than reproduce a paper artifact; results
+//! feed the "Further Discussion" analysis in EXPERIMENTS.md.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use raf_core::{RafAlgorithm, RafConfig, RealizationBudget, SolverKind};
+use raf_core::{ParameterSet, RafAlgorithm, RafConfig, RealizationBudget};
+use raf_cover::{
+    cover_requirement, solve_msc, ChlamtacPortfolio, CoverInstance, GreedyMarginal, MpuSolver,
+};
 use raf_datasets::{sample_pairs, synthetic, Dataset, PairSamplerConfig};
 use raf_graph::{CsrGraph, NodeId};
+use raf_model::sampler::SampleRequest;
 use raf_model::FriendingInstance;
 
 fn standin() -> CsrGraph {
@@ -24,22 +29,24 @@ fn instance_on(csr: &CsrGraph) -> FriendingInstance<'_> {
     FriendingInstance::new(csr, NodeId::new(p.s as usize), NodeId::new(p.t as usize)).unwrap()
 }
 
-/// Ablation 1: cover-solver choice inside the full RAF pipeline.
-fn bench_solver_kinds(c: &mut Criterion) {
+/// Ablation 1: cover-solver choice on the cover a 10k-walk `α = 0.3` run
+/// solves: the portfolio every RAF path runs against greedy alone.
+fn bench_solvers(c: &mut Criterion) {
     let csr = standin();
     let instance = instance_on(&csr);
-    let mut group = c.benchmark_group("ablation_solver_kind");
+    let pool = SampleRequest::new(10_000).seed(instance.pair_seed(9)).run(&instance);
+    let cover = CoverInstance::from_path_pool(csr.node_count(), pool).unwrap();
+    let beta = ParameterSet::solve(0.3, 0.01, csr.node_count()).unwrap().beta;
+    let p = cover_requirement(beta, cover.total_weight());
+    let solvers: [(&str, Box<dyn MpuSolver>); 2] = [
+        ("portfolio", Box::new(ChlamtacPortfolio::new())),
+        ("greedy_only", Box::new(GreedyMarginal::new())),
+    ];
+    let mut group = c.benchmark_group("ablation_solver");
     group.sample_size(10);
-    for (name, solver) in
-        [("portfolio", SolverKind::Portfolio), ("greedy_only", SolverKind::Greedy)]
-    {
+    for (name, solver) in &solvers {
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
-            let cfg = RafConfig::with_alpha(0.3)
-                .seed(9)
-                .budget(RealizationBudget::Fixed(10_000))
-                .solver(solver);
-            let raf = RafAlgorithm::new(cfg);
-            b.iter(|| raf.run(&instance).unwrap())
+            b.iter(|| solve_msc(solver.as_ref(), &cover, p).unwrap())
         });
     }
     group.finish();
@@ -80,5 +87,5 @@ fn bench_budget_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_solver_kinds, bench_vmax_reduction, bench_budget_scaling);
+criterion_group!(benches, bench_solvers, bench_vmax_reduction, bench_budget_scaling);
 criterion_main!(benches);

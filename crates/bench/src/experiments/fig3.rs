@@ -60,7 +60,7 @@ fn point(config: &ExperimentConfig, prep: &PreparedDataset, alpha: f64) -> Fig3P
             epsilon: 0.01,
             confidence: 100_000.0,
             budget: RealizationBudget::Capped(config.budget),
-            seed: config.seed ^ (pair.s as u64) << 20 ^ pair.t as u64,
+            seed: config.seed,
             threads: config.threads,
             ..Default::default()
         };
@@ -76,7 +76,7 @@ fn point(config: &ExperimentConfig, prep: &PreparedDataset, alpha: f64) -> Fig3P
         // random numbers): differences reflect the strategies, not the
         // sampling noise.
         let eval_pool = SampleRequest::new(config.eval_samples)
-            .seed(config.seed ^ 0xE7A ^ pair.t as u64)
+            .seed(instance.pair_seed(config.seed ^ 0xE7A))
             .threads(config.threads)
             .run(&instance);
         s_pm += pair.pmax_estimate;

@@ -69,7 +69,7 @@ pub fn run(
             alpha: 0.3,
             epsilon: 0.01,
             budget: RealizationBudget::Capped(config.budget),
-            seed: config.seed ^ (pair.s as u64) << 20 ^ pair.t as u64,
+            seed: config.seed,
             threads: config.threads,
             ..Default::default()
         };
@@ -81,7 +81,7 @@ pub fn run(
         // One walk pool per pair: RAF and the growing baseline are scored
         // against identical randomness.
         let eval_pool = SampleRequest::new(config.eval_samples)
-            .seed(config.seed ^ 0xF45 ^ pair.t as u64)
+            .seed(instance.pair_seed(config.seed ^ 0xF45))
             .threads(config.threads)
             .run(&instance);
         let f_raf = eval_pool.coverage(&result.invitations);

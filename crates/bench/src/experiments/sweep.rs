@@ -330,7 +330,7 @@ pub fn run_dataset(config: &SweepConfig, dataset: Dataset) -> Vec<SweepRow> {
                     epsilon: 0.01,
                     confidence: 100_000.0,
                     budget: RealizationBudget::Capped(budget),
-                    seed: config.seed ^ (s.index() as u64) << 20 ^ t.index() as u64,
+                    seed: config.seed,
                     threads: config.threads,
                     ..Default::default()
                 };

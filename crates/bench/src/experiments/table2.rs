@@ -47,7 +47,7 @@ pub fn run(config: &ExperimentConfig, dataset: Dataset) -> Table2Row {
             alpha: 0.1, // the paper's Table II setting
             epsilon: 0.01,
             budget: RealizationBudget::Capped(config.budget),
-            seed: config.seed ^ (pair.s as u64) << 20 ^ pair.t as u64,
+            seed: config.seed,
             threads: config.threads,
             ..Default::default()
         };

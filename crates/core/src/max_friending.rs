@@ -29,7 +29,10 @@ pub struct MaxFriendingConfig {
     pub budget: usize,
     /// Realizations to sample.
     pub realizations: u64,
-    /// RNG seed.
+    /// Master RNG seed. The pool is seeded with
+    /// [`FriendingInstance::pair_seed`]`(seed)`, the serve cache's
+    /// per-pair seed, so a run answers what a one-target `campaign`
+    /// answers at the same seed and walk count.
     pub seed: u64,
     /// Sampling threads.
     pub threads: usize,
@@ -103,7 +106,7 @@ impl MaxFriending {
     /// Runs the pipeline.
     pub fn run(&self, instance: &FriendingInstance<'_>) -> MaxFriendingResult {
         let pool = SampleRequest::new(self.config.realizations)
-            .seed(self.config.seed)
+            .seed(instance.pair_seed(self.config.seed))
             .threads(self.config.threads)
             .run(instance);
         let invitations = greedy_max_coverage_paths(instance, &pool, self.config.budget);

@@ -6,19 +6,24 @@
 //! requires
 //!
 //! ```text
-//! β = (α − ε1(1+ε0)) / (1 + ε1(1+ε0))          (eq. 12)
-//! β·(1 − ε1(1+ε0)) − ε1(1+ε0) = α − ε           (eq. 13)
+//! β = (α − x) / (1 + x)                          (eq. 12)
+//! β·(1 − x) − x = α − ε                          (eq. 13)
 //! ```
 //!
-//! The left side of eq. (13) decreases monotonically from `α` (at
-//! `ε1 → 0`) as `ε1` grows, so a unique root exists whenever
-//! `0 < ε < α`; we find it by bisection.
+//! with `x = ε1(1+ε0)`. It has a closed form: substituting eq. (12) into
+//! eq. (13) and clearing the denominator gives
+//! `(α − x)(1 − x) − x(1 + x) = (α − ε)(1 + x)`, whose `x²` terms cancel,
+//! so `x = ε / (2α + 2 − ε)`, and eq. (12) then gives `β = α − ε/2` for
+//! every `n`. The ground size only splits `x` between `ε0` and `ε1`: while
+//! `n·ε1 ≤ 0.5`, `ε1` is the positive root of `n·ε1² + ε1 − x = 0`, taken
+//! in the cancellation-free form `2x / (1 + √(1 + 4nx))`, and `ε0 = n·ε1`;
+//! past that, `ε0 = 0.5` and `ε1 = x / 1.5`.
 //!
 //! Paper errata handled here (see DESIGN.md §5): the printed eq. (17)
 //! swaps `α` and `ε1` relative to eq. (13) — we solve the consistent
 //! system — and for large `n` the coupling `ε0 = n·ε1` can push `ε0`
-//! beyond 1, where eq. (10) becomes vacuous and eq. (16) ill-defined, so
-//! `ε0` is clamped to a configurable cap (default 0.5).
+//! beyond 1, where eq. (10) becomes vacuous and eq. (16) ill-defined,
+//! hence the clamp at [`ParameterSet::EPS0_CAP`].
 
 use crate::CoreError;
 use serde::{Deserialize, Serialize};
@@ -39,79 +44,34 @@ pub struct ParameterSet {
 }
 
 impl ParameterSet {
-    /// Default cap on `ε0` (see module docs).
-    pub const DEFAULT_EPS0_CAP: f64 = 0.5;
+    /// Cap on `ε0` (see module docs).
+    pub const EPS0_CAP: f64 = 0.5;
 
     /// Solves the system with the paper's `ε0 = n·ε1` coupling (clamped at
-    /// [`Self::DEFAULT_EPS0_CAP`]).
+    /// [`Self::EPS0_CAP`]) in closed form (see module docs).
     ///
     /// # Errors
     ///
     /// [`CoreError::ParameterSolveFailed`] unless `0 < ε < α ≤ 1` and
     /// `n ≥ 1`.
     pub fn solve(alpha: f64, epsilon: f64, n: usize) -> Result<Self, CoreError> {
-        Self::solve_with_cap(alpha, epsilon, n, Self::DEFAULT_EPS0_CAP)
-    }
-
-    /// Solves the system with an explicit `ε0` cap.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::ParameterSolveFailed`] when the inputs are outside
-    /// their valid ranges (`0 < ε < α ≤ 1`, `n ≥ 1`, cap in `(0, 1)`).
-    pub fn solve_with_cap(
-        alpha: f64,
-        epsilon: f64,
-        n: usize,
-        eps0_cap: f64,
-    ) -> Result<Self, CoreError> {
-        if !(alpha > 0.0 && alpha <= 1.0 && epsilon > 0.0 && epsilon < alpha)
-            || n == 0
-            || !(eps0_cap > 0.0 && eps0_cap < 1.0)
-        {
+        if !(alpha > 0.0 && alpha <= 1.0 && epsilon > 0.0 && epsilon < alpha) || n == 0 {
             return Err(CoreError::ParameterSolveFailed { alpha, epsilon });
         }
+        // Written exactly like this so the bits are reproducible.
+        let beta = alpha - epsilon / 2.0;
+        let x = epsilon / (2.0 * alpha + 2.0 - epsilon);
         let c = n as f64;
-        let eps0_of = |eps1: f64| (c * eps1).min(eps0_cap);
-        // h(ε1) = LHS of eq. (13) − (α − ε); strictly decreasing.
-        let h = |eps1: f64| -> f64 {
-            let eps0 = eps0_of(eps1);
-            let x = eps1 * (1.0 + eps0);
-            let beta = (alpha - x) / (1.0 + x);
-            beta * (1.0 - x) - x - (alpha - epsilon)
+        let root = 2.0 * x / (1.0 + (1.0 + 4.0 * c * x).sqrt());
+        let (eps0, eps1) = if c * root <= Self::EPS0_CAP {
+            (c * root, root)
+        } else {
+            (Self::EPS0_CAP, x / (1.0 + Self::EPS0_CAP))
         };
-        // Upper bracket: x = ε1(1+ε0) must stay below α (β > 0); ε1 < α
-        // certainly suffices as a hard ceiling.
-        let mut lo = 0.0f64;
-        let mut hi = alpha.min(1.0);
-        // Ensure h(hi) < 0; shrink if numerical surprises occur.
-        let mut guard = 0;
-        while h(hi) > 0.0 && guard < 60 {
-            hi *= 1.5;
-            guard += 1;
-            if hi > 10.0 {
-                return Err(CoreError::ParameterSolveFailed { alpha, epsilon });
-            }
-        }
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if h(mid) > 0.0 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let eps1 = 0.5 * (lo + hi);
-        let eps0 = eps0_of(eps1);
-        let x = eps1 * (1.0 + eps0);
-        let beta = (alpha - x) / (1.0 + x);
-        if !(beta > 0.0 && beta <= 1.0) || eps1 <= 0.0 {
-            return Err(CoreError::ParameterSolveFailed { alpha, epsilon });
-        }
         Ok(ParameterSet { alpha, epsilon, eps0, eps1, beta })
     }
 
-    /// The eq. (13) residual — zero (within bisection tolerance) for a
+    /// The eq. (13) residual — zero up to floating-point rounding for a
     /// valid parameter set; exposed for tests and diagnostics.
     pub fn residual(&self) -> f64 {
         let x = self.eps1 * (1.0 + self.eps0);
@@ -150,19 +110,18 @@ mod tests {
         assert!(ParameterSet::solve(0.1, 0.1, 10).is_err()); // ε ≥ α
         assert!(ParameterSet::solve(0.1, 0.0, 10).is_err());
         assert!(ParameterSet::solve(0.1, 0.01, 0).is_err());
-        assert!(ParameterSet::solve_with_cap(0.1, 0.01, 10, 1.5).is_err());
     }
 
     #[test]
     fn coupling_saturates_at_cap_for_large_n() {
         let p = ParameterSet::solve(0.1, 0.01, 10_000_000).unwrap();
-        assert_eq!(p.eps0, ParameterSet::DEFAULT_EPS0_CAP);
+        assert_eq!(p.eps0, ParameterSet::EPS0_CAP);
     }
 
     #[test]
     fn coupling_proportional_for_small_n() {
         let p = ParameterSet::solve(0.5, 0.01, 3).unwrap();
-        assert!(p.eps0 < ParameterSet::DEFAULT_EPS0_CAP);
+        assert!(p.eps0 < ParameterSet::EPS0_CAP);
         assert!((p.eps0 - 3.0 * p.eps1).abs() < 1e-12);
     }
 
@@ -178,6 +137,27 @@ mod tests {
         let loose = ParameterSet::solve(0.2, 0.05, 100).unwrap();
         let tight = ParameterSet::solve(0.2, 0.005, 100).unwrap();
         assert!(tight.eps1 < loose.eps1);
+    }
+
+    #[test]
+    fn beta_does_not_depend_on_the_ground_size() {
+        for step in 1..=20u32 {
+            let alpha = f64::from(step) * 0.05;
+            let reference = ParameterSet::solve(alpha, 0.01, 1).unwrap().beta;
+            for n in [4usize, 8, 70, 220_000, 1_100_000] {
+                let beta = ParameterSet::solve(alpha, 0.01, n).unwrap().beta;
+                assert_eq!(beta.to_bits(), reference.to_bits(), "alpha {alpha} n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn cover_requirement_is_exact_at_round_pool_sizes() {
+        // β = 0.095 exactly as written, so 10 000 type-1 paths need 950.
+        for n in [8usize, 220_000] {
+            let beta = ParameterSet::solve(0.1, 0.01, n).unwrap().beta;
+            assert_eq!(raf_cover::cover_requirement(beta, 10_000), 950, "n {n}");
+        }
     }
 
     #[test]

@@ -3,10 +3,11 @@
 use crate::params::ParameterSet;
 use crate::vmax::vmax_exact;
 use crate::CoreError;
-use raf_cover::{ChlamtacPortfolio, CoverInstance, ExactSolver, GreedyMarginal, MpuSolver};
+use raf_cover::{ChlamtacPortfolio, CoverError, CoverInstance};
+use raf_graph::NodeId;
 use raf_model::bounds::l_star;
 use raf_model::pmax::estimate_pmax_dklr;
-use raf_model::sampler::{PathPool, SampleRequest};
+use raf_model::sampler::{walk_rng, SampleRequest};
 use raf_model::{FriendingInstance, InvitationSet, ModelError};
 use serde::{Deserialize, Serialize};
 
@@ -30,19 +31,6 @@ impl Default for RealizationBudget {
     }
 }
 
-/// Which MSC/MpU solver Alg. 3 uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum SolverKind {
-    /// The best-of portfolio standing in for the Chlamtáč algorithm
-    /// (default).
-    #[default]
-    Portfolio,
-    /// Greedy marginal-cost only (ablation).
-    Greedy,
-    /// Exact brute force (tiny instances only).
-    Exact,
-}
-
 /// Configuration for [`RafAlgorithm`] (the `α, ε, N` inputs of Alg. 4 plus
 /// engineering knobs).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -56,9 +44,8 @@ pub struct RafConfig {
     pub confidence: f64,
     /// Realization budget policy.
     pub budget: RealizationBudget,
-    /// Cover solver choice.
-    pub solver: SolverKind,
-    /// Master RNG seed (runs are deterministic given the seed).
+    /// Master RNG seed; the run draws from the serve cache's per-pair
+    /// seed [`FriendingInstance::pair_seed`]`(seed)`.
     pub seed: u64,
     /// Worker threads for pool sampling (speed only, never the result).
     pub threads: usize,
@@ -76,7 +63,6 @@ impl Default for RafConfig {
             epsilon: 0.01,
             confidence: 100_000.0,
             budget: RealizationBudget::default(),
-            solver: SolverKind::default(),
             seed: 0,
             threads: 1,
             pmax_sample_cap: 2_000_000,
@@ -101,12 +87,6 @@ impl RafConfig {
     /// Sets the realization budget.
     pub fn budget(mut self, budget: RealizationBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Sets the cover solver.
-    pub fn solver(mut self, solver: SolverKind) -> Self {
-        self.solver = solver;
         self
     }
 
@@ -141,8 +121,6 @@ pub struct RafResult {
     pub covered: usize,
     /// `|V_max|` when the reduction was enabled.
     pub vmax_size: Option<usize>,
-    /// Name of the cover solver used.
-    pub solver_name: String,
 }
 
 impl RafResult {
@@ -160,6 +138,34 @@ impl RafResult {
             self.covered as f64 / self.type1_count as f64
         }
     }
+}
+
+/// What [`select_invitations`] picks from one pool.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Selection {
+    /// The invitation set `I*`.
+    pub invitations: InvitationSet,
+    /// The cover requirement `p = ⌈β·|B¹_l|⌉`.
+    pub cover_p: usize,
+    /// Type-1 walks `I*` covers (≥ `cover_p`).
+    pub covered: usize,
+}
+
+/// The solve stage every RAF path shares (Alg. 3 lines 3–4): the portfolio
+/// covers `p = ⌈β·|B¹_l|⌉` of the pool's type-1 paths (the cover's total
+/// weight), and the chosen union is `I*`.
+///
+/// # Errors
+///
+/// Solver errors from `raf-cover`.
+pub fn select_invitations(cover: &CoverInstance, beta: f64) -> Result<Selection, CoverError> {
+    let cover_p = raf_cover::cover_requirement(beta, cover.total_weight());
+    let msc = raf_cover::solve_msc(&ChlamtacPortfolio::new(), cover, cover_p)?;
+    let invitations = InvitationSet::from_nodes(
+        cover.universe(),
+        msc.elements.iter().map(|&e| NodeId::new(e as usize)),
+    );
+    Ok(Selection { invitations, cover_p, covered: msc.covered_weight })
 }
 
 /// The RAF algorithm (Alg. 4). See the crate docs for the pipeline.
@@ -202,13 +208,20 @@ impl RafAlgorithm {
     ///
     /// # Errors
     ///
+    /// * [`CoreError::InvalidParameter`] for a zero `Fixed` or `Capped`
+    ///   realization budget;
     /// * [`CoreError::ParameterSolveFailed`] for invalid `(α, ε)`;
     /// * [`CoreError::TargetUnreachable`] when the `p_max` phase cannot
     ///   observe a single type-1 realization within its cap (the paper's
-    ///   evaluation screens such pairs out);
+    ///   evaluation screens such pairs out), or the pool holds none;
     /// * solver errors bubbled up from `raf-cover`.
     pub fn run(&self, instance: &FriendingInstance<'_>) -> Result<RafResult, CoreError> {
         let cfg = &self.config;
+        if matches!(cfg.budget, RealizationBudget::Fixed(0) | RealizationBudget::Capped(0)) {
+            return Err(CoreError::InvalidParameter {
+                message: "realization budget must be positive".to_string(),
+            });
+        }
         let n = instance.node_count();
 
         // Sec. III-C refinement: use |V_max| in place of n when enabled.
@@ -225,9 +238,10 @@ impl RafAlgorithm {
         // Step 1: parameters (eq. 17, with errata handling).
         let parameters = ParameterSet::solve(cfg.alpha, cfg.epsilon, ground_size)?;
 
-        // Step 2: p*_max by the DKLR stopping rule (Alg. 2).
-        let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
-        use rand::SeedableRng;
+        // Step 2: p*_max by the DKLR stopping rule (Alg. 2), on a stream
+        // of the pair seed that no pool walk index reaches.
+        let seed = instance.pair_seed(cfg.seed);
+        let mut rng = walk_rng(seed, u64::MAX);
         let pmax_est = match estimate_pmax_dklr(
             instance,
             parameters.eps0,
@@ -258,59 +272,30 @@ impl RafAlgorithm {
             RealizationBudget::Theory => theory_l.min(u64::MAX as f64) as u64,
             RealizationBudget::Capped(cap) => theory_l.min(cap as f64) as u64,
             RealizationBudget::Fixed(l) => l,
-        }
-        .max(1);
+        };
 
         // Step 4: sample the pool B_l (Alg. 3 line 2).
-        let pool =
-            SampleRequest::new(l).seed(cfg.seed.wrapping_add(1)).threads(cfg.threads).run(instance);
-
-        // Step 5-6: the MSC instance over the type-1 paths (Alg. 3 line 3).
-        self.cover_phase(instance, &parameters, pool, pmax_est, theory_l, vmax_size)
-    }
-
-    fn cover_phase(
-        &self,
-        instance: &FriendingInstance<'_>,
-        parameters: &ParameterSet,
-        pool: PathPool,
-        pmax_est: raf_model::pmax::PmaxEstimate,
-        theory_l: f64,
-        vmax_size: Option<usize>,
-    ) -> Result<RafResult, CoreError> {
-        let n = instance.node_count();
-        let b1 = pool.type1_count();
-        let total_samples = pool.total_samples();
-        if b1 == 0 {
-            return Err(CoreError::TargetUnreachable { samples: total_samples });
+        let pool = SampleRequest::new(l).seed(seed).threads(cfg.threads).run(instance);
+        let type1_count = pool.type1_count();
+        let realizations_used = pool.total_samples();
+        if type1_count == 0 {
+            return Err(CoreError::TargetUnreachable { samples: realizations_used });
         }
-        // The weighted cover instance over the pool's unique paths (Alg. 3
-        // line 3), in local element ids: the solve scales with the pool,
-        // not with the graph.
+
+        // Steps 5-6: the cover over the type-1 paths, and its solve.
         let cover = CoverInstance::from_path_pool(n, pool)?;
-        let p = raf_cover::cover_requirement(parameters.beta, b1);
-        let solver: Box<dyn MpuSolver> = match self.config.solver {
-            SolverKind::Portfolio => Box::new(ChlamtacPortfolio::new()),
-            SolverKind::Greedy => Box::new(GreedyMarginal::new()),
-            SolverKind::Exact => Box::new(ExactSolver::new()),
-        };
-        let msc = raf_cover::solve_msc(solver.as_ref(), &cover, p)?;
-        let mut invitations = InvitationSet::empty(n);
-        for &e in &msc.elements {
-            invitations.insert(raf_graph::NodeId::new(e as usize));
-        }
+        let selection = select_invitations(&cover, parameters.beta)?;
         Ok(RafResult {
-            invitations,
-            parameters: parameters.clone(),
+            invitations: selection.invitations,
+            parameters,
             pmax_estimate: pmax_est.pmax,
             pmax_samples: pmax_est.samples,
             l_star: theory_l,
-            realizations_used: total_samples,
-            type1_count: b1,
-            cover_p: p,
-            covered: msc.covered_weight,
+            realizations_used,
+            type1_count,
+            cover_p: selection.cover_p,
+            covered: selection.covered,
             vmax_size,
-            solver_name: solver.name().to_string(),
         })
     }
 }
@@ -349,7 +334,6 @@ mod tests {
             epsilon: 0.01,
             confidence: 100.0,
             budget,
-            solver: SolverKind::Portfolio,
             seed: 7,
             threads: 1,
             pmax_sample_cap: 500_000,
@@ -448,15 +432,22 @@ mod tests {
     }
 
     #[test]
+    fn zero_budgets_are_rejected() {
+        let (g, mut cfg) = default_run(0.3, RealizationBudget::Fixed(0));
+        let instance = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(1)).unwrap();
+        for budget in [RealizationBudget::Fixed(0), RealizationBudget::Capped(0)] {
+            cfg.budget = budget;
+            let err = RafAlgorithm::new(cfg.clone()).run(&instance).unwrap_err();
+            assert!(matches!(err, CoreError::InvalidParameter { .. }), "{budget:?}: {err}");
+        }
+    }
+
+    #[test]
     fn config_builder_chain() {
-        let cfg = RafConfig::with_alpha(0.25)
-            .seed(5)
-            .threads(2)
-            .budget(RealizationBudget::Fixed(10))
-            .solver(SolverKind::Greedy);
+        let cfg =
+            RafConfig::with_alpha(0.25).seed(5).threads(2).budget(RealizationBudget::Fixed(10));
         assert_eq!(cfg.alpha, 0.25);
         assert_eq!(cfg.seed, 5);
         assert_eq!(cfg.threads, 2);
-        assert_eq!(cfg.solver, SolverKind::Greedy);
     }
 }

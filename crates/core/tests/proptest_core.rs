@@ -11,8 +11,8 @@ use rand::SeedableRng;
 
 proptest! {
     /// Equation System 1 invariants across the whole valid input range:
-    /// the bisection root satisfies eq. (13) and all derived quantities
-    /// stay in range.
+    /// the closed-form solution satisfies eq. (13) up to rounding and
+    /// all derived quantities stay in range.
     #[test]
     fn parameter_solver_invariants(
         alpha in 0.02f64..1.0,
@@ -22,7 +22,7 @@ proptest! {
         let epsilon = alpha * eps_frac;
         let p = ParameterSet::solve(alpha, epsilon, n).unwrap();
         prop_assert!(p.eps1 > 0.0 && p.eps1 < 1.0);
-        prop_assert!(p.eps0 > 0.0 && p.eps0 <= ParameterSet::DEFAULT_EPS0_CAP + 1e-12);
+        prop_assert!(p.eps0 > 0.0 && p.eps0 <= ParameterSet::EPS0_CAP + 1e-12);
         prop_assert!(p.beta > 0.0 && p.beta <= 1.0);
         prop_assert!(p.residual().abs() < 1e-7, "residual {}", p.residual());
         // β can never exceed α (eq. 12 with positive x).

@@ -199,6 +199,13 @@ impl<'g> FriendingInstance<'g> {
         self.original_of(self.t)
     }
 
+    /// [`pair_seed`](crate::sampler::pair_seed) over the pair's original
+    /// ids: the serve cache's pool seed for the pair, on every layout.
+    pub fn pair_seed(&self, master: u64) -> u64 {
+        let (s, t) = (self.initiator_original(), self.target_original());
+        crate::sampler::pair_seed(master, s.index() as u32, t.index() as u32)
+    }
+
     /// The initiator `s` in original space.
     #[inline]
     pub fn initiator_original(&self) -> NodeId {

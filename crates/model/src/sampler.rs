@@ -766,18 +766,19 @@ pub fn threads_from_env() -> usize {
 /// pair packed as `(s << 32) | t`.
 ///
 /// This is **the** derivation shared by every layer that samples a
-/// per-pair pool from one master seed — the serve cache seeds single
-/// queries and campaign targets with it — so a campaign pool for `(s, t)`
-/// and a single-target serve query on the same pair draw bit-identical
-/// walk streams and share one cache entry. Node ids are original ids,
-/// the ones queries name: serve keys and offline replays both pass them,
-/// so a pair keeps its seed on every layout.
+/// per-pair pool from one master seed: the serve cache's queries and
+/// campaign targets, and `RafAlgorithm`, `MaxFriending` and the sweeps
+/// through [`FriendingInstance::pair_seed`]. So every path draws the same
+/// walk stream for a pair, and serve queries share one cache entry. Node
+/// ids are original ids, the ones queries name, so a pair keeps its seed
+/// on every layout.
 pub fn pair_seed(master: u64, s: u32, t: u32) -> u64 {
     master ^ splitmix64((u64::from(s) << 32) | u64::from(t))
 }
 
-/// SplitMix64 finalizer — decorrelates per-walk and per-pair seeds.
-fn splitmix64(mut x: u64) -> u64 {
+/// SplitMix64 finalizer — decorrelates per-walk, per-pair and (in the
+/// serving layer) per-repair seeds.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e3779b97f4a7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);

@@ -3,11 +3,11 @@
 use crate::cache::{CacheStats, CachedPool, PoolCache, PoolKey};
 use crate::deadline::{AdmissionPolicy, DeadlinePolicy, ShedReason};
 use crate::fault::{FaultKind, FaultPlan};
-use raf_core::{CoreError, ParameterSet};
-use raf_cover::{ChlamtacPortfolio, CoverError, CoverInstance};
+use raf_core::{select_invitations, CoreError, ParameterSet};
+use raf_cover::{CoverError, CoverInstance};
 use raf_graph::{CsrGraph, EdgeDelta, GraphError, NodeId, Relabeling, SocialGraph, WeightScheme};
 use raf_model::sampler::{
-    pair_seed, repair_pool, PathPool, PoolRepair, SampleControl, SampleRequest,
+    pair_seed, repair_pool, splitmix64, PathPool, PoolRepair, SampleControl, SampleRequest,
 };
 use raf_model::walk_index::EdgeWalkIndex;
 use raf_model::{FriendingInstance, InvitationSet, ModelError};
@@ -58,6 +58,30 @@ impl Default for ServeConfig {
             deadline: DeadlinePolicy::UNLIMITED,
             admission: AdmissionPolicy::OPEN,
         }
+    }
+}
+
+impl ServeConfig {
+    /// Checks the knobs a session needs to answer anything, before a
+    /// graph is loaded.
+    ///
+    /// # Errors
+    ///
+    /// Names the first of `walks`, `epsilon` and `threads` out of range:
+    /// zero walks sample an empty pool, an `ε` outside `(0, 1)` leaves no
+    /// `α ∈ (ε, 1]` the parameter system accepts, and zero threads
+    /// sample nothing.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.walks == 0 {
+            return Err("walks must be positive".to_string());
+        }
+        if !(self.epsilon > 0.0 && self.epsilon < 1.0) {
+            return Err(format!("epsilon must lie in (0, 1), got {}", self.epsilon));
+        }
+        if self.threads == 0 {
+            return Err("threads must be positive".to_string());
+        }
+        Ok(())
     }
 }
 
@@ -679,20 +703,15 @@ impl<'g> SessionContext<'g> {
         if b1 == 0 {
             return Err(ServeError::TargetUnreachable { samples: pool.total_samples() });
         }
-        let p = raf_cover::cover_requirement(parameters.beta, b1);
-        let msc = raf_cover::solve_msc(&ChlamtacPortfolio::new(), &entry.cover, p)?;
-        let mut invitations = InvitationSet::empty(self.active_csr().node_count());
-        for &e in &msc.elements {
-            invitations.insert(NodeId::new(e as usize));
-        }
+        let selection = select_invitations(&entry.cover, parameters.beta)?;
         Ok(QueryAnswer {
-            invitations,
+            invitations: selection.invitations,
             parameters,
             pmax_estimate: pool.pmax_estimate(),
             walks: pool.total_samples(),
             type1_count: b1,
-            cover_p: p,
-            covered: msc.covered_weight,
+            cover_p: selection.cover_p,
+            covered: selection.covered,
             cache_hit,
             degraded,
         })
@@ -853,15 +872,6 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "query worker panicked".to_string()
     }
-}
-
-/// SplitMix64 finalizer — the same per-seed decorrelation the sampler
-/// uses for its per-walk seeds, here decorrelating repair seeds.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]
@@ -1059,6 +1069,19 @@ mod tests {
         let stats = ctx.stats();
         assert_eq!((stats.hits, stats.misses), (2, 1));
         assert_eq!(ctx.session_stats().queries, 4);
+    }
+
+    #[test]
+    fn config_validation_names_the_bad_knob() {
+        assert_eq!(ServeConfig::default().validate(), Ok(()));
+        let zero_walks = ServeConfig { walks: 0, ..Default::default() };
+        assert_eq!(zero_walks.validate().unwrap_err(), "walks must be positive");
+        for epsilon in [0.0, -0.1, 1.0, f64::NAN] {
+            let bad = ServeConfig { epsilon, ..Default::default() };
+            assert!(bad.validate().unwrap_err().starts_with("epsilon must lie in (0, 1)"));
+        }
+        let zero_threads = ServeConfig { threads: 0, ..Default::default() };
+        assert_eq!(zero_threads.validate().unwrap_err(), "threads must be positive");
     }
 
     #[test]

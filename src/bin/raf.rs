@@ -99,10 +99,13 @@ fn cmd_stats(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_pmax(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
+    let samples: u64 = args.get_or("samples", 50_000)?;
+    if samples == 0 {
+        return Err("--samples must be positive".into());
+    }
+    let seed: u64 = args.get_or("seed", 1)?;
     let csr = load_graph(args)?;
     let instance = load_instance(args, &csr)?;
-    let samples: u64 = args.get_or("samples", 50_000)?;
-    let seed: u64 = args.get_or("seed", 1)?;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let est = estimate_pmax_fixed(&instance, samples, &mut rng);
     println!("pmax ≈ {:.6}  (type-1: {} / {})", est.pmax, est.type1, est.samples);
@@ -146,14 +149,20 @@ fn cmd_run(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_max(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
-    let csr = load_graph(args)?;
-    let instance = load_instance(args, &csr)?;
     let config = MaxFriendingConfig {
         budget: args.require_typed("k")?,
         realizations: args.get_or("realizations", 50_000)?,
         seed: args.get_or("seed", 1)?,
         threads: args.get_or("threads", threads_from_env())?,
     };
+    if config.budget == 0 {
+        return Err("--k must be positive".into());
+    }
+    if config.realizations == 0 {
+        return Err("--realizations must be positive".into());
+    }
+    let csr = load_graph(args)?;
+    let instance = load_instance(args, &csr)?;
     let result = MaxFriending::new(config).run(&instance);
     println!(
         "|I| = {}  estimated f(I) ≈ {:.6}",
@@ -357,14 +366,15 @@ fn cmd_serve(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     use std::sync::Arc;
 
     let path = args.require("graph")?;
-    let builder = read_edge_list_path(Path::new(path), &EdgeListOptions::default())?;
-    let mut social = builder.build(WeightScheme::UniformByDegree)?;
+    let cache_mb: usize = args.get_or("cache-mb", 256)?;
     let config = ServeConfig {
         walks: args.get_or("walks", 100_000)?,
         epsilon: args.get_or("epsilon", 0.01)?,
         seed: args.get_or("seed", 1)?,
         threads: args.get_or("threads", threads_from_env())?,
-        cache_bytes: args.get_or::<usize>("cache-mb", 256)? << 20,
+        cache_bytes: cache_mb
+            .checked_mul(1 << 20)
+            .ok_or_else(|| format!("--cache-mb {cache_mb} overflows the cache's byte count"))?,
         deadline: DeadlinePolicy {
             work_budget: args.get_typed("work-budget")?,
             wall_clock_ms: args.get_typed("deadline-ms")?,
@@ -374,6 +384,7 @@ fn cmd_serve(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
             max_inflight_walks: args.get_typed("max-inflight-walks")?,
         },
     };
+    config.validate().map_err(|e| format!("serve: {e}"))?;
     let fault_plan = match args.get("fault-plan") {
         None => FaultPlan::empty(),
         Some(spec) => FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?,
@@ -381,6 +392,8 @@ fn cmd_serve(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     let retries: u32 = args.get_or("retries", 2)?;
     let default_budget = config.walks;
     let admission = config.admission;
+    let builder = read_edge_list_path(Path::new(path), &EdgeListOptions::default())?;
+    let mut social = builder.build(WeightScheme::UniformByDegree)?;
     let relabeling = if args.is_set("no-relabel") {
         None
     } else {

@@ -79,7 +79,6 @@ pub mod prelude {
     pub use raf_core::evaluator::{evaluate, grow_until_match};
     pub use raf_core::{
         vmax_exact, CoreError, ParameterSet, RafAlgorithm, RafConfig, RafResult, RealizationBudget,
-        SolverKind,
     };
     pub use raf_cover::{ChlamtacPortfolio, CoverInstance, GreedyMarginal, MpuSolver};
     pub use raf_datasets::{load_dataset, sample_pairs, Dataset, PairSamplerConfig};

@@ -3,11 +3,11 @@
 //! [`SessionContext::campaign`], the one campaign pipeline:
 //!
 //! 1. **`k = 1` bit-identity.** A one-target serve campaign is the
-//!    existing single-target pipeline byte for byte: seeding
-//!    [`MaxFriending`] with `pair_seed(master, s, t)` (the serve cache's
-//!    per-pair derivation) reproduces the same pool, the same invitation
-//!    set, and the same float estimate, across seeds, thread counts, and
-//!    graph families.
+//!    existing single-target pipeline byte for byte: [`MaxFriending`]
+//!    under the same master seed derives `pair_seed(master, s, t)` (the
+//!    serve cache's per-pair derivation) and reproduces the same pool,
+//!    the same invitation set, and the same float estimate, across
+//!    seeds, thread counts, and graph families.
 //! 2. **Joint dominance.** The campaign objective never loses to the
 //!    best *independent* split of the same budget — checked against
 //!    genuinely independent per-target [`MaxFriending`] runs, not just
@@ -22,7 +22,7 @@ use active_friending::prelude::*;
 use proptest::prelude::*;
 use raf_core::{MaxFriending, MaxFriendingConfig};
 use raf_graph::{generators, Relabeling, SocialGraph};
-use raf_model::sampler::{pair_seed, threads_from_env};
+use raf_model::sampler::threads_from_env;
 use raf_serve::QueryRejection;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -91,9 +91,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// `k = 1` bit-identity: a one-target serve campaign equals the
-    /// single-target [`MaxFriending`] pipeline on every byte — the
-    /// session seeds target `t` with `pair_seed(master, s, t)`, so the
-    /// single-target run must be handed exactly that derived seed.
+    /// single-target [`MaxFriending`] pipeline on every byte — both seed
+    /// target `t`'s pool with `pair_seed(master, s, t)`, so the
+    /// single-target run takes the session's master seed.
     #[test]
     fn single_target_campaign_is_max_friending_bit_for_bit(
         family in 0u8..3,
@@ -114,7 +114,7 @@ proptest! {
             let single = MaxFriending::new(MaxFriendingConfig {
                 budget,
                 realizations: 6_000,
-                seed: pair_seed(master, s.index() as u32, t.index() as u32),
+                seed: master,
                 threads,
             })
             .run(&FriendingInstance::new(&csr, s, t).unwrap());
@@ -170,7 +170,7 @@ proptest! {
             let single = MaxFriending::new(MaxFriendingConfig {
                 budget: slice,
                 realizations: 6_000,
-                seed: pair_seed(master, s.index() as u32, t.index() as u32),
+                seed: master,
                 threads: 1,
             })
             .run(&FriendingInstance::new(&csr, s, t).unwrap());

@@ -6,6 +6,11 @@
 //! derive only from `(master seed, pair)`, so the cache can never change
 //! an answer, only skip resampling.
 //!
+//! The offline pipeline is held to the same answers: [`RafAlgorithm`] seeds
+//! its pool with `pair_seed`, solves for the same `β` (independent of the
+//! ground size) and selects through the same solve stage, so `raf run
+//! --budget W` answers what `raf serve --walks W` answers.
+//!
 //! Thread counts cover {1, 4} plus whatever `RAF_THREADS` the CI matrix
 //! sets, so the parallel sampler's per-thread merge is exercised through
 //! the cache path too.
@@ -142,6 +147,73 @@ proptest! {
         prop_assert!(hit.cache_hit);
         assert_same_answer(&hit, &cold, "relabeled busy context");
         assert_same_answer(&miss, &cold, "relabeled cold path");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// One pipeline: [`RafAlgorithm`] with a `Capped(W)` budget answers
+    /// exactly what a cold [`one_shot`] query at `walks: W` answers, at
+    /// every α, thread count and layout. Graphs of 40 to 400 nodes put
+    /// `|V_max|·ε1` on both sides of the `ε0` cap, and the ground sizes
+    /// differ (`|V_max|` offline, `n` served), which moves `ε0` and `ε1`
+    /// but never `β`.
+    #[test]
+    fn raf_runs_answer_what_serve_answers(
+        seed in 0u64..400,
+        family in 0u8..3,
+        nodes in 40usize..400,
+    ) {
+        let social = random_graph(family, nodes, seed);
+        let Some((s, t)) = pick_pair(&social) else { return Ok(()); };
+        let plain_csr = social.to_csr();
+        let relabeling = Arc::new(Relabeling::hub_bfs(&social));
+        let relabeled_csr = social.to_csr_relabeled(&relabeling);
+        let (Ok(plain), Ok(relabeled)) = (
+            FriendingInstance::new(&plain_csr, s, t),
+            FriendingInstance::relabeled(&relabeled_csr, s, t, relabeling),
+        ) else {
+            return Ok(());
+        };
+        let master = seed ^ 0xFACE;
+        let walks = 6_000;
+        for threads in thread_matrix() {
+            let config = ServeConfig { walks, seed: master, threads, ..Default::default() };
+            for alpha in [0.1, 0.2, 0.3, 0.6] {
+                let query = Query { s, t, alpha, budget: walks };
+                let Ok(served) = one_shot(&plain_csr, config.clone(), &query) else {
+                    return Ok(());
+                };
+                // The paper's screening (p_max ≥ 0.01) keeps Alg. 2's
+                // stopping rule short; it feeds only `l*`, never the set.
+                if served.pmax_estimate < 0.01 {
+                    return Ok(());
+                }
+                for (layout, instance) in [("plain", &plain), ("hub_bfs", &relabeled)] {
+                    let label = format!("alpha={alpha} threads={threads} layout={layout}");
+                    let config = RafConfig {
+                        pmax_sample_cap: 100_000,
+                        ..RafConfig::with_alpha(alpha)
+                            .seed(master)
+                            .threads(threads)
+                            .budget(RealizationBudget::Capped(walks))
+                    };
+                    let raf = RafAlgorithm::new(config).run(instance).unwrap();
+                    prop_assert_eq!(&raf.invitations, &served.invitations, "{}", label);
+                    prop_assert_eq!(raf.cover_p, served.cover_p, "{}", label);
+                    prop_assert_eq!(raf.covered, served.covered, "{}", label);
+                    prop_assert_eq!(raf.type1_count, served.type1_count, "{}", label);
+                    prop_assert_eq!(raf.realizations_used, served.walks, "{}", label);
+                    prop_assert_eq!(
+                        raf.parameters.beta.to_bits(),
+                        served.parameters.beta.to_bits(),
+                        "{}",
+                        label
+                    );
+                }
+            }
+        }
     }
 }
 
