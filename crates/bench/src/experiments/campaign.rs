@@ -19,10 +19,7 @@
 
 use crate::csv::{f, CsvTable};
 use crate::history::JsonValue;
-use raf_datasets::{
-    load_dataset_csr, sample_campaigns, Dataset, DatasetSource, PairSamplerConfig, PreparedCsr,
-    RelabelMode,
-};
+use raf_datasets::{load_dataset, sample_campaigns, Dataset, DatasetSource, PairSamplerConfig};
 use raf_graph::NodeId;
 use raf_serve::{CampaignQuery, ServeConfig, ServeError, SessionContext};
 use std::path::PathBuf;
@@ -59,8 +56,6 @@ pub struct CampaignSweepConfig {
     pub threads: usize,
     /// Directory searched for real SNAP files.
     pub data_dir: PathBuf,
-    /// CSR layout (hub-BFS by default).
-    pub relabel: RelabelMode,
 }
 
 impl Default for CampaignSweepConfig {
@@ -75,7 +70,6 @@ impl Default for CampaignSweepConfig {
             seed: 1,
             threads: 1,
             data_dir: PathBuf::from("data"),
-            relabel: RelabelMode::HubBfs,
         }
     }
 }
@@ -279,10 +273,10 @@ pub fn run(config: &CampaignSweepConfig) -> CampaignReport {
 
 /// Runs the budget grid for one dataset.
 pub fn run_dataset(config: &CampaignSweepConfig, dataset: Dataset) -> Vec<CampaignRow> {
-    let prep =
-        load_dataset_csr(dataset, config.scale, config.seed, &config.data_dir, config.relabel)
-            .expect("dataset loading cannot fail with validated configs");
-    let source = match prep.source {
+    let loaded = load_dataset(dataset, config.scale, config.seed, &config.data_dir)
+        .expect("dataset loading cannot fail with validated configs");
+    let csr = loaded.graph.to_csr();
+    let source = match loaded.source {
         DatasetSource::Real => "real",
         DatasetSource::Synthetic => "synthetic",
     };
@@ -292,7 +286,7 @@ pub fn run_dataset(config: &CampaignSweepConfig, dataset: Dataset) -> Vec<Campai
         seed: config.seed.wrapping_mul(31).wrapping_add(7),
         ..Default::default()
     };
-    let campaigns = sample_campaigns(&prep.csr, &campaign_cfg, config.targets);
+    let campaigns = sample_campaigns(&csr, &campaign_cfg, config.targets);
     // Per-target pools go through the serving layer's cache: a
     // campaign's first budget cell samples its k pools (misses), every
     // later cell answers warm — and a single-target query on any
@@ -306,17 +300,12 @@ pub fn run_dataset(config: &CampaignSweepConfig, dataset: Dataset) -> Vec<Campai
         cache_bytes: CAMPAIGN_CACHE_BYTES,
         ..Default::default()
     };
-    let mut ctx = match &prep.relabeling {
-        Some(r) => SessionContext::with_relabeling(&prep.csr, r.clone(), serve_cfg),
-        None => SessionContext::new(&prep.csr, serve_cfg),
-    };
+    let mut ctx = SessionContext::new(&csr, serve_cfg);
     let mut acc = vec![CellAcc::default(); config.budgets.len()];
     for campaign in &campaigns {
-        // `sample_campaigns` screens in the snapshot's own (possibly
-        // relabeled) space; campaign queries take original ids.
-        let s = original_id(&prep, campaign.s);
+        let s = NodeId::new(campaign.s as usize);
         let targets: Vec<NodeId> =
-            campaign.targets.iter().map(|&t| original_id(&prep, t)).collect();
+            campaign.targets.iter().map(|&t| NodeId::new(t as usize)).collect();
         for (bi, &budget) in config.budgets.iter().enumerate() {
             let query = CampaignQuery { s, targets: targets.clone(), alpha: 0.5, budget };
             let answer = match ctx.campaign(&query) {
@@ -345,8 +334,8 @@ pub fn run_dataset(config: &CampaignSweepConfig, dataset: Dataset) -> Vec<Campai
             CampaignRow {
                 dataset,
                 source,
-                nodes: prep.csr.node_count(),
-                edges: prep.csr.edge_count(),
+                nodes: csr.node_count(),
+                edges: csr.edge_count(),
                 targets: config.targets,
                 budget,
                 campaigns: cell.campaigns,
@@ -358,14 +347,6 @@ pub fn run_dataset(config: &CampaignSweepConfig, dataset: Dataset) -> Vec<Campai
             }
         })
         .collect()
-}
-
-/// Maps a screened id back to original space (identity on plain layouts).
-fn original_id(prep: &PreparedCsr, v: u32) -> NodeId {
-    match &prep.relabeling {
-        None => NodeId::new(v as usize),
-        Some(r) => r.original_of(NodeId::new(v as usize)),
-    }
 }
 
 /// Prints the panel for one dataset's rows.

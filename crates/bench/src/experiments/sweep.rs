@@ -9,13 +9,9 @@
 //! each network of Table I — a real SNAP file when one is present in
 //! `data/`, the calibrated synthetic stand-in otherwise — screen `(s, t)`
 //! pairs with `p_max ≥ 0.01`, and chart acceptance probability as the
-//! threshold and budget grow. Graphs load through the hub-BFS relabeled
-//! CSR layout by default (the large-graph path), with every reported id
-//! and estimate in original space. For a *fixed* `(s, t)` pair the whole
-//! pipeline is bit-identical across layouts (proven in
-//! `tests/relabel_equivalence.rs`); the sweep's pair *screening* runs in
-//! snapshot space, though, so `--no-relabel` may select different pairs
-//! and therefore report different (equally valid) averages.
+//! threshold and budget grow. Graphs load into the plain CSR layout, the
+//! one layout every `raf` command serves, so screened pairs, reported ids and
+//! `raf serve` queries all share the file's node ids.
 //!
 //! The output is a schema-versioned report (CSV via [`CsvTable`], JSON
 //! via [`JsonValue`]) so downstream tooling can detect format changes.
@@ -24,11 +20,9 @@ use crate::csv::{f, CsvTable};
 use crate::history::JsonValue;
 use raf_core::baselines::{Baseline, HighDegree, ShortestPath};
 use raf_core::{CoreError, RafAlgorithm, RafConfig, RealizationBudget};
-use raf_datasets::{
-    load_dataset_csr, sample_pairs, Dataset, DatasetSource, PairSamplerConfig, PreparedCsr,
-    RelabelMode,
-};
+use raf_datasets::{load_dataset, sample_pairs, Dataset, DatasetSource, PairSamplerConfig};
 use raf_graph::NodeId;
+use raf_model::FriendingInstance;
 use raf_serve::{ServeConfig, SessionContext};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -67,8 +61,6 @@ pub struct SweepConfig {
     pub threads: usize,
     /// Directory searched for real SNAP files.
     pub data_dir: PathBuf,
-    /// CSR layout (hub-BFS by default).
-    pub relabel: RelabelMode,
 }
 
 impl Default for SweepConfig {
@@ -83,7 +75,6 @@ impl Default for SweepConfig {
             seed: 1,
             threads: 1,
             data_dir: PathBuf::from("data"),
-            relabel: RelabelMode::HubBfs,
         }
     }
 }
@@ -271,10 +262,10 @@ pub fn run(config: &SweepConfig) -> SweepReport {
 
 /// Runs the sweep grid for one dataset.
 pub fn run_dataset(config: &SweepConfig, dataset: Dataset) -> Vec<SweepRow> {
-    let prep =
-        load_dataset_csr(dataset, config.scale, config.seed, &config.data_dir, config.relabel)
-            .expect("dataset loading cannot fail with validated configs");
-    let source = match prep.source {
+    let loaded = load_dataset(dataset, config.scale, config.seed, &config.data_dir)
+        .expect("dataset loading cannot fail with validated configs");
+    let csr = loaded.graph.to_csr();
+    let source = match loaded.source {
         DatasetSource::Real => "real",
         DatasetSource::Synthetic => "synthetic",
     };
@@ -284,7 +275,7 @@ pub fn run_dataset(config: &SweepConfig, dataset: Dataset) -> Vec<SweepRow> {
         seed: config.seed.wrapping_mul(31).wrapping_add(7),
         ..Default::default()
     };
-    let pairs = sample_pairs(&prep.csr, &pair_cfg);
+    let pairs = sample_pairs(&csr, &pair_cfg);
     // The evaluation pools go through the serving layer's pool cache:
     // the first grid cell that needs a pair's pool samples it (a miss),
     // and every later cell of the same pair reuses the resident pool (a
@@ -297,17 +288,12 @@ pub fn run_dataset(config: &SweepConfig, dataset: Dataset) -> Vec<SweepRow> {
         cache_bytes: EVAL_CACHE_BYTES,
         ..Default::default()
     };
-    let mut eval_ctx = match &prep.relabeling {
-        Some(r) => SessionContext::with_relabeling(&prep.csr, r.clone(), serve_cfg),
-        None => SessionContext::new(&prep.csr, serve_cfg),
-    };
+    let mut eval_ctx = SessionContext::new(&csr, serve_cfg);
     let (a_len, b_len) = (config.alphas.len(), config.budgets.len());
     let mut acc = vec![CellAcc::default(); a_len * b_len];
     for pair in &pairs {
-        // `sample_pairs` screens in the snapshot's own (possibly
-        // relabeled) space; instances take original ids.
-        let (s, t) = original_pair(&prep, pair.s, pair.t);
-        let Ok(instance) = prep.instance(s, t) else {
+        let (s, t) = (NodeId::new(pair.s as usize), NodeId::new(pair.t as usize));
+        let Ok(instance) = FriendingInstance::new(&csr, s, t) else {
             continue;
         };
         // HD/SP depend only on (pair, size) and |I_RAF| repeats across
@@ -366,8 +352,8 @@ pub fn run_dataset(config: &SweepConfig, dataset: Dataset) -> Vec<SweepRow> {
             rows.push(SweepRow {
                 dataset,
                 source,
-                nodes: prep.csr.node_count(),
-                edges: prep.csr.edge_count(),
+                nodes: csr.node_count(),
+                edges: csr.edge_count(),
                 alpha,
                 budget,
                 pairs: cell.pairs,
@@ -381,14 +367,6 @@ pub fn run_dataset(config: &SweepConfig, dataset: Dataset) -> Vec<SweepRow> {
         }
     }
     rows
-}
-
-/// Maps a screened pair back to original ids (identity on plain layouts).
-fn original_pair(prep: &PreparedCsr, s: u32, t: u32) -> (NodeId, NodeId) {
-    match &prep.relabeling {
-        None => (NodeId::new(s as usize), NodeId::new(t as usize)),
-        Some(r) => (r.original_of(NodeId::new(s as usize)), r.original_of(NodeId::new(t as usize))),
-    }
 }
 
 /// Prints the paper-style panel for one dataset's rows.
@@ -465,29 +443,19 @@ mod tests {
     fn relabeled_and_plain_layouts_agree() {
         // Per-instance layout invariance is proven in
         // tests/relabel_equivalence.rs; here, pin it end-to-end through
-        // the sweep machinery by running the *same original-space pairs*
-        // through both layouts via run_dataset's building blocks: load
-        // both layouts, screen on the plain one, and sweep one grid cell
-        // manually on each — every probability must match bit for bit.
+        // the sweep's building blocks on the serving benchmark's hub-BFS
+        // layout: load the dataset, screen on the plain CSR, and sweep
+        // one grid cell manually on each layout — every probability must
+        // match bit for bit.
+        use raf_graph::Relabeling;
+        use std::sync::Arc;
         let cfg = tiny_config();
-        let plain = load_dataset_csr(
-            Dataset::HepTh,
-            cfg.scale,
-            cfg.seed,
-            &cfg.data_dir,
-            RelabelMode::Plain,
-        )
-        .unwrap();
-        let hub = load_dataset_csr(
-            Dataset::HepTh,
-            cfg.scale,
-            cfg.seed,
-            &cfg.data_dir,
-            RelabelMode::HubBfs,
-        )
-        .unwrap();
-        assert_eq!(plain.csr.node_count(), hub.csr.node_count());
-        assert_eq!(plain.csr.edge_count(), hub.csr.edge_count());
+        let graph = load_dataset(Dataset::HepTh, cfg.scale, cfg.seed, &cfg.data_dir).unwrap().graph;
+        let plain = graph.to_csr();
+        let relabeling = Arc::new(Relabeling::hub_bfs(&graph));
+        let hub = graph.to_csr_relabeled(&relabeling);
+        assert_eq!(plain.node_count(), hub.node_count());
+        assert_eq!(plain.edge_count(), hub.edge_count());
         let pair_cfg = PairSamplerConfig {
             pairs: 3,
             screen_samples: 1_000,
@@ -495,9 +463,12 @@ mod tests {
             ..Default::default()
         };
         let mut checked = 0;
-        for pair in sample_pairs(&plain.csr, &pair_cfg) {
+        for pair in sample_pairs(&plain, &pair_cfg) {
             let (s, t) = (NodeId::new(pair.s as usize), NodeId::new(pair.t as usize));
-            let (Ok(a), Ok(b)) = (plain.instance(s, t), hub.instance(s, t)) else {
+            let (Ok(a), Ok(b)) = (
+                FriendingInstance::new(&plain, s, t),
+                FriendingInstance::relabeled(&hub, s, t, Arc::clone(&relabeling)),
+            ) else {
                 continue;
             };
             let pool_a = SampleRequest::new(2_000).seed(9).run(&a);

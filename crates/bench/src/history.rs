@@ -729,6 +729,19 @@ mod tests {
     }
 
     #[test]
+    fn committed_history_still_loads_and_gates() {
+        // The committed record holds entries of every earlier shape,
+        // including timing columns no cell emits any more: it must load,
+        // and such an entry must still gate as a baseline.
+        let history =
+            BenchHistory::from_text(include_str!("../../../BENCH_sampling.json")).unwrap();
+        let baseline = history.last_for("dataset_youtube_220k_t4", "quick").unwrap();
+        assert_eq!(gate_counts(Some(baseline), baseline), CountGate::Equal);
+        let rendered = BenchHistory::from_text(&history.to_text()).unwrap();
+        assert_eq!(rendered.entries, history.entries);
+    }
+
+    #[test]
     fn stamp_renders_every_field() {
         let stamp = Stamp {
             git_rev: "0123abcd".into(),

@@ -9,38 +9,25 @@
 //!
 //! A report carries two kinds of numbers. The graph, pool and cost
 //! counts are pure functions of the cell: walk `i` draws from
-//! `walk_rng(seed, i)`, so neither the thread count nor the layout
-//! changes them, and `raf bench-json --check-regression` pins them
-//! exactly ([`crate::history::gate_counts`]). The best-of-reps timings
-//! are advisory.
-//!
-//! Dataset cells also time the pipeline on the **hub-BFS relabeled**
-//! layout of the same graph, and **bake-off** cells
-//! ([`Scenario::bakeoff`]) on every [`RelabelOrder`]: hub-BFS,
-//! degree-descending and reverse Cuthill–McKee. Relabeled snapshots keep
-//! neighbor slices in image order, so every layout samples the
-//! bit-identical pool, asserted on every rep. Each round times every
-//! layout once, and the layout that goes first rotates from round to
-//! round, so machine drift and cache state fall on all layouts alike.
+//! `walk_rng(seed, i)`, so the thread count does not change them, and
+//! `raf bench-json --check-regression` pins them exactly
+//! ([`crate::history::gate_counts`]). The best-of-reps timings are
+//! advisory. Every cell runs the plain CSR layout, the one layout every
+//! `raf` command serves.
 
 use raf_cover::{ChlamtacPortfolio, CoverInstance, CoverSolution, MpuSolver};
 use raf_datasets::synthetic::{generate_topology, Topology};
 use raf_datasets::Dataset;
-use raf_graph::{generators, CsrGraph, NodeId, RelabelOrder, Relabeling, WeightScheme};
+use raf_graph::{generators, CsrGraph, NodeId, WeightScheme};
 use raf_model::sampler::{PathPool, SampleRequest};
 use raf_model::FriendingInstance;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// The graph family of a scenario cell: a generated structural topology
 /// (the original matrix axis) or a Table-I dataset stand-in (real SNAP
 /// file when one is present in `data/`).
-///
-/// Dataset cells additionally measure the pipeline on the hub-BFS
-/// relabeled layout (see [`raf_graph::Relabeling::hub_bfs`]) next to the
-/// plain one, recording both in the same history entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
     /// A generated topology family.
@@ -70,14 +57,6 @@ pub struct Scenario {
     pub nodes: usize,
     /// Sampler threads.
     pub threads: usize,
-    /// Whether this cell runs the **layout bake-off**: the arena
-    /// pipeline timed on every [`RelabelOrder`] of the same graph
-    /// (hub-BFS, degree-descending, RCM), pool equality asserted across
-    /// all of them. Reserved for cells whose per-node metadata far
-    /// exceeds L3, where the orders can actually diverge; everywhere
-    /// else only hub-BFS is timed. Bake-off cells are excluded from the
-    /// `--quick` CI matrix (they run in the weekly full matrix).
-    pub bakeoff: bool,
 }
 
 impl Scenario {
@@ -105,21 +84,14 @@ impl Scenario {
 /// {1, 4} sampler threads, plus the `dataset` lineage — the Table-I
 /// stand-ins {wiki, hepth, hepph} at full Table-I scale × {1, 4} threads,
 /// a 20%-scaled Youtube cell (220k nodes — per-node metadata overflows
-/// L2, the serving benchmark's size), and the
-/// `dataset_youtube_1m_t4` **bake-off** cell (1M nodes — metadata far
-/// exceeds L3, the scale where the three [`RelabelOrder`] layouts can
-/// genuinely diverge; each run times all of them).
+/// L2, the serving benchmark's size), and the 1M-node
+/// `dataset_youtube_1m_t4` cell (metadata far exceeds L3).
 pub fn scenario_matrix() -> Vec<Scenario> {
     let mut matrix = Vec::new();
     for topology in Topology::ALL {
         for nodes in [10_000usize, 50_000] {
             for threads in [1usize, 4] {
-                matrix.push(Scenario {
-                    workload: Workload::Synthetic(topology),
-                    nodes,
-                    threads,
-                    bakeoff: false,
-                });
+                matrix.push(Scenario { workload: Workload::Synthetic(topology), nodes, threads });
             }
         }
     }
@@ -129,35 +101,25 @@ pub fn scenario_matrix() -> Vec<Scenario> {
                 workload: Workload::Dataset(dataset),
                 nodes: dataset.spec().nodes,
                 threads,
-                bakeoff: false,
             });
         }
     }
-    matrix.push(Scenario {
-        workload: Workload::Dataset(Dataset::Youtube),
-        nodes: 220_000,
-        threads: 4,
-        bakeoff: false,
-    });
-    matrix.push(Scenario {
-        workload: Workload::Dataset(Dataset::Youtube),
-        nodes: 1_000_000,
-        threads: 4,
-        bakeoff: true,
-    });
+    for nodes in [220_000usize, 1_000_000] {
+        matrix.push(Scenario { workload: Workload::Dataset(Dataset::Youtube), nodes, threads: 4 });
+    }
     matrix
 }
 
 /// The quick (CI-sized) matrix: the 10k-node synthetic slice plus the
 /// dataset cells (the lineages the CI gate watches) — **except** the
-/// bake-off cell, whose 1M-node graph belongs in the weekly full-matrix
-/// job, not the per-push gate.
+/// 1M-node cell, whose graph belongs in the weekly full-matrix job, not
+/// the per-push gate.
 pub fn quick_matrix() -> Vec<Scenario> {
     scenario_matrix()
         .into_iter()
         .filter(|s| match s.workload {
             Workload::Synthetic(_) => s.nodes == 10_000,
-            Workload::Dataset(_) => !s.bakeoff,
+            Workload::Dataset(_) => s.nodes < 1_000_000,
         })
         .collect()
 }
@@ -211,7 +173,6 @@ pub fn scenario_config(scenario: Scenario, profile: BenchProfile) -> SamplingBen
         workload: scenario.workload,
         nodes: scenario.nodes,
         threads: scenario.threads,
-        bakeoff: scenario.bakeoff,
         walks: profile.walks(),
         reps: profile.reps(),
         profile: profile.name(),
@@ -232,15 +193,12 @@ pub struct SamplingBenchConfig {
     pub seed: u64,
     /// Sampler threads.
     pub threads: usize,
-    /// Timed rounds; each layout's minimum is reported.
+    /// Timed rounds; the minimum is reported.
     pub reps: usize,
     /// Covering fraction `β` used to derive the cover requirement `p`.
     pub beta: f64,
     /// History-lineage label (see [`BenchProfile`]).
     pub profile: &'static str,
-    /// Whether to time every [`RelabelOrder`] layout (see
-    /// [`Scenario::bakeoff`]); dataset cells time hub-BFS alone otherwise.
-    pub bakeoff: bool,
 }
 
 impl Default for SamplingBenchConfig {
@@ -254,7 +212,6 @@ impl Default for SamplingBenchConfig {
             reps: 5,
             beta: 0.3,
             profile: BenchProfile::Full.name(),
-            bakeoff: false,
         }
     }
 }
@@ -262,12 +219,7 @@ impl Default for SamplingBenchConfig {
 impl SamplingBenchConfig {
     /// The scenario cell this configuration measures.
     pub fn scenario(&self) -> Scenario {
-        Scenario {
-            workload: self.workload,
-            nodes: self.nodes,
-            threads: self.threads,
-            bakeoff: self.bakeoff,
-        }
+        Scenario { workload: self.workload, nodes: self.nodes, threads: self.threads }
     }
 
     /// Checks that the run can honour the knobs as given.
@@ -289,7 +241,7 @@ impl SamplingBenchConfig {
     }
 }
 
-/// Measured outcome of one pipeline run over every layout of a cell.
+/// Measured outcome of one pipeline run over a cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SamplingBenchReport {
     /// The configuration that produced this report.
@@ -313,37 +265,14 @@ pub struct SamplingBenchReport {
     pub pmax_estimate: f64,
     /// Cover requirement `p = ceil(β · |B¹_l|)`.
     pub cover_p: usize,
-    /// Plain layout: best-of-reps sampling time (ns).
+    /// Best-of-reps sampling time (ns).
     pub arena_sample_ns: u128,
-    /// Plain layout: best-of-reps cover-build + solve time (ns).
+    /// Best-of-reps cover-build + solve time (ns).
     pub arena_solve_ns: u128,
-    /// Per-order timings of the relabeled layouts: hub-BFS only for
-    /// ordinary dataset cells, all three for bake-off cells, empty for
-    /// synthetic cells.
-    pub layouts: Vec<LayoutTiming>,
     /// Heap bytes of the sampled pool's flat arena.
     pub pool_arena_bytes: usize,
     /// Union cost of the solve.
     pub arena_cost: usize,
-}
-
-/// Best-of-reps timings of one relabeled layout, measured on a pool
-/// asserted bit-identical to the plain layout's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LayoutTiming {
-    /// The layout order measured.
-    pub order: RelabelOrder,
-    /// Best-of-reps sampling time (ns).
-    pub sample_ns: u128,
-    /// Best-of-reps cover-build + solve time (ns).
-    pub solve_ns: u128,
-}
-
-impl LayoutTiming {
-    /// Sampling + solve total (ns).
-    pub fn total_ns(&self) -> u128 {
-        self.sample_ns + self.solve_ns
-    }
 }
 
 /// A `{ sample, solve, total }` timing object of a history entry.
@@ -364,48 +293,17 @@ impl SamplingBenchReport {
         }
     }
 
-    /// Plain-layout sampling + solve total (ns).
+    /// Sampling + solve total (ns).
     pub fn arena_total_ns(&self) -> u128 {
         self.arena_sample_ns + self.arena_solve_ns
     }
 
-    /// The hub-BFS layout's timing (dataset cells only).
-    pub fn hub_bfs(&self) -> Option<&LayoutTiming> {
-        self.layouts.iter().find(|l| l.order == RelabelOrder::HubBfs)
-    }
-
-    /// How much faster a relabeled layout ran than the plain one: plain
-    /// total over the layout's total.
-    pub fn speed_vs_plain(&self, layout: &LayoutTiming) -> f64 {
-        self.arena_total_ns() as f64 / layout.total_ns() as f64
-    }
-
     /// Hand-rolled JSON rendering (the workspace's serde is an offline
     /// no-op shim), stable field order: one `BENCH_sampling.json` history
-    /// entry (see [`crate::history`]), attributed by `stamp`. Dataset
-    /// cells add a `relabeled_ns` object, the hub-BFS layout's timing,
-    /// and its `relabel_speedup` over the plain layout; bake-off cells
-    /// also record a `layout_ns` object with one `{ sample, solve, total }`
-    /// triple per measured [`RelabelOrder`].
+    /// entry (see [`crate::history`]), attributed by `stamp`.
     pub fn to_json(&self, stamp: &crate::history::Stamp) -> String {
-        let mut relabeled = String::new();
-        if let Some(hub) = self.hub_bfs() {
-            relabeled = format!(
-                "  \"relabeled_ns\": {},\n  \"relabel_speedup\": {:.3},\n",
-                ns_json(hub.sample_ns, hub.solve_ns),
-                self.speed_vs_plain(hub),
-            );
-        }
-        if self.layouts.len() > 1 {
-            let columns: Vec<String> = self
-                .layouts
-                .iter()
-                .map(|l| format!("\"{}\": {}", l.order.name(), ns_json(l.sample_ns, l.solve_ns)))
-                .collect();
-            relabeled.push_str(&format!("  \"layout_ns\": {{ {} }},\n", columns.join(", ")));
-        }
         format!(
-            "{{\n  \"scenario\": \"{}\",\n  \"profile\": \"{}\",\n  \"stamp\": {},\n  \"graph\": {{ \"kind\": \"{}\", \"nodes\": {}, \"edges\": {}, \"s\": {}, \"t\": {} }},\n  \"config\": {{ \"walks\": {}, \"seed\": {}, \"threads\": {}, \"reps\": {}, \"beta\": {} }},\n  \"pool\": {{ \"type1\": {}, \"unique_paths\": {}, \"dedup_factor\": {:.3}, \"pmax_estimate\": {:.6}, \"cover_p\": {}, \"arena_bytes\": {}, \"dangling\": {}, \"cycles\": {} }},\n  \"arena_ns\": {},\n{relabeled}  \"cost\": {{ \"arena\": {} }}\n}}\n",
+            "{{\n  \"scenario\": \"{}\",\n  \"profile\": \"{}\",\n  \"stamp\": {},\n  \"graph\": {{ \"kind\": \"{}\", \"nodes\": {}, \"edges\": {}, \"s\": {}, \"t\": {} }},\n  \"config\": {{ \"walks\": {}, \"seed\": {}, \"threads\": {}, \"reps\": {}, \"beta\": {} }},\n  \"pool\": {{ \"type1\": {}, \"unique_paths\": {}, \"dedup_factor\": {:.3}, \"pmax_estimate\": {:.6}, \"cover_p\": {}, \"arena_bytes\": {}, \"dangling\": {}, \"cycles\": {} }},\n  \"arena_ns\": {},\n  \"cost\": {{ \"arena\": {} }}\n}}\n",
             self.config.scenario().name(),
             self.config.profile,
             stamp.to_json().render(),
@@ -468,65 +366,24 @@ pub fn scenario_workload(
     screened_pair(csr, seed)
 }
 
-/// One relabeled snapshot of a dataset cell's graph.
-pub struct RelabeledLayout {
-    /// The order that numbered it.
-    pub order: RelabelOrder,
-    /// The snapshot, neighbor slices in image order.
-    pub csr: CsrGraph,
-    /// The renumbering, original ↔ layout ids.
-    pub relabeling: Arc<Relabeling>,
-}
-
-/// A fully prepared scenario workload: the plain-layout snapshot with a
-/// screened pair, plus, for dataset cells, every relabeled layout the
-/// run times next to it. All of them stay resident, so each round can
-/// time every layout.
-pub struct PreparedWorkload {
-    /// Plain-layout snapshot.
-    pub csr: CsrGraph,
-    /// The relabeled layouts, in [`RelabelOrder::ALL`] order (empty for
-    /// synthetic cells).
-    pub layouts: Vec<RelabeledLayout>,
-    /// The screened initiator (original/plain ids).
-    pub s: NodeId,
-    /// The screened target (original/plain ids).
-    pub t: NodeId,
-}
-
-/// Prepares a [`Workload`]: synthetic families generate as before;
+/// Prepares a [`Workload`]: synthetic families generate their topology;
 /// dataset cells load via `raf_datasets` (real SNAP file in `data/` when
 /// present, calibrated stand-in otherwise) at `nodes / table_i_nodes`
-/// scale and build the relabeled layout(s) to measure — hub-BFS alone,
-/// or all of [`RelabelOrder::ALL`] when `bakeoff` is set.
+/// scale. Returns the plain-layout snapshot and its screened pair.
 pub fn prepare_workload(
     workload_kind: Workload,
     nodes: usize,
     seed: u64,
-    bakeoff: bool,
-) -> PreparedWorkload {
+) -> (CsrGraph, NodeId, NodeId) {
     match workload_kind {
-        Workload::Synthetic(topology) => {
-            let (csr, s, t) = scenario_workload(topology, nodes, seed);
-            PreparedWorkload { csr, layouts: Vec::new(), s, t }
-        }
+        Workload::Synthetic(topology) => scenario_workload(topology, nodes, seed),
         Workload::Dataset(dataset) => {
             let scale = nodes as f64 / dataset.spec().nodes as f64;
             let social =
                 raf_datasets::load_dataset(dataset, scale, seed, std::path::Path::new("data"))
                     .expect("dataset stand-in generation cannot fail at bench scales")
                     .graph;
-            let orders: &[RelabelOrder] =
-                if bakeoff { &RelabelOrder::ALL } else { &[RelabelOrder::HubBfs] };
-            let layouts = orders
-                .iter()
-                .map(|&order| {
-                    let relabeling = Arc::new(order.relabeling(&social));
-                    RelabeledLayout { order, csr: social.to_csr_relabeled(&relabeling), relabeling }
-                })
-                .collect();
-            let (csr, s, t) = screened_pair(social.to_csr(), seed);
-            PreparedWorkload { csr, layouts, s, t }
+            screened_pair(social.to_csr(), seed)
         }
     }
 }
@@ -569,78 +426,45 @@ pub fn arena_solve(universe: usize, pool: PathPool, beta: f64) -> CoverSolution 
     ChlamtacPortfolio::new().solve(&cover, p).expect("feasible arena instance")
 }
 
-/// Runs one cell: an untimed reference pass on the plain layout yields
-/// the counts, then `reps` timed rounds each sample and solve on every
-/// layout — the plain one and, for dataset cells, the relabeled ones —
-/// starting from a different layout each round. Every timed pool must
-/// equal the reference pool and every solve its cost.
+/// Runs one cell: an untimed reference pass yields the counts, then
+/// `reps` timed rounds each sample and solve again. Every timed pool
+/// must equal the reference pool and every solve its cost.
 ///
 /// # Panics
 ///
 /// On a config [`SamplingBenchConfig::validate`] rejects, on a screened
-/// pair whose pool holds no type-1 walk, and when a layout's pool or
-/// cost diverges from the reference.
+/// pair whose pool holds no type-1 walk, and when a timed round's pool
+/// or cost diverges from the reference.
 pub fn run_sampling_bench(config: SamplingBenchConfig) -> SamplingBenchReport {
     if let Err(e) = config.validate() {
         panic!("invalid sampling bench config: {e}");
     }
-    let prepared = prepare_workload(config.workload, config.nodes, config.seed, config.bakeoff);
-    let (s, t) = (prepared.s, prepared.t);
-    let n = prepared.csr.node_count();
-    let mut instances =
-        vec![FriendingInstance::new(&prepared.csr, s, t).expect("screened pair is valid")];
-    for layout in &prepared.layouts {
-        instances.push(
-            FriendingInstance::relabeled(&layout.csr, s, t, layout.relabeling.clone())
-                .expect("screened pair is valid under relabeling"),
-        );
-    }
-    let layout_name =
-        |i: usize| if i == 0 { "plain" } else { prepared.layouts[i - 1].order.name() };
-    let sample =
-        |i: usize| arena_sample_pool(&instances[i], config.walks, config.seed, config.threads);
+    let (csr, s, t) = prepare_workload(config.workload, config.nodes, config.seed);
+    let n = csr.node_count();
+    let instance = FriendingInstance::new(&csr, s, t).expect("screened pair is valid");
+    let sample = || arena_sample_pool(&instance, config.walks, config.seed, config.threads);
 
-    let reference = sample(0);
+    let reference = sample();
     if reference.type1_count() == 0 {
         panic!("degenerate workload: no type-1 walks; change the seed");
     }
     let arena_cost = arena_solve(n, reference.clone(), config.beta).cost();
 
-    // (sample, solve) best of reps per layout, plain first.
-    let mut best = vec![(u128::MAX, u128::MAX); instances.len()];
-    for round in 0..config.reps {
-        for k in 0..instances.len() {
-            let i = (round + k) % instances.len();
-            let start = Instant::now();
-            let pool = sample(i);
-            let sample_ns = start.elapsed().as_nanos();
-            assert_eq!(pool, reference, "{} layout diverged from the plain layout", layout_name(i));
-            let start = Instant::now();
-            let sol = arena_solve(n, pool, config.beta);
-            let solve_ns = start.elapsed().as_nanos();
-            assert_eq!(
-                sol.cost(),
-                arena_cost,
-                "{} solve diverged from the plain solve",
-                layout_name(i)
-            );
-            best[i] = (best[i].0.min(sample_ns), best[i].1.min(solve_ns));
-        }
+    let (mut sample_ns, mut solve_ns) = (u128::MAX, u128::MAX);
+    for _ in 0..config.reps {
+        let start = Instant::now();
+        let pool = sample();
+        sample_ns = sample_ns.min(start.elapsed().as_nanos());
+        assert_eq!(pool, reference, "a timed pool diverged from the reference pool");
+        let start = Instant::now();
+        let sol = arena_solve(n, pool, config.beta);
+        solve_ns = solve_ns.min(start.elapsed().as_nanos());
+        assert_eq!(sol.cost(), arena_cost, "a timed solve diverged from the reference solve");
     }
-    let layouts = prepared
-        .layouts
-        .iter()
-        .zip(&best[1..])
-        .map(|(layout, &(sample_ns, solve_ns))| LayoutTiming {
-            order: layout.order,
-            sample_ns,
-            solve_ns,
-        })
-        .collect();
 
     SamplingBenchReport {
         nodes: n,
-        edges: prepared.csr.edge_count(),
+        edges: csr.edge_count(),
         pair: (s.index(), t.index()),
         type1: reference.type1_count(),
         unique_paths: reference.unique_count(),
@@ -648,9 +472,8 @@ pub fn run_sampling_bench(config: SamplingBenchConfig) -> SamplingBenchReport {
         cycles: reference.cycle_count(),
         pmax_estimate: reference.pmax_estimate(),
         cover_p: raf_cover::cover_requirement(config.beta, reference.type1_count()),
-        arena_sample_ns: best[0].0,
-        arena_solve_ns: best[0].1,
-        layouts,
+        arena_sample_ns: sample_ns,
+        arena_solve_ns: solve_ns,
         pool_arena_bytes: reference.heap_bytes(),
         arena_cost,
         config,
@@ -731,7 +554,7 @@ mod tests {
         let matrix = scenario_matrix();
         // Synthetic lineage (4 × 2 × 2) plus the dataset lineage:
         // {wiki, hepth, hepph} × {1, 4}, the scaled Youtube cell, and
-        // the 1M-node Youtube bake-off cell.
+        // the 1M-node Youtube cell.
         assert_eq!(matrix.len(), Topology::ALL.len() * 2 * 2 + 3 * 2 + 2);
         let names: std::collections::HashSet<String> = matrix.iter().map(Scenario::name).collect();
         assert_eq!(names.len(), matrix.len(), "scenario names collide");
@@ -753,19 +576,17 @@ mod tests {
             assert!(find_scenario(required).is_some());
         }
         assert!(find_scenario("no_such_scenario").is_none());
-        // The 1M cell is the bake-off cell; nothing else is.
         let one_m = find_scenario("dataset_youtube_1m_t4").unwrap();
-        assert!(one_m.bakeoff && one_m.nodes == 1_000_000);
-        assert_eq!(matrix.iter().filter(|s| s.bakeoff).count(), 1);
-        // Quick keeps the synthetic 10k slice and every non-bake-off
-        // dataset cell; the 1M graph belongs to the weekly full matrix.
+        assert_eq!(one_m.nodes, 1_000_000);
+        // Quick keeps the synthetic 10k slice and every dataset cell but
+        // the 1M one, whose graph belongs to the weekly full matrix.
         let quick = quick_matrix();
         assert!(quick
             .iter()
             .all(|s| !matches!(s.workload, Workload::Synthetic(_)) || s.nodes == 10_000));
         assert_eq!(quick.len(), Topology::ALL.len() * 2 + 3 * 2 + 1);
         assert!(quick.iter().any(|s| s.name() == "dataset_youtube_220k_t4"));
-        assert!(quick.iter().all(|s| !s.bakeoff), "--quick must skip the bake-off cell");
+        assert!(quick.iter().all(|s| s != &one_m), "--quick must skip the 1M-node cell");
     }
 
     #[test]
@@ -784,7 +605,6 @@ mod tests {
             let report = run_sampling_bench(config);
             assert!(report.type1 > 0, "{}: empty pool", topology.name());
             assert!(report.arena_cost > 0, "{}: empty cover", topology.name());
-            assert!(report.layouts.is_empty(), "synthetic cells skip the relabeled layouts");
             // Every walk is type-1, dangling or a cycle.
             let walks = report.type1 as u64 + report.dangling + report.cycles;
             assert_eq!(walks, report.config.walks, "{}", topology.name());
@@ -794,82 +614,40 @@ mod tests {
     #[test]
     fn dataset_workload_measures_the_hub_layout() {
         // A scaled-down Wiki cell: the dataset path must load the
-        // stand-in and time the hub-BFS layout (whose pool equality is
-        // asserted inside the runner).
+        // stand-in and time it. Dataset cells run the plain layout like
+        // every other cell, so the entry carries no layout column.
         let config = SamplingBenchConfig {
             workload: Workload::Dataset(Dataset::Wiki),
             nodes: 400,
             walks: 6_000,
             seed: 3,
-            reps: 1,
+            reps: 2,
             ..Default::default()
         };
         let report = run_sampling_bench(config);
         assert!(report.type1 > 0, "empty pool on the wiki stand-in");
         assert!(report.arena_cost > 0);
-        let hub = *report.hub_bfs().expect("dataset cells must time the hub layout");
-        assert!(hub.sample_ns > 0 && hub.solve_ns > 0);
-        assert!(report.speed_vs_plain(&hub) > 0.0);
-        // A non-bake-off dataset cell times hub-BFS alone — no layout_ns.
-        assert_eq!(report.layouts.len(), 1);
-        let json = report.to_json(&test_stamp());
-        assert!(json.contains("\"relabeled_ns\""));
-        assert!(json.contains("\"relabel_speedup\""));
-        assert!(!json.contains("\"layout_ns\""), "single-layout cells must not emit layout_ns");
-        let value = parse_json(&json).unwrap();
+        assert!(report.arena_sample_ns > 0 && report.arena_solve_ns > 0);
+        let value = parse_json(&report.to_json(&test_stamp())).unwrap();
         assert_eq!(value.get("scenario").and_then(JsonValue::as_str), Some("dataset_wiki_400_t1"));
-        assert_eq!(value.path_f64(&["relabeled_ns", "total"]), Some(hub.total_ns() as f64));
+        assert_eq!(value.path_f64(&["arena_ns", "total"]), Some(report.arena_total_ns() as f64));
         assert!(value.path_f64(&["pool", "arena_bytes"]).unwrap() > 0.0);
         assert_eq!(
             value.get("graph").unwrap().get("kind").and_then(JsonValue::as_str),
             Some("wiki")
         );
-    }
-
-    #[test]
-    fn bakeoff_cell_times_every_layout_on_one_pool() {
-        // A scaled-down bake-off cell: all three orders must be timed on
-        // the same graph (pool equality asserted inside the runner) and
-        // the entry must carry a layout_ns column per order.
-        let config = SamplingBenchConfig {
-            workload: Workload::Dataset(Dataset::Youtube),
-            nodes: 600,
-            walks: 6_000,
-            seed: 3,
-            reps: 2,
-            bakeoff: true,
-            ..Default::default()
-        };
-        let report = run_sampling_bench(config);
-        assert!(report.type1 > 0, "empty pool on the youtube stand-in");
-        assert_eq!(report.layouts.len(), RelabelOrder::ALL.len());
-        for (timing, order) in report.layouts.iter().zip(RelabelOrder::ALL) {
-            assert_eq!(timing.order, order);
-            assert!(timing.sample_ns > 0 && timing.solve_ns > 0, "{}", order.name());
-        }
-        let json = report.to_json(&test_stamp());
-        let value = parse_json(&json).unwrap();
+        let JsonValue::Obj(fields) = &value else { panic!("entry is not an object") };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
-            value.get("scenario").and_then(JsonValue::as_str),
-            Some("dataset_youtube_600_t1")
-        );
-        for order in RelabelOrder::ALL {
-            let total = value.path_f64(&["layout_ns", order.name(), "total"]);
-            assert!(total.unwrap() > 0.0, "layout_ns lacks {}", order.name());
-        }
-        // relabeled_ns is the hub-BFS column.
-        assert_eq!(
-            value.path_f64(&["layout_ns", "hub_bfs", "total"]),
-            value.path_f64(&["relabeled_ns", "total"]),
+            keys,
+            ["scenario", "profile", "stamp", "graph", "config", "pool", "arena_ns", "cost"]
         );
         // The entry survives a history round trip (parse → render →
         // parse), which is what the append-only file does on every run.
         let mut history = crate::history::BenchHistory::default();
         history.push(value.clone());
         let reloaded = crate::history::BenchHistory::from_text(&history.to_text()).unwrap();
-        assert_eq!(reloaded.entries[0].path_f64(&["layout_ns", "rcm", "total"]), {
-            value.path_f64(&["layout_ns", "rcm", "total"])
-        });
+        assert_eq!(reloaded.entries, [value]);
     }
 
     #[test]
@@ -901,8 +679,7 @@ mod tests {
         assert_eq!(value.path_f64(&["pool", "cycles"]), Some(report.cycles as f64));
         assert_eq!(value.path_f64(&["cost", "arena"]), Some(report.arena_cost as f64));
         assert!(value.path_f64(&["arena_ns", "total"]).unwrap() > 0.0);
-        // A synthetic entry carries exactly these fields, no layout
-        // timings, and one cost.
+        // An entry carries exactly these fields and one cost.
         let keys = |v: &JsonValue| match v {
             JsonValue::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect(),
             _ => Vec::new(),

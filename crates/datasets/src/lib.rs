@@ -26,9 +26,7 @@ pub mod synthetic;
 
 mod registry;
 
-pub use loader::{
-    load_dataset, load_dataset_csr, DatasetSource, LoadedDataset, PreparedCsr, RelabelMode,
-};
+pub use loader::{load_dataset, DatasetSource, LoadedDataset};
 pub use pairs::{sample_campaigns, sample_pairs, PairSamplerConfig, SampledCampaign, SampledPair};
 pub use registry::{Dataset, DatasetSpec};
 

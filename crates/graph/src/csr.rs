@@ -77,9 +77,10 @@ impl CsrGraph {
     }
 
     /// Builds the snapshot with node ids renumbered by `relabeling`
-    /// (typically [`Relabeling::hub_bfs`], which packs topologically
-    /// adjacent nodes into adjacent ids and collapses the walk loop's
-    /// dependent metadata-load chain on large graphs).
+    /// (typically [`Relabeling::hub_bfs`]). Every `raf` command samples
+    /// the plain [`from_social_graph`](Self::from_social_graph) build;
+    /// this one stays for the serving benchmark's hub-BFS workload until
+    /// ROADMAP item 4.
     ///
     /// Each relabeled node's neighbor slice — and its cumulative weight
     /// table — is the **image** of the original slice, position by

@@ -8,11 +8,11 @@
 //! the post-churn degrees exactly as a from-scratch load would.
 //!
 //! The node set is frozen: a delta rewires edges among the existing
-//! `0..n` ids. This keeps every resident [`Relabeling`] table valid, so
-//! a serving layer can map a delta into snapshot id space with
-//! [`EdgeDelta::map_through`] without rebuilding its layout.
+//! `0..n` ids. This keeps every resident [`Relabeling`](crate::Relabeling)
+//! table valid, so a serving layer rebuilds a relabeled snapshot from the
+//! post-delta graph under the same permutation.
 
-use crate::{GraphBuilder, GraphError, NodeId, Relabeling, SocialGraph, WeightScheme};
+use crate::{GraphBuilder, GraphError, NodeId, SocialGraph, WeightScheme};
 use std::collections::HashMap;
 
 /// One churn operation over an undirected edge.
@@ -182,23 +182,6 @@ impl EdgeDelta {
             last.into_iter().map(|((u, v), op)| (op, u, v)).collect();
         plan.sort_unstable_by_key(|&(_, u, v)| (u, v));
         plan
-    }
-
-    /// Maps every endpoint through `relabeling` (original → snapshot id
-    /// space), preserving operation order. Use this to apply a delta
-    /// expressed in original dataset ids to a relabeled snapshot.
-    pub fn map_through(&self, relabeling: &Relabeling) -> EdgeDelta {
-        let ops = self
-            .ops
-            .iter()
-            .map(|&(op, u, v)| {
-                let nu = relabeling.new_of(NodeId::new(u as usize)).index() as u32;
-                let nv = relabeling.new_of(NodeId::new(v as usize)).index() as u32;
-                let (a, b) = if nu < nv { (nu, nv) } else { (nv, nu) };
-                (op, a, b)
-            })
-            .collect();
-        EdgeDelta { ops }
     }
 
     /// Applies the batched delta to `graph`, rebuilding adjacency and
@@ -405,19 +388,5 @@ mod tests {
             assert_eq!(applied.graph.neighbors(v), g.neighbors(v));
             assert_eq!(applied.graph.in_weights(v), g.in_weights(v));
         }
-    }
-
-    #[test]
-    fn map_through_relabeling_moves_endpoints() {
-        let g = path_graph(4);
-        let relabeling = Relabeling::degree_descending(&g);
-        let d = EdgeDelta::parse("+0:2").unwrap();
-        let mapped = d.map_through(&relabeling);
-        let (op, u, v) = mapped.batched()[0];
-        assert_eq!(op, DeltaOp::Add);
-        let back = |x: u32| relabeling.original_of(NodeId::new(x as usize)).index() as u32;
-        let mut orig = [back(u), back(v)];
-        orig.sort_unstable();
-        assert_eq!(orig, [0, 2]);
     }
 }

@@ -142,9 +142,9 @@ impl SocialGraph {
     }
 
     /// Builds the CSR snapshot under a node relabeling (see
-    /// [`CsrGraph::from_social_graph_relabeled`]); pass
-    /// [`crate::Relabeling::hub_bfs`] for the cache-oblivious order used
-    /// on large datasets.
+    /// [`CsrGraph::from_social_graph_relabeled`]). It stays for the
+    /// serving benchmark's hub-BFS workload until ROADMAP item 4; every
+    /// `raf` command builds [`to_csr`](Self::to_csr).
     pub fn to_csr_relabeled(&self, relabeling: &crate::Relabeling) -> CsrGraph {
         CsrGraph::from_social_graph_relabeled(self, relabeling)
     }

@@ -73,7 +73,7 @@ pub use error::GraphError;
 pub use graph::SocialGraph;
 pub use metrics::{clustering_coefficient, DegreeHistogram, GraphMetrics};
 pub use node::NodeId;
-pub use relabel::{RelabelOrder, Relabeling};
+pub use relabel::Relabeling;
 pub use subgraph::{induced_subgraph, NodeMapping};
 pub use unionfind::UnionFind;
 pub use weights::WeightScheme;

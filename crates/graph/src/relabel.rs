@@ -1,15 +1,13 @@
-//! Cache-oblivious node relabeling (hub-seeded BFS order).
+//! Node relabeling: a hub-seeded BFS renumbering and the image-order
+//! CSR build it feeds.
 //!
-//! The backward-walk hot loop is bound by a dependent load chain: each
-//! step loads the packed metadata record of the *next* node, whose id
-//! came out of the previous step's neighbor slice. On a graph whose node
-//! ids are assigned arbitrarily (generator insertion order, SNAP file
-//! order), successive records land on unrelated cache lines and every
-//! step pays a fresh miss. Renumbering nodes in **BFS order seeded from
-//! high-degree hubs** places topologically adjacent nodes at numerically
-//! adjacent ids, so a walk's metadata loads cluster into a small, mostly
-//! cache-resident window — the classic bandwidth fix for random-walk
-//! kernels on social graphs.
+//! Every `raf` command (`raf serve`, `raf run`, `raf max`, the
+//! experiment sweeps and `raf bench-json`) samples the plain CSR. This
+//! module stays only for the serving benchmark (`perfbench/`), whose
+//! workloads build [`Relabeling::hub_bfs`] and serve through a relabeled
+//! session, until ROADMAP item 4 deletes it. The layout earned no place
+//! of its own: in the interleaved bake-off hub-BFS ran at 0.99× the
+//! plain layout's speed at 220k nodes and 0.89× at 1M (README, "Layout").
 //!
 //! A [`Relabeling`] is a bijection `original ↔ new`. Applying it to a
 //! graph is done at CSR build time
@@ -24,72 +22,17 @@
 //! Everything downstream can therefore map results back through the
 //! inverse permutation and report ids in original space with **no**
 //! statistical or bitwise divergence (the relabeling property tests
-//! assert exact equality).
+//! assert exact equality, for hub-BFS and for random permutations).
 
 use crate::{NodeId, SocialGraph};
-
-/// A candidate node-numbering order for the cache-locality relabeling —
-/// the axis of the layout bake-off benchmark (`raf bench-json`'s
-/// `youtube_1m` cell times every order on the same graph).
-///
-/// All orders produce a [`Relabeling`] with the same equivariance
-/// guarantee (sampling commutes with the permutation exactly); they
-/// differ only in *which* metadata ends up adjacent:
-///
-/// * [`HubBfs`](RelabelOrder::HubBfs) clusters each hub with its BFS
-///   shells — walk locality follows topology distance;
-/// * [`DegreeDescending`](RelabelOrder::DegreeDescending) packs the
-///   heavy nodes (where degree-proportional walks spend most steps)
-///   into a dense id prefix regardless of adjacency;
-/// * [`Rcm`](RelabelOrder::Rcm) minimizes bandwidth (reverse
-///   Cuthill–McKee), keeping every edge's two endpoints numerically
-///   close.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RelabelOrder {
-    /// Hub-seeded BFS ([`Relabeling::hub_bfs`]), the PR-4 default.
-    HubBfs,
-    /// Plain degree-descending sort ([`Relabeling::degree_descending`]).
-    DegreeDescending,
-    /// Reverse Cuthill–McKee ([`Relabeling::rcm`]).
-    Rcm,
-}
-
-impl RelabelOrder {
-    /// Every order, in bake-off (and history-entry) column order.
-    pub const ALL: [RelabelOrder; 3] =
-        [RelabelOrder::HubBfs, RelabelOrder::DegreeDescending, RelabelOrder::Rcm];
-
-    /// The snake_case name used in scenario entries and CLI flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            RelabelOrder::HubBfs => "hub_bfs",
-            RelabelOrder::DegreeDescending => "degree_desc",
-            RelabelOrder::Rcm => "rcm",
-        }
-    }
-
-    /// Parses [`name`](Self::name) back into an order.
-    pub fn parse(name: &str) -> Option<RelabelOrder> {
-        RelabelOrder::ALL.into_iter().find(|o| o.name() == name)
-    }
-
-    /// Builds this order's relabeling for `g`.
-    pub fn relabeling(self, g: &SocialGraph) -> Relabeling {
-        match self {
-            RelabelOrder::HubBfs => Relabeling::hub_bfs(g),
-            RelabelOrder::DegreeDescending => Relabeling::degree_descending(g),
-            RelabelOrder::Rcm => Relabeling::rcm(g),
-        }
-    }
-}
 
 /// A bijective renumbering of the nodes `0..n`.
 ///
 /// `new_of(original)` maps into the relabeled space; `original_of(new)`
-/// is the inverse. Construct with [`Relabeling::hub_bfs`],
-/// [`Relabeling::degree_descending`], or [`Relabeling::rcm`] (the three
-/// cache-layout candidates — see [`RelabelOrder`]), or with
-/// [`Relabeling::identity`].
+/// is the inverse. Construct with [`Relabeling::hub_bfs`], from an
+/// explicit order with [`Relabeling::from_order`], or with
+/// [`Relabeling::identity`]. It stays for the serving benchmark's
+/// hub-BFS workload until ROADMAP item 4; no `raf` command builds one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Relabeling {
     /// `to_new[original] = new`.
@@ -158,62 +101,9 @@ impl Relabeling {
         Self::from_u32_order(order)
     }
 
-    /// Degree-descending order: node ids sorted by degree, highest
-    /// first. The depth-oblivious strawman of the layout bake-off —
-    /// backward walks are degree-proportional, so the hot metadata
-    /// records pack into a dense prefix, but adjacency structure is
-    /// ignored entirely.
-    ///
-    /// Deterministic: ties in degree break toward the lower original id.
-    pub fn degree_descending(g: &SocialGraph) -> Self {
-        let n = g.node_count();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by_key(|&v| (std::cmp::Reverse(g.degree(NodeId::new(v as usize))), v));
-        Self::from_u32_order(order)
-    }
-
-    /// Reverse Cuthill–McKee order: BFS from a minimum-degree node of
-    /// each component, visiting neighbors in ascending-degree order, with
-    /// the final order reversed — the classic bandwidth-minimizing
-    /// numbering, which keeps every edge's endpoints numerically close.
-    ///
-    /// Deterministic: component seeds and within-level ties break by
-    /// (degree, original id) ascending.
-    pub fn rcm(g: &SocialGraph) -> Self {
-        let n = g.node_count();
-        let degree = |v: u32| g.degree(NodeId::new(v as usize));
-        let mut seeds: Vec<u32> = (0..n as u32).collect();
-        seeds.sort_by_key(|&v| (degree(v), v));
-        let mut visited = vec![false; n];
-        let mut order: Vec<u32> = Vec::with_capacity(n);
-        let mut queue = std::collections::VecDeque::new();
-        let mut shell: Vec<u32> = Vec::new();
-        for &seed in &seeds {
-            if visited[seed as usize] {
-                continue;
-            }
-            visited[seed as usize] = true;
-            queue.push_back(seed);
-            while let Some(v) = queue.pop_front() {
-                order.push(v);
-                shell.clear();
-                for &u in g.neighbors(NodeId::new(v as usize)) {
-                    if !visited[u.index()] {
-                        visited[u.index()] = true;
-                        shell.push(u.index() as u32);
-                    }
-                }
-                shell.sort_by_key(|&u| (degree(u), u));
-                queue.extend(shell.iter().copied());
-            }
-        }
-        order.reverse();
-        Self::from_u32_order(order)
-    }
-
     /// Builds the bijection from a complete `order[new] = original`
-    /// permutation (already validated by construction in the order
-    /// builders above).
+    /// permutation (already validated by construction in
+    /// [`hub_bfs`](Self::hub_bfs)).
     fn from_u32_order(order: Vec<u32>) -> Self {
         let n = order.len();
         let mut to_new = vec![0u32; n];
@@ -355,67 +245,23 @@ mod tests {
     }
 
     #[test]
-    fn order_names_round_trip() {
-        for order in RelabelOrder::ALL {
-            assert_eq!(RelabelOrder::parse(order.name()), Some(order));
-        }
-        assert_eq!(RelabelOrder::parse("no_such_order"), None);
-    }
-
-    #[test]
     fn every_order_is_a_permutation() {
+        // Both ways to build a relabeling: the hub-BFS order and an
+        // explicit order (here the reverse of the identity).
         let g = star_plus_tail();
-        for order in RelabelOrder::ALL {
-            let r = order.relabeling(&g);
-            assert_eq!(r.len(), g.node_count(), "{}", order.name());
+        let reversed: Vec<NodeId> = (0..g.node_count()).rev().map(NodeId::new).collect();
+        for (name, r) in [
+            ("hub_bfs", Relabeling::hub_bfs(&g)),
+            ("from_order", Relabeling::from_order(&reversed)),
+        ] {
+            assert_eq!(r.len(), g.node_count(), "{name}");
             let mut seen = vec![false; r.len()];
             for new in 0..r.len() {
                 let orig = r.original_of(NodeId::new(new));
-                assert!(!seen[orig.index()], "{}: {orig:?} mapped twice", order.name());
+                assert!(!seen[orig.index()], "{name}: {orig:?} mapped twice");
                 seen[orig.index()] = true;
-                assert_eq!(r.new_of(orig), NodeId::new(new), "{}: inverse", order.name());
+                assert_eq!(r.new_of(orig), NodeId::new(new), "{name}: inverse");
             }
-        }
-    }
-
-    #[test]
-    fn degree_descending_sorts_by_degree() {
-        let g = star_plus_tail();
-        let r = Relabeling::degree_descending(&g);
-        // Degrees: 3→4, 4→2, 5→2, 0/1/2/6→1. Ties break by lower id.
-        assert_eq!(r.original_table(), &[3, 4, 5, 0, 1, 2, 6]);
-    }
-
-    #[test]
-    fn rcm_reverses_a_min_degree_bfs() {
-        let g = star_plus_tail();
-        let r = Relabeling::rcm(&g);
-        // Seed: min-degree node 0 (degree 1, lowest id). BFS visits 0,
-        // then 3, then 3's unvisited neighbors by (degree, id): 1, 2, 5,
-        // then 5's neighbor 4, then 4's neighbor 6; reversed.
-        assert_eq!(r.original_table(), &[6, 4, 5, 2, 1, 3, 0]);
-        // The defining property: edge endpoints stay close (bandwidth
-        // no worse than the identity numbering on this tail-heavy graph).
-        let bandwidth = |map: &dyn Fn(usize) -> usize| {
-            g.edges().map(|(u, v)| map(u.index()).abs_diff(map(v.index()))).max().unwrap()
-        };
-        let rcm_bw = bandwidth(&|v| r.new_of(NodeId::new(v)).index());
-        let id_bw = bandwidth(&|v| v);
-        assert!(rcm_bw <= id_bw, "rcm bandwidth {rcm_bw} vs identity {id_bw}");
-    }
-
-    #[test]
-    fn rcm_covers_disconnected_and_isolated_nodes() {
-        let mut b = GraphBuilder::new();
-        b.add_edges(vec![(0, 1), (3, 4), (3, 5)]).unwrap();
-        b.reserve_nodes(7);
-        let g = b.build(WeightScheme::UniformByDegree).unwrap();
-        for order in [RelabelOrder::Rcm, RelabelOrder::DegreeDescending] {
-            let r = order.relabeling(&g);
-            let mut originals: Vec<usize> =
-                (0..7).map(|new| r.original_of(NodeId::new(new)).index()).collect();
-            originals.sort_unstable();
-            assert_eq!(originals, (0..7).collect::<Vec<_>>(), "{}", order.name());
         }
     }
 }

@@ -14,9 +14,10 @@ use std::sync::Arc;
 /// # Relabeled snapshots
 ///
 /// An instance built with [`relabeled`](Self::relabeled) runs on a
-/// renumbered [`CsrGraph`] — any `raf_graph::RelabelOrder` layout:
-/// hub-BFS, degree-descending, or reverse Cuthill–McKee, the candidates
-/// of the cache-layout bake-off — while *reporting* every node id in the caller's original
+/// renumbered [`CsrGraph`] (any [`Relabeling`], such as the serving
+/// benchmark's hub-BFS order; no `raf` command builds one, and the
+/// constructor stays for that benchmark until ROADMAP item 4) while
+/// *reporting* every node id in the caller's original
 /// space: sampled pools, target paths, and invitation sets crossing this
 /// type's API are mapped back through the inverse permutation, and —
 /// because relabeled snapshots keep neighbor slices in image order, so

@@ -167,7 +167,8 @@ impl PathInterner {
     /// paths — typically orders of magnitude fewer than the sampled walks
     /// — are mapped back to original ids here, and the canonical sort runs
     /// over the mapped contents, so the assembled pool is bit-identical to
-    /// one sampled on the unrelabeled snapshot.
+    /// one sampled on the unrelabeled snapshot. It stays for the serving
+    /// benchmark's hub-BFS workload until ROADMAP item 4.
     ///
     /// `map` must be injective on the interned ids (a permutation table
     /// is), or distinct paths could collapse.

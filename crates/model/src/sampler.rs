@@ -134,7 +134,9 @@ impl SampleControl<'_> {
 /// that sampled the pool: on relabeled snapshots the assembler maps the
 /// unique paths back through the inverse permutation before the
 /// canonical sort, so pools sampled on relabeled and unrelabeled
-/// snapshots of the same graph are bit-identical.
+/// snapshots of the same graph are bit-identical. (Only the serving
+/// benchmark's hub-BFS workload samples relabeled snapshots; the mapping
+/// stays for it until ROADMAP item 4.)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathPool {
     /// Concatenated node ids of the unique type-1 paths.

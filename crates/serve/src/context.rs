@@ -11,6 +11,7 @@ use raf_model::sampler::{
 };
 use raf_model::walk_index::EdgeWalkIndex;
 use raf_model::{FriendingInstance, InvitationSet, ModelError};
+use std::borrow::Cow;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -67,10 +68,14 @@ impl ServeConfig {
     ///
     /// # Errors
     ///
-    /// Names the first of `walks`, `epsilon` and `threads` out of range:
+    /// Names the first of `walks`, `epsilon`, `threads`, the work budget,
+    /// the wall-clock deadline and the per-query walk cap out of range:
     /// zero walks sample an empty pool, an `ε` outside `(0, 1)` leaves no
     /// `α ∈ (ε, 1]` the parameter system accepts, and zero threads
-    /// sample nothing.
+    /// sample nothing. A zero work budget or deadline truncates every
+    /// pool to no walks, so every query answers "unreachable", and a
+    /// zero walk cap sheds every query with a retry hint the protocol
+    /// rejects.
     pub fn validate(&self) -> Result<(), String> {
         if self.walks == 0 {
             return Err("walks must be positive".to_string());
@@ -80,6 +85,15 @@ impl ServeConfig {
         }
         if self.threads == 0 {
             return Err("threads must be positive".to_string());
+        }
+        for (limit, value) in [
+            ("work budget", self.deadline.work_budget),
+            ("deadline", self.deadline.wall_clock_ms),
+            ("max query walks", self.admission.max_query_walks),
+        ] {
+            if value == Some(0) {
+                return Err(format!("{limit} must be positive"));
+            }
         }
         Ok(())
     }
@@ -315,10 +329,11 @@ pub struct SessionStats {
     pub resource: u64,
 }
 
-/// A serving session: one resident [`CsrGraph`] snapshot (optionally
-/// relabeled — queries and answers stay in original ids either way), a
+/// A serving session: one resident [`CsrGraph`] snapshot, a
 /// [`PoolCache`] of sampled pools, and the configuration that makes
-/// every answer a pure function of the query.
+/// every answer a pure function of the query. The snapshot is borrowed
+/// until the first [`apply_delta`](Self::apply_delta), which replaces it
+/// with an owned post-delta rebuild.
 ///
 /// Failure paths are part of the contract: a panic anywhere in the query
 /// pipeline is contained to that query ([`ServeError::Internal`]), and a
@@ -329,7 +344,10 @@ pub struct SessionStats {
 /// machinery.
 #[derive(Debug)]
 pub struct SessionContext<'g> {
-    csr: &'g CsrGraph,
+    csr: Cow<'g, CsrGraph>,
+    /// The snapshot's permutation back to original ids, for a context
+    /// built with [`with_relabeling`](Self::with_relabeling). The node
+    /// set is frozen under churn, so it stays valid across deltas.
     relabeling: Option<Arc<Relabeling>>,
     config: ServeConfig,
     cache: PoolCache,
@@ -338,23 +356,9 @@ pub struct SessionContext<'g> {
     /// addressed by it).
     serial: u64,
     session: SessionStats,
-    /// Owned post-churn snapshot; set by the first
-    /// [`apply_delta`](Self::apply_delta) and replaced by each later one.
-    /// While present it shadows the borrowed `csr` everywhere.
-    dynamic: Option<DynamicSnapshot>,
     /// How many deltas have been applied — mixed into repair seeds so
     /// each delta's repair walks are fresh yet reproducible.
     delta_serial: u64,
-}
-
-/// The owned snapshot a session serves from once edge churn begins. The
-/// node set is frozen under churn, so the original relabeling table (if
-/// any) remains a valid permutation and is reused for the rebuilt
-/// layout.
-#[derive(Debug)]
-struct DynamicSnapshot {
-    csr: CsrGraph,
-    relabeling: Option<Arc<Relabeling>>,
 }
 
 /// What one [`SessionContext::apply_delta`] call did: the effective
@@ -390,57 +394,41 @@ pub struct DeltaOutcome {
 impl<'g> SessionContext<'g> {
     /// A context over a plain-layout snapshot.
     pub fn new(csr: &'g CsrGraph, config: ServeConfig) -> Self {
-        let cache = PoolCache::new(config.cache_bytes);
-        SessionContext {
-            csr,
-            relabeling: None,
-            config,
-            cache,
-            faults: FaultPlan::empty(),
-            serial: 0,
-            session: SessionStats::default(),
-            dynamic: None,
-            delta_serial: 0,
-        }
+        Self::build(csr, None, config)
     }
 
     /// A context over a relabeled snapshot: queries take original-space
     /// ids and the relabeling maps them into (and pool contents out of)
     /// the snapshot's id space, so answers are bit-identical to a
-    /// plain-layout context over the same graph.
+    /// plain-layout context over the same graph. It stays for the
+    /// serving benchmark's hub-BFS workload until ROADMAP item 4;
+    /// `raf serve` and the experiment sweeps use [`new`](Self::new).
     pub fn with_relabeling(
         csr: &'g CsrGraph,
         relabeling: Arc<Relabeling>,
         config: ServeConfig,
     ) -> Self {
+        Self::build(csr, Some(relabeling), config)
+    }
+
+    fn build(csr: &'g CsrGraph, relabeling: Option<Arc<Relabeling>>, config: ServeConfig) -> Self {
         let cache = PoolCache::new(config.cache_bytes);
         SessionContext {
-            csr,
-            relabeling: Some(relabeling),
+            csr: Cow::Borrowed(csr),
+            relabeling,
             config,
             cache,
             faults: FaultPlan::empty(),
             serial: 0,
             session: SessionStats::default(),
-            dynamic: None,
             delta_serial: 0,
         }
     }
 
-    /// The snapshot queries currently run against: the owned post-churn
-    /// snapshot once a delta has been applied, the borrowed one before.
+    /// The snapshot queries run against: the borrowed one until the
+    /// first delta, the owned post-delta rebuild after.
     pub(crate) fn active_csr(&self) -> &CsrGraph {
-        match &self.dynamic {
-            Some(d) => &d.csr,
-            None => self.csr,
-        }
-    }
-
-    fn active_relabeling(&self) -> Option<&Arc<Relabeling>> {
-        match &self.dynamic {
-            Some(d) => d.relabeling.as_ref(),
-            None => self.relabeling.as_ref(),
-        }
+        &self.csr
     }
 
     /// Number of deltas applied to this session so far.
@@ -531,7 +519,7 @@ impl<'g> SessionContext<'g> {
 
     fn instance(&self, s: NodeId, t: NodeId) -> Result<FriendingInstance<'_>, ServeError> {
         let csr = self.active_csr();
-        Ok(match self.active_relabeling() {
+        Ok(match &self.relabeling {
             None => FriendingInstance::new(csr, s, t)?,
             Some(r) => FriendingInstance::relabeled(csr, s, t, Arc::clone(r))?,
         })
@@ -773,13 +761,11 @@ impl<'g> SessionContext<'g> {
         if applied.is_noop() {
             return Ok(outcome);
         }
-        let relabeling = self.active_relabeling().cloned();
-        let csr = match &relabeling {
+        self.csr = Cow::Owned(match &self.relabeling {
             None => applied.graph.to_csr(),
             Some(r) => applied.graph.to_csr_relabeled(r),
-        };
+        });
         *social = applied.graph;
-        self.dynamic = Some(DynamicSnapshot { csr, relabeling });
         self.delta_serial += 1;
 
         let keys: Vec<PoolKey> = self.cache.lru_keys().to_vec();
@@ -1082,6 +1068,30 @@ mod tests {
         }
         let zero_threads = ServeConfig { threads: 0, ..Default::default() };
         assert_eq!(zero_threads.validate().unwrap_err(), "threads must be positive");
+        // Zero limits start a session that cannot answer: an empty pool
+        // for every query, or a shed whose retry hint is a zero budget.
+        let zero_work = ServeConfig {
+            deadline: DeadlinePolicy { work_budget: Some(0), wall_clock_ms: None },
+            ..Default::default()
+        };
+        assert_eq!(zero_work.validate().unwrap_err(), "work budget must be positive");
+        let zero_deadline = ServeConfig {
+            deadline: DeadlinePolicy { work_budget: None, wall_clock_ms: Some(0) },
+            ..Default::default()
+        };
+        assert_eq!(zero_deadline.validate().unwrap_err(), "deadline must be positive");
+        let zero_cap = ServeConfig {
+            admission: AdmissionPolicy { max_query_walks: Some(0), max_inflight_walks: None },
+            ..Default::default()
+        };
+        assert_eq!(zero_cap.validate().unwrap_err(), "max query walks must be positive");
+        // One walk or millisecond is a legal (if tight) limit.
+        let tight = ServeConfig {
+            deadline: DeadlinePolicy { work_budget: Some(1), wall_clock_ms: Some(1) },
+            admission: AdmissionPolicy { max_query_walks: Some(1), max_inflight_walks: Some(0) },
+            ..Default::default()
+        };
+        assert_eq!(tight.validate(), Ok(()));
     }
 
     #[test]

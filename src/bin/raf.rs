@@ -9,7 +9,7 @@
 //! raf max   --graph network.txt --s 3 --t 99 --k 10
 //!           [--realizations 50000] [--seed 1] [--threads 1]
 //! raf serve --graph network.txt [--requests batch.txt] [--walks 100000]
-//!           [--seed 1] [--threads 1] [--cache-mb 256] [--no-relabel]
+//!           [--seed 1] [--threads 1] [--cache-mb 256]
 //!           [--work-budget N] [--deadline-ms N] [--max-query-walks N]
 //!           [--max-inflight-walks N] [--retries N] [--fault-plan SPEC]
 //! raf bench-json [--out BENCH_sampling.json] [--scenario NAME]
@@ -22,9 +22,10 @@
 //!
 //! The graph file is a SNAP-style edge list (whitespace-separated ids,
 //! `#` comments); weights follow the paper's `w(u,v) = 1/|N_v|`.
-//! `--threads` defaults to the `RAF_THREADS` environment variable.
+//! `--threads` defaults to the `RAF_THREADS` environment variable. A
+//! flag the subcommand does not read is an error.
 
-use active_friending::cli::{wants_help, CliArgs};
+use active_friending::cli::{wants_help, CliArgs, CommandSpec};
 use active_friending::prelude::*;
 use raf_core::{MaxFriending, MaxFriendingConfig};
 use raf_graph::io::{read_edge_list_path, EdgeListOptions};
@@ -32,22 +33,80 @@ use rand::SeedableRng;
 use std::path::Path;
 use std::process::ExitCode;
 
-/// Value-less boolean flags (everything else is `--flag value`).
-const SWITCHES: &[&str] = &["quick", "list-scenarios", "check-regression", "no-relabel"];
+/// Every subcommand and the flags it reads; [`CliArgs::parse`] rejects
+/// any other flag before a graph loads.
+const COMMANDS: &[CommandSpec] = &[
+    CommandSpec { name: "stats", flags: &["graph"], switches: &[] },
+    CommandSpec { name: "pmax", flags: &["graph", "s", "t", "samples", "seed"], switches: &[] },
+    CommandSpec { name: "vmax", flags: &["graph", "s", "t"], switches: &[] },
+    CommandSpec {
+        name: "run",
+        flags: &["graph", "s", "t", "alpha", "epsilon", "budget", "seed", "threads"],
+        switches: &[],
+    },
+    CommandSpec {
+        name: "max",
+        flags: &["graph", "s", "t", "k", "realizations", "seed", "threads"],
+        switches: &[],
+    },
+    CommandSpec {
+        name: "serve",
+        flags: &[
+            "graph",
+            "requests",
+            "walks",
+            "seed",
+            "threads",
+            "cache-mb",
+            "epsilon",
+            "work-budget",
+            "deadline-ms",
+            "max-query-walks",
+            "max-inflight-walks",
+            "retries",
+            "fault-plan",
+        ],
+        switches: &[],
+    },
+    CommandSpec {
+        name: "bench-json",
+        flags: &[
+            "out", "scenario", "topology", "nodes", "walks", "seed", "threads", "reps", "beta",
+        ],
+        switches: &["list-scenarios", "quick", "check-regression"],
+    },
+    CommandSpec {
+        name: "experiment",
+        flags: &[
+            "dataset",
+            "alphas",
+            "budgets",
+            "pairs",
+            "scale",
+            "eval-samples",
+            "seed",
+            "threads",
+            "data-dir",
+            "out-csv",
+            "out-json",
+            "targets",
+        ],
+        switches: &["quick"],
+    },
+];
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     // `--help` anywhere is a help request: it is in no subcommand's
-    // switch list, so letting it reach the parser would demand a value.
+    // spec, so letting it reach the parser would reject it.
     if wants_help(&raw) {
-        print_usage();
+        eprintln!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let args = match CliArgs::parse_with_switches(raw, SWITCHES) {
+    let args = match CliArgs::parse(raw, COMMANDS) {
         Ok(args) => args,
         Err(e) => {
             eprintln!("error: {e}");
-            print_usage();
             return ExitCode::FAILURE;
         }
     };
@@ -70,7 +129,7 @@ fn dispatch(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
         "bench-json" => cmd_bench_json(args),
         "experiment" => cmd_experiment(args),
         "serve" => cmd_serve(args),
-        other => Err(format!("unknown command {other:?} (try --help)").into()),
+        other => unreachable!("CliArgs::parse admits only COMMANDS, not {other:?}"),
     }
 }
 
@@ -233,7 +292,6 @@ fn cmd_bench_json(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
             workload: Workload::Synthetic(topology),
             nodes: args.get_or("nodes", 10_000)?,
             threads: args.get_or("threads", threads_from_env())?,
-            bakeoff: false,
         }]
     } else if profile == BenchProfile::Quick {
         quick_matrix()
@@ -284,14 +342,6 @@ fn cmd_bench_json(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
             report.dedup_factor(),
             report.arena_cost,
         );
-        for timing in &report.layouts {
-            println!(
-                "{name}: layout {:>11} {:.1} ms  →  {:.2}x vs plain",
-                timing.order.name(),
-                timing.total_ns() as f64 / 1e6,
-                report.speed_vs_plain(timing),
-            );
-        }
         let entry = parse_json(&report.to_json(&stamp)).map_err(|e| format!("entry JSON: {e}"))?;
         if check {
             let baseline = history.last_for(&name, lineage);
@@ -350,9 +400,8 @@ fn byte_lines(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
 /// allocates one shared invitation budget across several targets,
 /// answering from (and populating) the same pool cache single-target
 /// queries use. Queries on the same pair share one sampled pool; the
-/// cache summary goes to stderr on exit. The graph serves from
-/// the hub-BFS relabeled layout (the production layout; ids stay
-/// original-space) unless `--no-relabel` keeps the file order.
+/// cache summary goes to stderr on exit. The graph serves from the
+/// plain CSR layout, in the file's (compacted) node ids.
 ///
 /// Robustness knobs: `--work-budget`/`--deadline-ms` degrade over-limit
 /// answers instead of failing them; `--max-query-walks` and
@@ -363,7 +412,6 @@ fn byte_lines(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
 fn cmd_serve(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     use active_friending::serve::protocol;
     use std::io::{BufRead, Write};
-    use std::sync::Arc;
 
     let path = args.require("graph")?;
     let cache_mb: usize = args.get_or("cache-mb", 256)?;
@@ -394,19 +442,8 @@ fn cmd_serve(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     let admission = config.admission;
     let builder = read_edge_list_path(Path::new(path), &EdgeListOptions::default())?;
     let mut social = builder.build(WeightScheme::UniformByDegree)?;
-    let relabeling = if args.is_set("no-relabel") {
-        None
-    } else {
-        Some(Arc::new(raf_graph::Relabeling::hub_bfs(&social)))
-    };
-    let csr = match &relabeling {
-        None => social.to_csr(),
-        Some(r) => social.to_csr_relabeled(r),
-    };
-    let mut ctx = match relabeling {
-        None => SessionContext::new(&csr, config),
-        Some(r) => SessionContext::with_relabeling(&csr, r, config),
-    };
+    let csr = social.to_csr();
+    let mut ctx = SessionContext::new(&csr, config);
     ctx.set_fault_plan(fault_plan);
     eprintln!(
         "serving {} ({} nodes, {} edges); requests: s t alpha [budget] | campaign s t1,t2,... \
@@ -615,11 +652,10 @@ fn cmd_serve(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
 /// dataset × an α grid × a realization-budget grid, RAF vs the HD/SP
 /// baselines at matched invitation-set size, reported as a
 /// schema-versioned CSV (always) and JSON (with `--out-json`). Datasets
-/// load through the hub-BFS relabeled CSR layout by default; `--relabel
-/// plain|hub_bfs|degree_desc|rcm` selects another layout order and
-/// `--no-relabel` is shorthand for `--relabel plain`. Real SNAP files in
-/// `--data-dir` override the synthetic stand-ins. Deterministic for
-/// fixed flags and `--seed`; `--threads` never changes the output.
+/// load into the plain CSR layout, so screened pairs carry the file's
+/// node ids. Real SNAP files in `--data-dir` override the synthetic
+/// stand-ins. Deterministic for fixed flags and `--seed`; `--threads`
+/// never changes the output.
 fn cmd_experiment(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     use raf_bench::experiments::sweep::{self, SweepConfig};
 
@@ -645,7 +681,6 @@ fn cmd_experiment(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     if let Some(dir) = args.get("data-dir") {
         config.data_dir = std::path::PathBuf::from(dir);
     }
-    config.relabel = parse_relabel(args, config.relabel)?;
     config.validate()?;
 
     let report = sweep::run(&config);
@@ -701,7 +736,6 @@ fn cmd_experiment_campaign(args: &CliArgs) -> Result<(), Box<dyn std::error::Err
     if let Some(dir) = args.get("data-dir") {
         config.data_dir = std::path::PathBuf::from(dir);
     }
-    config.relabel = parse_relabel(args, config.relabel)?;
     config.validate()?;
 
     let report = campaign::run(&config);
@@ -751,32 +785,6 @@ fn parse_datasets(
     Ok(Some(vec![dataset]))
 }
 
-/// Parses `--relabel`/`--no-relabel` against a config default.
-fn parse_relabel(
-    args: &CliArgs,
-    default: raf_datasets::RelabelMode,
-) -> Result<raf_datasets::RelabelMode, Box<dyn std::error::Error>> {
-    use raf_datasets::RelabelMode;
-    let mut relabel = default;
-    if let Some(raw) = args.get("relabel") {
-        relabel = RelabelMode::parse(raw).ok_or_else(|| {
-            // Derived from the order registry so a future layout shows up
-            // here without touching this file.
-            let names: Vec<&str> = std::iter::once(RelabelMode::Plain.name())
-                .chain(raf_graph::RelabelOrder::ALL.iter().map(|o| o.name()))
-                .collect();
-            format!("unknown relabel layout {raw:?} (expected one of: {})", names.join(", "))
-        })?;
-        if args.is_set("no-relabel") && relabel != RelabelMode::Plain {
-            return Err("--no-relabel conflicts with --relabel (drop one)".into());
-        }
-    }
-    if args.is_set("no-relabel") {
-        relabel = RelabelMode::Plain;
-    }
-    Ok(relabel)
-}
-
 /// Parses a comma-separated grid flag (e.g. `--alphas 0.1,0.2,0.3`).
 fn parse_grid<T: std::str::FromStr>(
     flag: &str,
@@ -789,9 +797,8 @@ fn parse_grid<T: std::str::FromStr>(
     }
 }
 
-fn print_usage() {
-    eprintln!(
-        "raf — active friending toolkit (ICDCS 2019 reproduction)
+/// The `raf --help` text.
+const USAGE: &str = "raf — active friending toolkit (ICDCS 2019 reproduction)
 
 USAGE:
   raf stats --graph <edge-list>
@@ -803,7 +810,6 @@ USAGE:
             [--realizations N] [--seed N] [--threads N]
   raf serve --graph <edge-list> [--requests FILE] [--walks N]
             [--seed N] [--threads N] [--cache-mb N] [--epsilon E]
-            [--no-relabel]
             [--work-budget N] [--deadline-ms N]
             [--max-query-walks N] [--max-inflight-walks N]
             [--retries N] [--fault-plan SPEC]
@@ -814,9 +820,10 @@ USAGE:
   raf experiment [--dataset wiki|hepth|hepph|youtube|all] [--quick]
             [--alphas A,B,...] [--budgets N,M,...] [--pairs N]
             [--scale F] [--eval-samples N] [--seed N] [--threads N]
-            [--data-dir DIR] [--relabel plain|hub_bfs|degree_desc|rcm]
-            [--no-relabel] [--out-csv FILE] [--out-json FILE]
+            [--data-dir DIR] [--out-csv FILE] [--out-json FILE]
             [--targets K]
+
+A flag the command does not read is an error.
 
 serve keeps the graph resident and answers `s t alpha [budget]` request
 lines — one per line from --requests FILE (batch) or stdin
@@ -853,19 +860,15 @@ its position in the file.
 bench-json times sampling plus the cover solve and appends one stamped
 history entry per scenario to FILE (default BENCH_sampling.json).
 Without --scenario it runs the whole matrix (--quick: the CI-sized
-slice, which skips the 1M-node bake-off cell). --check-regression fails
-when a scenario's graph, pool or cost counts differ from the last
-committed entry of the same scenario and profile; these counts do not
-depend on timing, threads or layout. Timings against that entry are
+slice, which skips the 1M-node cell). --check-regression fails when a
+scenario's graph, pool or cost counts differ from the last committed
+entry of the same scenario and profile; these counts do not depend on
+timing or threads. Timings against that entry are
 printed and advisory. To accept an intended count change, commit the
 entries the failing run appended. --walks, --threads and --reps must be
 positive. Only --topology and --nodes define a custom one-off cell;
 --walks/--seed/--threads/--reps/--beta override knobs matrix-wide and
-reroute the runs to the `custom' lineage. Dataset scenarios
-(dataset_wiki_7k_t1, ...) also time the hub-BFS relabeled layout; the
-bake-off cell (dataset_youtube_1m_t4) times every layout order
-(hub_bfs, degree_desc, rcm) on the same graph, recorded as layout_ns.
-Each round times every layout, starting from a different one each time.
+reroute the runs to the `custom' lineage.
 
 experiment runs the Table-I sweep (RAF vs HD/SP over an alpha × budget
 grid per dataset) and writes a schema-versioned CSV (default
@@ -875,6 +878,38 @@ screened source, joint vs equal vs proportional budget splits over a
 --budgets grid; --alphas does not apply) and writes
 EXPERIMENT_campaign.csv. Real SNAP files in --data-dir (default data/)
 override the synthetic stand-ins. --threads defaults to the
-RAF_THREADS environment variable."
-    );
+RAF_THREADS environment variable.";
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// The `--flag` names in a piece of text.
+    fn flags_in(text: &str) -> BTreeSet<&str> {
+        text.split("--")
+            .skip(1)
+            .map(|rest| rest.split(|c: char| !(c.is_ascii_lowercase() || c == '-')).next().unwrap())
+            .filter(|flag| !flag.is_empty())
+            .collect()
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_declared_flags() {
+        // Each command's synopsis in USAGE runs from its `raf NAME` line
+        // to the next command's; it must name every flag the command
+        // declares and nothing else.
+        let synopsis = USAGE.split("USAGE:").nth(1).unwrap().split("\n\n").next().unwrap();
+        let blocks: Vec<&str> = synopsis.split("\n  raf ").skip(1).collect();
+        assert_eq!(blocks.len(), COMMANDS.len());
+        for spec in COMMANDS {
+            let block = blocks
+                .iter()
+                .find(|b| b.split_whitespace().next() == Some(spec.name))
+                .unwrap_or_else(|| panic!("USAGE lacks raf {}", spec.name));
+            let declared: BTreeSet<&str> =
+                spec.flags.iter().chain(spec.switches).copied().collect();
+            assert_eq!(flags_in(block), declared, "raf {}", spec.name);
+        }
+    }
 }

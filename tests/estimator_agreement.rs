@@ -2,9 +2,9 @@
 //! and the reverse (RIS-style) backward-walk estimator are two routes to
 //! the same quantity `f(I)` (Lemma 1 / Corollary 1). This suite pins
 //! their agreement within a seeded tolerance band on a fixture graph —
-//! including through the hub-BFS relabeled loading path — guarding the
-//! whole sampling stack against silent bias from layout or loader
-//! changes.
+//! including on the hub-BFS relabeled CSR the serving benchmark samples —
+//! guarding the whole sampling stack against silent bias from layout or
+//! loader changes.
 
 use raf_graph::{generators, NodeId, Relabeling, SocialGraph, WeightScheme};
 use raf_model::acceptance::{estimate_acceptance, estimate_acceptance_forward};

@@ -1,12 +1,13 @@
 //! SNAP edge-list parser conformance: golden fixtures under `tests/data/`
 //! exercising comment styles, CRLF endings, duplicate/reversed edges,
 //! self-loops, whitespace variants, and non-contiguous (u64-sized) ids,
-//! through both `read_edge_list_path` and the `load_dataset` /
-//! `load_dataset_csr` round trip, with exact node/edge-count assertions.
+//! through both `read_edge_list_path` and the `load_dataset` round trip
+//! (plain and hub-BFS relabeled CSR), with exact node/edge-count
+//! assertions.
 
-use raf_datasets::{load_dataset, load_dataset_csr, Dataset, DatasetSource, RelabelMode};
+use raf_datasets::{load_dataset, Dataset, DatasetSource};
 use raf_graph::io::{parse_edge_list, read_edge_list_path, EdgeListOptions};
-use raf_graph::{GraphError, NodeId, WeightScheme};
+use raf_graph::{GraphError, NodeId, Relabeling, WeightScheme};
 use std::path::{Path, PathBuf};
 
 fn fixture(name: &str) -> PathBuf {
@@ -81,25 +82,26 @@ fn golden_fixtures_round_trip_through_load_dataset() {
 
 #[test]
 fn golden_fixtures_survive_the_relabeled_csr_path() {
-    // The hub-BFS loading path must preserve exact counts and the degree
-    // multiset for every fixture (isomorphism at the loader boundary).
+    // A loaded fixture's plain CSR and its hub-BFS relabeled CSR (the
+    // serving benchmark's layout) must preserve exact counts and the
+    // degree multiset (isomorphism at the loader boundary).
     for &(name, nodes, edges) in GOLDEN {
         let dir = ScratchDataDir::new("csr");
         dir.install(name);
-        let plain =
-            load_dataset_csr(Dataset::HepTh, 1.0, 1, &dir.path, RelabelMode::Plain).unwrap();
-        let hub = load_dataset_csr(Dataset::HepTh, 1.0, 1, &dir.path, RelabelMode::HubBfs).unwrap();
-        for prep in [&plain, &hub] {
-            assert_eq!(prep.source, DatasetSource::Real, "{name}");
-            assert_eq!(prep.csr.node_count(), nodes, "{name}");
-            assert_eq!(prep.csr.edge_count(), edges, "{name}");
+        let loaded = load_dataset(Dataset::HepTh, 1.0, 1, &dir.path).unwrap();
+        assert_eq!(loaded.source, DatasetSource::Real, "{name}");
+        let plain = loaded.graph.to_csr();
+        let hub = loaded.graph.to_csr_relabeled(&Relabeling::hub_bfs(&loaded.graph));
+        for csr in [&plain, &hub] {
+            assert_eq!(csr.node_count(), nodes, "{name}");
+            assert_eq!(csr.edge_count(), edges, "{name}");
         }
         let degree_multiset = |csr: &raf_graph::CsrGraph| {
             let mut d: Vec<usize> = csr.nodes().map(|v| csr.degree(v)).collect();
             d.sort_unstable();
             d
         };
-        assert_eq!(degree_multiset(&plain.csr), degree_multiset(&hub.csr), "{name}");
+        assert_eq!(degree_multiset(&plain), degree_multiset(&hub), "{name}");
     }
 }
 
