@@ -259,10 +259,14 @@ fn split_greedy(targets: &[BudgetTarget<'_>], budget: usize, slices: &[usize]) -
 /// then smaller set index (the scan keeps the first best). Returns the
 /// chosen ground ids, sorted.
 ///
-/// Each target keeps a mask over its own local ids. A picked set's new
-/// nodes are mapped to ground ids and marked in every target that
-/// mentions them, so each mask is the chosen set restricted to its
-/// target: at most `budget × k` table lookups per call.
+/// Each target keeps a mask over its own local ids and a remaining cost
+/// per set: how many of the set's elements are not chosen yet. A picked
+/// set's new nodes are mapped to ground ids and marked in every target
+/// that mentions them, and each mark decrements the remaining cost of
+/// the sets along that element's row of the target's element → sets
+/// index. A set is covered exactly when its remaining cost reaches 0, so
+/// a pick costs `k` table lookups per new node plus the rows it walks,
+/// and a scan reads one count per set.
 fn joint_greedy(targets: &[BudgetTarget<'_>], budget: usize) -> Vec<u32> {
     let mut chosen: Vec<u32> = Vec::new();
     if budget == 0 {
@@ -270,24 +274,19 @@ fn joint_greedy(targets: &[BudgetTarget<'_>], budget: usize) -> Vec<u32> {
     }
     let mut masks: Vec<Vec<bool>> =
         targets.iter().map(|t| vec![false; t.sets.element_count()]).collect();
-    // Covered flags per (target, set): pre-mark the empty sets so every
-    // live candidate has cost ≥ 1 and the density rational is
+    // Remaining cost per (target, set). The empty sets start covered, so
+    // every live candidate has cost ≥ 1 and the density rational is
     // well-defined.
-    let mut covered: Vec<Vec<bool>> = targets
-        .iter()
-        .map(|t| (0..t.sets.set_count()).map(|j| t.sets.set(j).is_empty()).collect())
-        .collect();
+    let mut remaining: Vec<Vec<u32>> =
+        targets.iter().map(|t| t.sets.iter_sets().map(|set| set.len() as u32).collect()).collect();
     loop {
         // (weight, ts, cost, target, set) of the best candidate so far.
         let mut best: Option<(u128, u128, usize, usize, usize)> = None;
         for (ti, target) in targets.iter().enumerate() {
             let ts = target.total_samples.max(1) as u128;
-            for (j, &done) in covered[ti].iter().enumerate() {
-                if done {
-                    continue;
-                }
-                let cost = target.sets.marginal(j, &masks[ti]);
-                if chosen.len() + cost > budget {
+            for (j, &cost) in remaining[ti].iter().enumerate() {
+                let cost = cost as usize;
+                if cost == 0 || chosen.len() + cost > budget {
                     continue;
                 }
                 let w = target.sets.weight(j) as u128;
@@ -307,28 +306,29 @@ fn joint_greedy(targets: &[BudgetTarget<'_>], budget: usize) -> Vec<u32> {
         }
         let Some((_, _, _, ti, j)) = best else { break };
         let picked = targets[ti].sets;
+        let before = chosen.len();
         for &e in picked.set(j) {
             if masks[ti][e as usize] {
                 continue;
             }
             let v = picked.node(e);
             chosen.push(v);
-            for (target, mask) in targets.iter().zip(masks.iter_mut()) {
+            // The new node serves every target that mentions it: shared
+            // route segments cover sibling targets' paths for free.
+            for ((target, mask), remaining) in
+                targets.iter().zip(masks.iter_mut()).zip(remaining.iter_mut())
+            {
                 if let Some(local) = target.sets.local(v) {
+                    debug_assert!(!mask[local as usize], "a chosen node is chosen again");
                     mask[local as usize] = true;
+                    for &i in target.sets.sets_containing(local) {
+                        remaining[i as usize] -= 1;
+                    }
                 }
             }
         }
-        // Prune every set the pick completed — across *all* targets:
-        // shared route segments cover sibling targets' paths for free.
-        for ((target, done), mask) in targets.iter().zip(covered.iter_mut()).zip(&masks) {
-            for (j, done) in done.iter_mut().enumerate() {
-                if !*done && target.sets.set(j).iter().all(|&e| mask[e as usize]) {
-                    *done = true;
-                }
-            }
-        }
-        if chosen.len() >= budget || covered.iter().all(|c| c.iter().all(|&x| x)) {
+        debug_assert!(chosen.len() > before, "a live set has a node left to choose");
+        if chosen.len() >= budget {
             break;
         }
     }

@@ -35,26 +35,28 @@ impl AnchorSolver {
         AnchorSolver { anchors: anchors.max(1) }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// One anchor attempt: the sets through `anchor` (its row of the
+    /// instance's element → sets index), cheapest by size first, then a
+    /// marginal-greedy pass over the rest. Returns the attempt's cost —
+    /// the size of its union, counted while `in_union` is marked — and
+    /// its sets. `taken`, `in_union` and `scratch` are the caller's
+    /// buffers, reset here so the attempts share one allocation of each.
     fn solve_for_anchor(
         &self,
         instance: &CoverInstance,
         p: usize,
-        through_anchor: &[u32],
+        anchor: u32,
         taken: &mut [bool],
         in_union: &mut [bool],
         scratch: &mut GreedyScratch,
-    ) -> CoverSolution {
-        // Sets through the anchor, cheapest (by size) first, then pad with
-        // a marginal-greedy pass over the rest. Candidates come from the
-        // inverted index built once in `solve`; `taken`/`in_union` are
-        // caller-owned buffers reset here so anchor attempts don't
-        // re-allocate them.
+    ) -> (usize, Vec<usize>) {
         taken.fill(false);
         in_union.fill(false);
-        let mut through: Vec<usize> = through_anchor.iter().map(|&i| i as usize).collect();
+        let mut through: Vec<usize> =
+            instance.sets_containing(anchor).iter().map(|&i| i as usize).collect();
         through.sort_by_key(|&i| (instance.set(i).len(), i));
         let mut chosen = Vec::new();
+        let mut union_size = 0usize;
         let mut covered_weight = 0usize;
         for &i in &through {
             if covered_weight >= p {
@@ -62,13 +64,14 @@ impl AnchorSolver {
             }
             taken[i] = true;
             for &e in instance.set(i) {
+                union_size += usize::from(!in_union[e as usize]);
                 in_union[e as usize] = true;
             }
             chosen.push(i);
             covered_weight += instance.weight(i);
         }
         // Pad with the shared linear-time greedy.
-        crate::greedy::greedy_fill(
+        union_size += crate::greedy::greedy_fill(
             instance,
             taken,
             in_union,
@@ -77,7 +80,7 @@ impl AnchorSolver {
             p,
             scratch,
         );
-        CoverSolution::from_sets(instance, chosen)
+        (union_size, chosen)
     }
 }
 
@@ -88,25 +91,26 @@ impl MpuSolver for AnchorSolver {
             return Ok(CoverSolution::from_sets(instance, Vec::new()));
         }
         // Weighted frequency of each local element across the multiset
-        // family, plus the element → sets inverted index (built in the
-        // same pass, so each anchor attempt looks candidates up instead of
-        // rescanning the whole family).
+        // family, summed along its row of the element → sets index.
         let elements = instance.element_count();
-        let mut freq = vec![0u64; elements];
-        let mut index: Vec<Vec<u32>> = vec![Vec::new(); elements];
-        for (i, s) in instance.iter_sets().enumerate() {
-            for &e in s {
-                freq[e as usize] += instance.weight(i) as u64;
-                index[e as usize].push(i as u32);
-            }
-        }
+        let freq: Vec<u64> = (0..elements as u32)
+            .map(|e| {
+                instance
+                    .sets_containing(e)
+                    .iter()
+                    .map(|&i| instance.weight(i as usize) as u64)
+                    .sum()
+            })
+            .collect();
         // Stable sort: frequency ties go to the smaller local id, which is
         // the smaller ground id.
         let mut by_freq: Vec<u32> = (0..elements as u32).collect();
         by_freq.sort_by_key(|&e| std::cmp::Reverse(freq[e as usize]));
-        let mut best: Option<CoverSolution> = None;
-        // Buffers shared by every anchor attempt: greedy scratch plus the
-        // taken/union masks (reset per attempt, allocated once).
+        // The cheapest attempt so far (its cost and sets); only the
+        // winner becomes a `CoverSolution`. The greedy scratch and the
+        // taken/union masks are shared by the attempts: reset per
+        // attempt, allocated once.
+        let mut best: Option<(usize, Vec<usize>)> = None;
         let mut scratch = GreedyScratch::new();
         let mut taken = vec![false; instance.set_count()];
         let mut in_union = vec![false; elements];
@@ -114,24 +118,14 @@ impl MpuSolver for AnchorSolver {
             if freq[anchor as usize] == 0 {
                 break;
             }
-            let sol = self.solve_for_anchor(
-                instance,
-                p,
-                &index[anchor as usize],
-                &mut taken,
-                &mut in_union,
-                &mut scratch,
-            );
-            let better = match &best {
-                None => true,
-                Some(b) => sol.cost() < b.cost(),
-            };
-            if better {
-                best = Some(sol);
+            let (cost, chosen) =
+                self.solve_for_anchor(instance, p, anchor, &mut taken, &mut in_union, &mut scratch);
+            if best.as_ref().is_none_or(|(best_cost, _)| cost < *best_cost) {
+                best = Some((cost, chosen));
             }
         }
         match best {
-            Some(sol) => Ok(sol),
+            Some((_, chosen)) => Ok(CoverSolution::from_sets(instance, chosen)),
             // No non-empty sets at all: the family must be all empty sets
             // — take prefix sets until their weight reaches p.
             None => {

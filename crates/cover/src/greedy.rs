@@ -13,13 +13,15 @@ use crate::{CoverError, CoverInstance, CoverSolution, MpuSolver};
 /// immediately credits its full multiplicity, which is exactly what the
 /// duplicated-family greedy did one free copy at a time.
 ///
-/// Implementation: an element→sets inverted index plus a bucket queue
-/// keyed by current marginal. Every element is covered at most once, and
-/// covering it decrements the marginal of each set containing it exactly
-/// once, so the whole run costs `O(Σ|S_i|)` — linear in the input —
-/// rather than the naive `O(p·m·|S|)` rescan. Marginals only decrease,
-/// so stale bucket entries are detected by comparing against the exact
-/// `marginal[i]` and skipped.
+/// Implementation: a bucket queue keyed by current marginal, updated
+/// through the instance's element → sets index
+/// ([`CoverInstance::sets_containing`], built once with the instance).
+/// Every element is covered at most once, and covering it decrements the
+/// marginal of each set containing it exactly once, so the whole run
+/// costs `O(Σ|S_i|)` — linear in the input — rather than the naive
+/// `O(p·m·|S|)` rescan. Marginals only decrease, so stale bucket entries
+/// are detected by comparing against the exact `marginal[i]` and
+/// skipped.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GreedyMarginal;
 
@@ -30,15 +32,15 @@ impl GreedyMarginal {
     }
 }
 
-/// Reusable scratch buffers for [`greedy_fill`], so callers that run the
-/// greedy repeatedly (the portfolio's anchor arm tries many anchors per
-/// solve) never re-allocate the inverted index (one list per local
-/// element) or the bucket queue between runs.
+/// Reusable scratch buffers for [`greedy_fill`]: the per-set marginals
+/// and the bucket queue, so callers that run the greedy repeatedly (the
+/// portfolio's anchor arm tries many anchors per solve) never
+/// re-allocate them between runs. The element → sets index is the
+/// instance's own, so nothing here grows with the element count.
 #[derive(Debug, Default)]
 pub(crate) struct GreedyScratch {
     marginal: Vec<u32>,
     buckets: Vec<Vec<u32>>,
-    elem_sets: Vec<Vec<u32>>,
 }
 
 impl GreedyScratch {
@@ -48,7 +50,7 @@ impl GreedyScratch {
     }
 
     /// Resets the buffers for an instance, reusing allocations.
-    fn reset(&mut self, elements: usize, m: usize, bucket_levels: usize) {
+    fn reset(&mut self, m: usize, bucket_levels: usize) {
         self.marginal.clear();
         self.marginal.resize(m, 0);
         for b in &mut self.buckets {
@@ -57,12 +59,6 @@ impl GreedyScratch {
         if self.buckets.len() < bucket_levels {
             self.buckets.resize_with(bucket_levels, Vec::new);
         }
-        for e in &mut self.elem_sets {
-            e.clear();
-        }
-        if self.elem_sets.len() < elements {
-            self.elem_sets.resize_with(elements, Vec::new);
-        }
     }
 }
 
@@ -70,7 +66,8 @@ impl GreedyScratch {
 /// a partially chosen solution until the chosen sets' total weight
 /// reaches `target_weight`. `covered_weight` carries the weight already
 /// chosen on entry and is updated in place; `in_union` is a mask over the
-/// instance's local ids.
+/// instance's local ids. Returns how many elements the fill added to
+/// `in_union`.
 pub(crate) fn greedy_fill(
     instance: &CoverInstance,
     taken: &mut [bool],
@@ -79,10 +76,10 @@ pub(crate) fn greedy_fill(
     covered_weight: &mut usize,
     target_weight: usize,
     scratch: &mut GreedyScratch,
-) {
+) -> usize {
     let m = instance.set_count();
     if *covered_weight >= target_weight {
-        return;
+        return 0;
     }
     // Exact current marginals.
     let mut max_size = 0usize;
@@ -91,8 +88,8 @@ pub(crate) fn greedy_fill(
             max_size = max_size.max(instance.set(i).len());
         }
     }
-    scratch.reset(instance.element_count(), m, max_size + 1);
-    let GreedyScratch { marginal, buckets, elem_sets } = scratch;
+    scratch.reset(m, max_size + 1);
+    let GreedyScratch { marginal, buckets } = scratch;
     for (i, &t) in taken.iter().enumerate() {
         if !t {
             marginal[i] = instance.marginal(i, in_union) as u32;
@@ -104,18 +101,8 @@ pub(crate) fn greedy_fill(
             buckets[marginal[i] as usize].push(i as u32);
         }
     }
-    // Inverted index over the not-yet-covered elements only.
-    for (i, set) in instance.iter_sets().enumerate() {
-        if taken[i] {
-            continue;
-        }
-        for &e in set {
-            if !in_union[e as usize] {
-                elem_sets[e as usize].push(i as u32);
-            }
-        }
-    }
     let mut cursor = 0usize;
+    let mut added = 0usize;
     while *covered_weight < target_weight {
         // Find the next valid (non-stale, untaken) minimum-marginal set.
         let idx = loop {
@@ -132,12 +119,12 @@ pub(crate) fn greedy_fill(
         chosen.push(idx);
         *covered_weight += instance.weight(idx);
         for &e in instance.set(idx) {
-            let e = e as usize;
-            if in_union[e] {
+            if in_union[e as usize] {
                 continue;
             }
-            in_union[e] = true;
-            for &j in &elem_sets[e] {
+            in_union[e as usize] = true;
+            added += 1;
+            for &j in instance.sets_containing(e) {
                 let j = j as usize;
                 if taken[j] {
                     continue;
@@ -151,6 +138,7 @@ pub(crate) fn greedy_fill(
             }
         }
     }
+    added
 }
 
 impl MpuSolver for GreedyMarginal {

@@ -28,6 +28,13 @@ use serde::{Deserialize, Serialize};
 /// local id is ordering by ground id: tie-breaks and sorted unions are
 /// the same in both spaces.
 ///
+/// **Transposed index.** Every constructor also builds the arena's
+/// transpose, [`sets_containing`](Self::sets_containing): for each local
+/// element, the ascending ids of the sets that contain it. Like the rest
+/// of the instance it does not depend on `p` or `α`, so a cached instance
+/// builds it once and every solve and allocation over it reuses it
+/// instead of rebuilding a per-element index per call.
+///
 /// ```
 /// use raf_cover::{CoverInstance, GreedyMarginal, MpuSolver};
 ///
@@ -49,6 +56,11 @@ pub struct CoverInstance {
     offsets: Vec<u32>,
     /// Local → ground id table, strictly ascending.
     nodes: Vec<u32>,
+    /// The arena transposed: the sets containing local element `e` are
+    /// `containing[containing_offsets[e]..containing_offsets[e+1]]`, in
+    /// ascending set order.
+    containing: Vec<u32>,
+    containing_offsets: Vec<u32>,
     /// Per-set weights; `None` means every weight is 1 (the unweighted
     /// case built by [`CoverInstance::new`]).
     weights: Option<Vec<u32>>,
@@ -163,11 +175,21 @@ impl CoverInstance {
             }
             nodes
         };
+        let (containing, containing_offsets) = transpose(&elems, &offsets, nodes.len());
         let total_weight = match &weights {
             Some(w) => w.iter().map(|&w| w as usize).sum(),
             None => offsets.len() - 1,
         };
-        Ok(CoverInstance { universe, elems, offsets, nodes, weights, total_weight })
+        Ok(CoverInstance {
+            universe,
+            elems,
+            offsets,
+            nodes,
+            containing,
+            containing_offsets,
+            weights,
+            total_weight,
+        })
     }
 
     /// Ground-set size (the graph's node count in the RAF pipeline) —
@@ -202,15 +224,32 @@ impl CoverInstance {
         self.nodes.binary_search(&v).ok().map(|e| e as u32)
     }
 
-    /// Logical heap footprint of the instance in bytes (lengths, not
-    /// capacities, of the flat tables, the local → ground table included)
-    /// — the counterpart of `PathPool::heap_bytes` for byte-budgeted
-    /// caches that keep the built cover instance resident next to the
-    /// pool it came from.
+    /// The ids of the sets that contain local element `e`, ascending —
+    /// a row of the transposed arena built with the instance. A set that
+    /// lists `e` twice appears twice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e ≥ element_count()`.
+    #[inline]
+    pub fn sets_containing(&self, e: u32) -> &[u32] {
+        let e = e as usize;
+        &self.containing
+            [self.containing_offsets[e] as usize..self.containing_offsets[e + 1] as usize]
+    }
+
+    /// Logical heap footprint of the instance in bytes: the lengths, not
+    /// capacities, of its flat tables — the arena and its offsets, the
+    /// local → ground table, the transposed arena and its offsets, and
+    /// the weights. The counterpart of `PathPool::heap_bytes` for
+    /// byte-budgeted caches that keep the built cover instance resident
+    /// next to the pool it came from.
     pub fn heap_bytes(&self) -> usize {
         (self.elems.len()
             + self.offsets.len()
             + self.nodes.len()
+            + self.containing.len()
+            + self.containing_offsets.len()
             + self.weights.as_ref().map_or(0, Vec::len))
             * std::mem::size_of::<u32>()
     }
@@ -281,6 +320,28 @@ impl CoverInstance {
     pub fn approximation_target(&self) -> f64 {
         2.0 * (self.total_weight as f64).sqrt()
     }
+}
+
+/// Transposes a local-id arena by counting sort, in `O(arena +
+/// elements)`: returns the row table and its `elements + 1` offsets,
+/// each row listing the sets that contain its element in ascending order.
+fn transpose(elems: &[u32], offsets: &[u32], elements: usize) -> (Vec<u32>, Vec<u32>) {
+    let mut row_offsets = vec![0u32; elements + 1];
+    for &e in elems {
+        row_offsets[e as usize + 1] += 1;
+    }
+    for e in 0..elements {
+        row_offsets[e + 1] += row_offsets[e];
+    }
+    let mut next = row_offsets.clone();
+    let mut rows = vec![0u32; elems.len()];
+    for (i, set) in offsets.windows(2).enumerate() {
+        for &e in &elems[set[0] as usize..set[1] as usize] {
+            rows[next[e as usize] as usize] = i as u32;
+            next[e as usize] += 1;
+        }
+    }
+    (rows, row_offsets)
 }
 
 #[cfg(test)]
@@ -361,6 +422,79 @@ mod tests {
             CoverInstance::from_path_pool(3, pool),
             Err(CoverError::ElementOutOfRange { .. })
         ));
+    }
+
+    /// `sets_containing(e)` against a scan of the family: the ascending
+    /// ids of the sets that mention `e`.
+    fn assert_index_matches_scan(inst: &CoverInstance) {
+        for e in 0..inst.element_count() as u32 {
+            let scanned: Vec<u32> = (0..inst.set_count() as u32)
+                .filter(|&i| inst.set(i as usize).contains(&e))
+                .collect();
+            assert_eq!(inst.sets_containing(e), scanned.as_slice(), "row of local element {e}");
+        }
+    }
+
+    #[test]
+    fn sets_containing_lists_sorted_sets() {
+        let inst =
+            CoverInstance::new(9, vec![vec![4, 1], vec![], vec![1, 8], vec![8, 4, 1], vec![]])
+                .unwrap();
+        assert_index_matches_scan(&inst);
+        // Local ids 0, 1, 2 are nodes 1, 4, 8.
+        assert_eq!(inst.sets_containing(0), &[0, 2, 3]);
+        assert_eq!(inst.sets_containing(1), &[0, 3]);
+        assert_eq!(inst.sets_containing(2), &[2, 3]);
+    }
+
+    #[test]
+    fn sets_containing_lists_walk_order_paths() {
+        use raf_graph::{generators, NodeId, WeightScheme};
+        use raf_model::sampler::SampleRequest;
+        use raf_model::FriendingInstance;
+        // Two routes from 3 to 0 over a 6-cycle: walk-order paths that
+        // share their ends but not their order.
+        let g = generators::cycle_graph(6).unwrap().build(WeightScheme::UniformByDegree).unwrap();
+        let g = g.to_csr();
+        let fi = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(3)).unwrap();
+        let pool = SampleRequest::new(2_000).seed(3).run(&fi);
+        let inst = CoverInstance::from_path_pool_ref(6, &pool).unwrap();
+        assert!(inst.set_count() >= 2, "both routes sampled");
+        assert!(inst.iter_sets().any(|set| !set.is_sorted()), "walk order is kept");
+        assert_index_matches_scan(&inst);
+        let (arena, m, elements) = (
+            inst.iter_sets().map(<[u32]>::len).sum::<usize>(),
+            inst.set_count(),
+            inst.element_count(),
+        );
+        // Arena and offsets, nodes, transposed arena and offsets, weights.
+        assert_eq!(
+            inst.heap_bytes(),
+            4 * (arena + (m + 1) + elements + arena + (elements + 1) + m)
+        );
+    }
+
+    #[test]
+    fn sets_containing_on_an_empty_family() {
+        for inst in [
+            CoverInstance::new(4, vec![]).unwrap(),
+            CoverInstance::new(4, vec![vec![], vec![]]).unwrap(),
+        ] {
+            assert_eq!(inst.element_count(), 0);
+            assert_index_matches_scan(&inst);
+        }
+    }
+
+    #[test]
+    fn heap_bytes_counts_the_transposed_index() {
+        // 3 sets over 4 distinct elements, 6 arena entries: arena 6 +
+        // offsets 4 + nodes 4 + transposed arena 6 + its offsets 5, no
+        // weight table.
+        let inst = CoverInstance::new(10, vec![vec![2, 5], vec![5, 7, 9], vec![2]]).unwrap();
+        assert_eq!(inst.heap_bytes(), 4 * (6 + 4 + 4 + 6 + 5));
+        // An empty family keeps one offset per table.
+        let empty = CoverInstance::new(10, vec![]).unwrap();
+        assert_eq!(empty.heap_bytes(), 4 * (1 + 1));
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! paper's duplicated multiset family. Every instance rewrites its
 //! elements to dense local ids over only the nodes its sets mention, so
 //! solver and allocator scratch scales with the family, not with the
-//! graph; answers come back in ground ids.
+//! graph; answers come back in ground ids. It also carries its element →
+//! sets index ([`CoverInstance::sets_containing`]), built once with it,
+//! which the solvers and the allocator read instead of building their own.
 //!
 //! The paper invokes the Chlamtáč et al. `2√|U|`-approximation [10] as a
 //! black box. That algorithm relies on LP-rounding machinery for the
