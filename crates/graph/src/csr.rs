@@ -261,52 +261,58 @@ impl CsrGraph {
 
     /// Hints the CPU to pull `v`'s packed metadata record into cache.
     ///
-    /// A backward-walk step is a serial dependent-load chain — metadata
-    /// record, then neighbor slice — so a walk's throughput is bounded by
-    /// memory latency once the graph overflows L3. Kernels that know the
-    /// *next* node early (the lockstep cohort sampler) call this to start
-    /// the load while other work proceeds, converting the serial chain
-    /// into memory-level parallelism. Purely a performance hint: it never
+    /// A backward-walk step is two dependent loads: the walk's metadata
+    /// record, then the neighbor slot [`select_slot`](Self::select_slot)
+    /// picks from it. A walk lands on a different random row every step,
+    /// so both loads miss the private caches once the graph outgrows
+    /// them, even where it fits L3: the 220k youtube stand-in's ~15 MB
+    /// of records and neighbor slots sit well inside a 300 MiB L3 on a
+    /// 2-vCPU Xeon (2 MiB L2 per core), and prefetching them still pays
+    /// there, since each L3 hit still stalls the step. Kernels that know
+    /// the *next* node early (the lockstep cohort sampler) call this, and
+    /// [`prefetch_slot`](Self::prefetch_slot) for the slot, to start each
+    /// load while other walks proceed, converting the serial chain into
+    /// memory-level parallelism. Purely a performance hint: it never
     /// faults, never changes results, and compiles to nothing on
     /// non-x86_64 targets.
     #[inline]
     pub fn prefetch_node(&self, v: NodeId) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let meta: *const NodeMeta = &self.meta[v.index()];
-            // SAFETY: `_mm_prefetch` is a hint instruction — it performs
-            // no architectural memory access, so any pointer value is
-            // sound; this one is in-bounds anyway (checked by the index).
-            #[allow(unsafe_code)]
-            unsafe {
-                use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                _mm_prefetch::<_MM_HINT_T0>(meta.cast::<i8>());
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = v;
-        }
+        prefetch(&self.meta[v.index()]);
     }
 
-    /// [`select_with`](Self::select_with) with a guided guess-then-scan
-    /// search in place of the binary search over non-uniform cumulative
-    /// weight tables. Returns **exactly** the same neighbor as
-    /// `select_with` for every `(v, r)` — the guess only changes where
-    /// the search *starts*, never where it lands — so the two are freely
-    /// interchangeable in deterministic pipelines (property-tested).
+    /// Hints the CPU to pull neighbor slot `slot` (a position returned by
+    /// [`select_slot`](Self::select_slot)) into cache, so the following
+    /// [`neighbor_at`](Self::neighbor_at) does not stall. The same pure
+    /// hint as [`prefetch_node`](Self::prefetch_node).
     ///
-    /// The guess is the reciprocal fast path applied to a non-uniform
-    /// table: if the weights *were* equal the hit would be at
+    /// # Panics
+    ///
+    /// Panics if `slot` is not a position of the neighbor table.
+    #[inline]
+    pub fn prefetch_slot(&self, slot: usize) {
+        prefetch(&self.neighbors[slot]);
+    }
+
+    /// Realization selection as a position: the neighbor-table slot
+    /// holding the neighbor [`select_with`](Self::select_with) picks for
+    /// `(v, r)`, or `None` (the artificial user `ℵ0`) when
+    /// `r ≥ total_in_weight(v)`. So `neighbor_at(select_slot(v, r)?)`
+    /// is `select_with(v, r)` for every `(v, r)` — the two are freely
+    /// interchangeable in deterministic pipelines (property-tested). The
+    /// lockstep sampler splits a step here: it selects and prefetches
+    /// the slot, and reads it a pass later.
+    ///
+    /// Non-uniform tables are searched guess-then-scan instead of by
+    /// bisection. The guess is the reciprocal fast path applied to a
+    /// non-uniform table: if the weights *were* equal the hit would be at
     /// `⌊r · degree/total⌋`, so start there and scan outward to the true
-    /// partition point. Near-uniform tables (the common case under the
-    /// paper's degree-based weight schemes) resolve in O(1) expected
+    /// partition point. Near-uniform tables resolve in O(1) expected
     /// steps with no branch-mispredicting bisection; heavily skewed
     /// tables degrade toward a linear scan, which is why
     /// [`select_with`](Self::select_with) (O(log d) worst case) remains
-    /// the default outside the lockstep kernel.
+    /// the selection outside the lockstep loop.
     #[inline]
-    pub fn select_guided(&self, v: NodeId, r: f64) -> Option<NodeId> {
+    pub fn select_slot(&self, v: NodeId, r: f64) -> Option<usize> {
         let m = self.meta[v.index()];
         if r >= m.total {
             return None;
@@ -314,12 +320,12 @@ impl CsrGraph {
         let base = m.base as usize;
         let d = m.degree();
         debug_assert!(d > 0, "node with zero total weight cannot select");
+        let guess = ((r * m.scale) as usize).min(d - 1);
         if m.is_uniform() {
-            let idx = (r * m.scale) as usize;
-            return Some(self.neighbors[base + idx.min(d - 1)]);
+            return Some(base + guess);
         }
         let slice = &self.cum_weights[base..base + d];
-        let mut idx = ((r * m.scale) as usize).min(d - 1);
+        let mut idx = guess;
         // Restore the partition-point invariants around the guess: every
         // cumulative weight before `idx` must be ≤ r, the one at `idx`
         // (if any) must exceed r. The table is nondecreasing, so the
@@ -330,12 +336,46 @@ impl CsrGraph {
         while idx < d && slice[idx] <= r {
             idx += 1;
         }
-        Some(self.neighbors[base + idx.min(d - 1)])
+        Some(base + idx.min(d - 1))
+    }
+
+    /// The neighbor stored at `slot`, a position returned by
+    /// [`select_slot`](Self::select_slot).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is not a position of the neighbor table.
+    #[inline]
+    pub fn neighbor_at(&self, slot: usize) -> NodeId {
+        self.neighbors[slot]
     }
 
     /// Iterates over all node ids.
     pub fn nodes(&self) -> impl ExactSizeIterator<Item = NodeId> {
         (0..self.node_count()).map(NodeId::new)
+    }
+}
+
+/// Issues a `T0` software prefetch for the cache line holding `item`:
+/// the one `unsafe` site of the crate, behind
+/// [`CsrGraph::prefetch_node`] and [`CsrGraph::prefetch_slot`].
+#[inline]
+fn prefetch<T>(item: &T) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let ptr: *const T = item;
+        // SAFETY: `_mm_prefetch` is a hint instruction — it performs no
+        // architectural memory access, so any pointer value is sound;
+        // this one comes from a reference, so it is in bounds anyway.
+        #[allow(unsafe_code)]
+        unsafe {
+            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>(ptr.cast::<i8>());
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = item;
     }
 }
 
@@ -487,7 +527,8 @@ mod tests {
         use rand::{Rng, SeedableRng};
         use std::collections::HashMap;
         // A non-uniform star (exercises the guided scan), a uniform path
-        // (exercises the reciprocal fast path), and boundary draws.
+        // (exercises the reciprocal fast path), and a scaled graph whose
+        // weights sum below 1 (a draw at or past the total dangles).
         let mut weights = HashMap::new();
         weights.insert((1, 0), 0.05);
         weights.insert((2, 0), 0.5);
@@ -501,26 +542,51 @@ mod tests {
         b.add_edges((1..5).map(|i| (0, i))).unwrap();
         let skewed = b.build(WeightScheme::Custom { weights }).unwrap().to_csr();
         let uniform = path4().to_csr();
+        let mut b = GraphBuilder::new();
+        b.add_edges(vec![(0, 1), (0, 2), (0, 3), (2, 3), (3, 4)]).unwrap();
+        let scaled = b.build(WeightScheme::ScaledByDegree { rho: 0.6 }).unwrap().to_csr();
+        let select = |csr: &CsrGraph, v, r| csr.select_slot(v, r).map(|slot| csr.neighbor_at(slot));
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        for csr in [&skewed, &uniform] {
+        for csr in [&skewed, &uniform, &scaled] {
             for v in csr.nodes() {
-                for r in [0.0, 1e-12, 0.5, 0.999_999, 1.0] {
-                    assert_eq!(csr.select_guided(v, r), csr.select_with(v, r), "v={v:?} r={r}");
+                let total = csr.total_in_weight(v);
+                // Every cumulative weight and the draw just below it sit
+                // on a partition boundary of the scan.
+                let m = csr.meta[v.index()];
+                let cum = &csr.cum_weights[m.base as usize..m.base as usize + m.degree()];
+                let boundaries = cum.iter().flat_map(|&c| [c, c.next_down()]);
+                for r in [0.0, 1e-12, 0.5, 0.999_999, 1.0, total, total.next_down()]
+                    .into_iter()
+                    .chain(boundaries)
+                {
+                    assert_eq!(select(csr, v, r), csr.select_with(v, r), "v={v:?} r={r}");
                 }
                 for _ in 0..2_000 {
                     let r = rng.gen::<f64>();
-                    assert_eq!(csr.select_guided(v, r), csr.select_with(v, r), "v={v:?} r={r}");
+                    assert_eq!(select(csr, v, r), csr.select_with(v, r), "v={v:?} r={r}");
                 }
             }
+        }
+        // The scaled graph really dangles: a draw at its total selects
+        // nobody, the draw just below it somebody.
+        for v in scaled.nodes() {
+            let total = scaled.total_in_weight(v);
+            assert!(total < 1.0, "v={v:?} total={total}");
+            assert_eq!(scaled.select_slot(v, total), None, "v={v:?}");
+            assert!(scaled.select_slot(v, total.next_down()).is_some(), "v={v:?}");
         }
     }
 
     #[test]
     fn prefetch_is_a_harmless_hint() {
-        // No observable effect, valid for every node id in range.
+        // No observable effect, valid for every node id and every
+        // neighbor slot in range.
         let csr = path4().to_csr();
         for v in csr.nodes() {
             csr.prefetch_node(v);
+        }
+        for slot in 0..2 * csr.edge_count() {
+            csr.prefetch_slot(slot);
         }
         assert_eq!(csr.select_with(NodeId::new(1), 0.0), Some(NodeId::new(0)));
     }

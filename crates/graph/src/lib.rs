@@ -40,8 +40,9 @@
 //! ```
 
 // `deny` rather than `forbid`: the one sanctioned exception is the
-// software-prefetch intrinsic in `csr.rs` (`CsrGraph::prefetch_node`),
-// which carries a scoped `#[allow(unsafe_code)]` with a safety comment.
+// software-prefetch intrinsic in `csr.rs` (the private `prefetch` helper
+// behind `CsrGraph::prefetch_node` and `CsrGraph::prefetch_slot`), which
+// carries a scoped `#[allow(unsafe_code)]` with a safety comment.
 // Everything else in the crate still refuses `unsafe`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 
 /// Walk length at which the linear-scan cycle check upgrades to a hash
 /// set (and [`WalkScratch`] spills its fixed array to the heap).
-const SCAN_LIMIT: usize = 64;
+pub(crate) const SCAN_LIMIT: usize = 64;
 
 /// How a backward walk terminated (the three cases of Lemma 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

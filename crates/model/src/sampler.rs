@@ -33,7 +33,7 @@
 use crate::intern::PathInterner;
 use crate::reverse::{sample_walk_scratch, WalkOutcome, WalkScratch};
 use crate::FriendingInstance;
-use raf_graph::NodeId;
+use raf_graph::{CsrGraph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
@@ -42,13 +42,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Node count from which the sampler runs the lockstep loop instead of
-/// the scalar one: `1 << 17`, where the per-node walk metadata
-/// (~16 B/node) passes 2 MiB. Chosen on the cells where a 16-lane
-/// lockstep kernel lost to the scalar loop: 0.68–0.81× the scalar speed
-/// on wiki-7k and 0.77–1.02× on hepth-28k (one thread, three runs each).
-/// Where the crossover lies for this module's loops is an open
-/// measurement; moving the threshold never changes a pool.
-pub const AUTO_LOCKSTEP_NODES: usize = 1 << 17;
+/// the scalar one: `1 << 14`, the smallest power of two from which the
+/// lockstep loop won every measured cell. Both loops timed on 8 screened
+/// pairs × 100k walks per cell (min of 3 reps, median of 3 rounds, 1 and
+/// 2 threads; 2-vCPU Xeon, 2 MiB L2 per core), lockstep speed over
+/// scalar: wiki-7k 0.79–0.80×, youtube-11k 0.83–0.85× (so both stay
+/// scalar), hepth-28k 1.28–1.46×, hepph-35k 1.51–1.65×, youtube-110k
+/// 1.90–2.19×. The crossover follows the walked footprint — records plus
+/// neighbor slots, 1.0 MB at wiki-7k, 0.7 MB at youtube-11k, 3.5 MB at
+/// hepth-28k — against L2 more than the node count. Moving the threshold
+/// never changes a pool.
+pub const AUTO_LOCKSTEP_NODES: usize = 1 << 14;
 
 /// Walks per sampling block. Threads claim walk indices a block at a
 /// time, and a block is where [`SampleControl`] is consulted (probe, step
@@ -57,13 +61,14 @@ pub const AUTO_LOCKSTEP_NODES: usize = 1 << 17;
 /// run overshoots its budget by at most one block of walks.
 pub const CANCEL_CHECK_INTERVAL: u64 = 256;
 
-/// Walks each thread keeps in flight in the lockstep loop. Swept on the
-/// youtube-220k cell at two threads (200k walks, plain layout, median ms
-/// of nine interleaved rounds, 2-vCPU Xeon): scalar loop 150.5; width 1
-/// 151.6, 2 94.1, 4 81.8, 8 78.5, 16 79.1, 32 76.7, 64 76.4. The win
-/// saturates from 8 walks on; 16 sits inside that plateau with room for
-/// hosts that keep more misses in flight, and its scratch (~6 KiB) still
-/// fits in L1.
+/// Walks each thread keeps in flight in the lockstep loop. Swept for the
+/// two-pass loop on the youtube-220k cell at two threads (8 screened
+/// pairs × 100k walks, median total of 5 interleaved rounds, 2-vCPU
+/// Xeon): scalar loop 657 ms; width 1 645, 2 315, 4 229, 8 231, 16 211,
+/// 32 251, 64 224. The win saturates from 4 walks on, and width 16's own
+/// round-to-round spread (190–223 ms) spans the differences between 4
+/// and 64; 16 sits inside that plateau with room for hosts that keep
+/// more misses in flight, and its scratch (~6 KiB) still fits in L1.
 const COHORT_WIDTH: usize = 16;
 
 /// Cooperative control over a pool-sampling run: the cancellation token
@@ -546,8 +551,8 @@ impl WalkShard {
 
 /// The scalar loop: each walk runs to completion before the next starts.
 /// Every step is a serial dependent-load chain (metadata record, then
-/// neighbor slice), which is the cheapest way to walk while the graph's
-/// metadata sits in L2.
+/// neighbor slot), which is the cheapest way to walk while the walked
+/// records and slots sit in L2 (see [`AUTO_LOCKSTEP_NODES`]).
 fn run_scalar(instance: &FriendingInstance<'_>, seed: u64, blocks: &Blocks<'_>) -> WalkShard {
     let mut shard = WalkShard::new();
     let mut scratch = WalkScratch::new();
@@ -560,25 +565,45 @@ fn run_scalar(instance: &FriendingInstance<'_>, seed: u64, blocks: &Blocks<'_>) 
     shard
 }
 
-/// One in-flight walk of the lockstep cohort.
+/// One in-flight walk of the lockstep cohort, between the two passes of
+/// a step: after pass A it holds the neighbor slot its draw selected
+/// (prefetched, not yet read); after pass B it stands on that neighbor,
+/// whose metadata record is on its way into cache.
 struct CohortSlot {
     scratch: WalkScratch,
     rng: StdRng,
     /// Node the walk stands on; meaningful while `walking`.
     current: u32,
+    /// Neighbor-table position pass A selected; pass B reads it.
+    pending: usize,
     walking: bool,
 }
 
 impl CohortSlot {
-    /// Takes one step: the walk's outcome once it ends, `None` while it
-    /// goes on. The same draws and checks as `sample_walk_scratch`, a
-    /// step at a time.
-    fn step(&mut self, instance: &FriendingInstance<'_>) -> Option<WalkOutcome> {
-        let g = instance.graph();
+    /// Pass A of a step: draws the step's `r` and turns the walk's
+    /// metadata record (prefetched by the previous pass B) into a
+    /// neighbor slot, whose load starts now. `false` when the draw
+    /// selects nobody and the walk dangles. The same draw as
+    /// `sample_walk_scratch`: one `r` per step.
+    fn select(&mut self, g: &CsrGraph) -> bool {
         let r = self.rng.gen::<f64>();
-        let Some(next) = g.select_guided(NodeId::new(self.current as usize), r) else {
-            return Some(WalkOutcome::Dangling);
-        };
+        match g.select_slot(NodeId::new(self.current as usize), r) {
+            Some(slot) => {
+                g.prefetch_slot(slot);
+                self.pending = slot;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Pass B of a step: reads the slot pass A selected and runs the
+    /// seed and cycle checks; the walk's outcome once it ends, `None`
+    /// while it goes on. A walk that goes on records the node and starts
+    /// the load of its metadata record for the next pass A.
+    fn advance(&mut self, instance: &FriendingInstance<'_>) -> Option<WalkOutcome> {
+        let g = instance.graph();
+        let next = g.neighbor_at(self.pending);
         // Seed and cycle checks commute — see sample_walk_into.
         if instance.is_seed(next) {
             return Some(WalkOutcome::ReachedSeed);
@@ -588,25 +613,35 @@ impl CohortSlot {
             return Some(WalkOutcome::Cycle);
         }
         self.scratch.push(id);
-        // The next step's dependent load: start pulling this walk's
-        // metadata record now, so it lands while the rest of the cohort
-        // takes its turn.
         g.prefetch_node(next);
         self.current = id;
         None
     }
 }
 
-/// The lockstep loop: a cohort of [`COHORT_WIDTH`] walks advances
-/// round-robin, one step per walk per round, and each step prefetches
-/// the walk's next metadata record before the other walks take their
-/// turns — the scalar loop's serial latency chain becomes memory-level
-/// parallelism across the cohort. A finished walk's slot takes the next
-/// walk index at once. Under a step budget the cohort drains at every
+/// The lockstep loop: a cohort of [`COHORT_WIDTH`] walks advances one
+/// step per walk per round. A round refills the freed slots, then makes
+/// two passes over the cohort, so that both dependent loads of a step —
+/// the walk's metadata record, then the neighbor slot selected from it —
+/// land a full pass after their prefetch:
+///
+/// * **refill**: a slot whose walk ended takes the next walk index and
+///   restarts at `t`;
+/// * **pass A** ([`CohortSlot::select`]): every live walk draws `r`,
+///   selects a neighbor slot from its record and prefetches the slot; a
+///   walk that dangles is booked and frees its slot here;
+/// * **pass B** ([`CohortSlot::advance`]): every live walk reads its
+///   slot, runs the seed and cycle checks, and either ends (booked, slot
+///   freed) or records the node and prefetches its record.
+///
+/// The scalar loop's serial latency chain thus becomes memory-level
+/// parallelism across the cohort, and each walk still takes exactly the
+/// scalar loop's draws. Under a step budget the cohort drains at every
 /// block boundary, so the budget has seen every step of the earlier
 /// blocks before it admits the next one.
 fn run_lockstep(instance: &FriendingInstance<'_>, seed: u64, blocks: &Blocks<'_>) -> WalkShard {
     let drain = blocks.control.max_steps.is_some();
+    let g = instance.graph();
     let t = instance.target().index() as u32;
     let mut shard = WalkShard::new();
     // Idle slots; each takes its walk's own RNG when it starts a walk.
@@ -615,6 +650,7 @@ fn run_lockstep(instance: &FriendingInstance<'_>, seed: u64, blocks: &Blocks<'_>
             scratch: WalkScratch::new(),
             rng: walk_rng(seed, 0),
             current: t,
+            pending: 0,
             walking: false,
         })
         .collect();
@@ -622,22 +658,31 @@ fn run_lockstep(instance: &FriendingInstance<'_>, seed: u64, blocks: &Blocks<'_>
     let mut live = 0usize;
     let mut exhausted = false;
     while !(exhausted && live == 0) {
-        for slot in &mut slots {
-            if !slot.walking {
-                if block.is_empty() && !exhausted && !(drain && live > 0) {
-                    match blocks.claim(shard.steps) {
-                        Some(next) => block = next,
-                        None => exhausted = true,
-                    }
+        for slot in slots.iter_mut().filter(|slot| !slot.walking) {
+            if block.is_empty() && !exhausted && !(drain && live > 0) {
+                match blocks.claim(shard.steps) {
+                    Some(next) => block = next,
+                    None => exhausted = true,
                 }
-                let Some(walk) = block.next() else { continue };
-                slot.rng = walk_rng(seed, walk);
-                slot.scratch.begin(t);
-                slot.current = t;
-                slot.walking = true;
-                live += 1;
             }
-            if let Some(outcome) = slot.step(instance) {
+            // No walk to start: the walks ran out, or the cohort drains
+            // before the next block is claimed.
+            let Some(walk) = block.next() else { break };
+            slot.rng = walk_rng(seed, walk);
+            slot.scratch.begin(t);
+            slot.current = t;
+            slot.walking = true;
+            live += 1;
+        }
+        for slot in slots.iter_mut().filter(|slot| slot.walking) {
+            if !slot.select(g) {
+                shard.book(&slot.scratch, WalkOutcome::Dangling);
+                slot.walking = false;
+                live -= 1;
+            }
+        }
+        for slot in slots.iter_mut().filter(|slot| slot.walking) {
+            if let Some(outcome) = slot.advance(instance) {
                 shard.book(&slot.scratch, outcome);
                 slot.walking = false;
                 live -= 1;
@@ -1048,6 +1093,65 @@ mod tests {
     }
 
     #[test]
+    fn loops_agree_on_walks_that_spill() {
+        // G(1000, 0.05) with `s` hanging off node 0 alone, so N_s = {0}
+        // and walks run long: a few percent pass SCAN_LIMIT nodes, where
+        // the walk scratch spills to the heap. The random weights make
+        // every table non-uniform (the guided scan) and sum below 1, so
+        // long walks also dangle in pass A. Both loops must sample
+        // bit-equal pools here too, with and without a step budget.
+        use crate::reverse::SCAN_LIMIT;
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut b = raf_graph::generators::erdos_renyi_gnp(1_000, 0.05, &mut rng).unwrap();
+        b.add_edge(1_000, 0).unwrap();
+        let uniform = b.build(WeightScheme::UniformByDegree).unwrap();
+        let mut weights = std::collections::HashMap::new();
+        for v in uniform.nodes() {
+            let draws: Vec<f64> =
+                uniform.neighbors(v).iter().map(|_| rng.gen_range(0.5..1.5)).collect();
+            let total: f64 = draws.iter().sum();
+            for (&u, w) in uniform.neighbors(v).iter().zip(draws) {
+                weights.insert((u.index() as u32, v.index() as u32), 0.995 * w / total);
+            }
+        }
+        let skewed = b.build(WeightScheme::Custom { weights }).unwrap();
+        let budgeted = SampleControl { max_steps: Some(300_000), ..SampleControl::UNLIMITED };
+        for social in [&uniform, &skewed] {
+            let g = social.to_csr();
+            let inst = FriendingInstance::new(&g, NodeId::new(1_000), NodeId::new(999)).unwrap();
+            for threads in [1usize, 4] {
+                for control in [&SampleControl::UNLIMITED, &budgeted] {
+                    let request =
+                        SampleRequest::new(16_000).seed(13).threads(threads).control(control);
+                    let scalar = request.run_loop(&inst, false);
+                    assert_eq!(
+                        scalar,
+                        request.run_loop(&inst, true),
+                        "loop divergence at threads={threads} budget={:?}",
+                        control.max_steps
+                    );
+                    // The pool's walks really took the rare path.
+                    let mut scratch = WalkScratch::new();
+                    let spilled = (0..scalar.total_samples())
+                        .filter(|&walk| {
+                            sample_walk_scratch(&inst, &mut walk_rng(13, walk), &mut scratch);
+                            scratch.nodes().len() > SCAN_LIMIT
+                        })
+                        .count() as u64;
+                    assert!(
+                        100 * spilled > scalar.total_samples(),
+                        "{spilled} of {} walks spilled at budget={:?}",
+                        scalar.total_samples(),
+                        control.max_steps
+                    );
+                    assert!(scalar.total_samples() > 4_000, "the budget left too few walks");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn isolated_target_dangles_on_both_loops() {
         // An isolated target has no in-weight: every walk's first draw
         // selects nobody, on either loop.
@@ -1096,6 +1200,37 @@ mod tests {
         // identical.
         let prefix = SampleRequest::new(a.total_samples()).seed(9).threads(4).run(&inst);
         assert_eq!(a, prefix);
+    }
+
+    #[test]
+    fn budget_counts_every_step_of_the_finished_blocks() {
+        // A budget equal to the exact spend of the first two blocks stops
+        // there on both loops: the lockstep cohort drains before it
+        // claims a block, so the last walks of block 1, still in flight
+        // when its indices run out, count before the budget decides.
+        let g = path_csr(5);
+        let inst = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(4)).unwrap();
+        let mut scratch = WalkScratch::new();
+        let two_blocks: u64 = (0..2 * CANCEL_CHECK_INTERVAL)
+            .map(|walk| {
+                sample_walk_scratch(&inst, &mut walk_rng(9, walk), &mut scratch);
+                scratch.nodes().len() as u64 + 1
+            })
+            .sum();
+        for (budget, blocks) in [(two_blocks, 2), (two_blocks + 1, 3)] {
+            let control = SampleControl { max_steps: Some(budget), ..SampleControl::UNLIMITED };
+            let request = SampleRequest::new(10 * CANCEL_CHECK_INTERVAL).seed(9).control(&control);
+            for lockstep in [false, true] {
+                for threads in [1usize, 4] {
+                    let pool = request.threads(threads).run_loop(&inst, lockstep);
+                    assert_eq!(
+                        pool.total_samples(),
+                        blocks * CANCEL_CHECK_INTERVAL,
+                        "budget {budget} lockstep={lockstep} threads={threads}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1220,7 +1355,7 @@ mod tests {
         // Either side of the threshold, the loop the sampler picks must
         // hand back the same pool as both loops run directly. The large
         // side uses a star graph (every walk terminates in one hop) so
-        // building a >2^17-node instance stays cheap.
+        // building an instance past the threshold stays cheap.
         let small = path_csr(6);
         let small_inst = FriendingInstance::new(&small, NodeId::new(0), NodeId::new(5)).unwrap();
         let mut b = GraphBuilder::new();

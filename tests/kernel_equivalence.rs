@@ -23,7 +23,9 @@
 //! The serve-layer byte-exact fixtures rely on this: CI replays each
 //! committed batch at `--threads 1` and `--threads 4` against one file.
 //! (`raf_model::sampler`'s unit tests also run both loops directly on one
-//! instance.)
+//! instance, including one whose walks spill past the walk scratch's
+//! fixed array.) Each property runs 12 cases, or `PROPTEST_CASES` when
+//! that is more; CI runs it at 256.
 
 use proptest::prelude::*;
 use raf_graph::{generators, GraphBuilder, NodeId, Relabeling, SocialGraph, WeightScheme};
@@ -123,8 +125,19 @@ fn extends(longer: &PathPool, shorter: &PathPool) -> bool {
         && shorter.iter().all(|(path, mult)| longer.iter().any(|(p, m)| p == path && m >= mult))
 }
 
+/// Cases per property: 12, or `PROPTEST_CASES` when it asks for more.
+/// The vendored `ProptestConfig::with_cases` ignores the environment, so
+/// CI's deeper run (`PROPTEST_CASES=256`) goes through here, and no
+/// setting runs fewer cases than the default 12.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|raw| raw.trim().parse::<u32>().ok())
+        .map_or(12, |cases| cases.max(12))
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// Scalar and lockstep pools are bit-identical at every thread count
     /// and under every weight scheme, and a longer request extends a
