@@ -22,6 +22,7 @@
 //! covers the subset the bench reports emit.
 
 use std::fmt::Write as _;
+use std::path::{Component, Path, PathBuf};
 use std::process::Command;
 
 /// Current history schema version.
@@ -494,7 +495,9 @@ pub fn gate_counts(baseline: Option<&JsonValue>, entry: &JsonValue) -> CountGate
 /// result stamp (`perfbench`), plus the time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Stamp {
-    /// `git rev-parse HEAD` of the checkout, or `unknown` outside git.
+    /// `git rev-parse HEAD` of the checkout, with `-dirty` appended when
+    /// tracked files other than the history file differ from `HEAD`, or
+    /// `unknown` outside git.
     pub git_rev: String,
     /// `rustc -V`, or `unknown`.
     pub rustc: String,
@@ -507,13 +510,29 @@ pub struct Stamp {
 }
 
 impl Stamp {
-    /// Collects the stamp of this process's run.
-    pub fn collect() -> Stamp {
+    /// Collects the stamp of this process's run. `history` is the file
+    /// the entry goes into: its own changes do not mark the tree dirty.
+    pub fn collect(history: &Path) -> Stamp {
         // Pin git to the checkout's own `.git` so it never walks up into
-        // an enclosing repository.
-        let git_rev =
-            command_line(Command::new("git").args(["--git-dir", ".git", "rev-parse", "HEAD"]))
-                .unwrap_or_else(|| "unknown".into());
+        // an enclosing repository; the working directory is then the
+        // checkout's root, which git's paths are relative to.
+        let git = || {
+            let mut git = Command::new("git");
+            git.args(["--git-dir", ".git"]);
+            git
+        };
+        let git_rev = match command_line(git().args(["rev-parse", "HEAD"])) {
+            Some(head) => {
+                let changed =
+                    command_stdout(git().args(["diff", "--name-only", "HEAD"])).unwrap_or_default();
+                let history = std::env::current_dir()
+                    .ok()
+                    .and_then(|root| history.strip_prefix(root).ok())
+                    .unwrap_or(history);
+                rev_label(&head, &changed, history)
+            }
+            None => "unknown".into(),
+        };
         let rustc =
             command_line(Command::new("rustc").arg("-V")).unwrap_or_else(|| "unknown".into());
         let cpu = std::fs::read_to_string("/proc/cpuinfo")
@@ -544,13 +563,30 @@ impl Stamp {
     }
 }
 
-/// The first stdout line of a command that exits 0.
-fn command_line(command: &mut Command) -> Option<String> {
+/// `head` labelled as `git describe --dirty` labels a working tree:
+/// `-dirty` appended when `changed`, a `git diff --name-only HEAD`
+/// listing, names a tracked file other than `history`.
+fn rev_label(head: &str, changed: &str, history: &Path) -> String {
+    let history: PathBuf = history.components().filter(|c| *c != Component::CurDir).collect();
+    if changed.lines().any(|path| Path::new(path) != history) {
+        format!("{head}-dirty")
+    } else {
+        head.to_string()
+    }
+}
+
+/// The stdout of a command that exits 0.
+fn command_stdout(command: &mut Command) -> Option<String> {
     let output = command.stderr(std::process::Stdio::null()).output().ok()?;
     if !output.status.success() {
         return None;
     }
-    let text = String::from_utf8(output.stdout).ok()?;
+    String::from_utf8(output.stdout).ok()
+}
+
+/// The first stdout line of a command that exits 0.
+fn command_line(command: &mut Command) -> Option<String> {
+    let text = command_stdout(command)?;
     text.lines().next().map(|l| l.trim().to_string()).filter(|l| !l.is_empty())
 }
 
@@ -755,7 +791,23 @@ mod tests {
         assert_eq!(value.get("cpu").and_then(JsonValue::as_str), Some("Test \"CPU\""));
         assert_eq!(value.path_f64(&["nproc"]), Some(2.0));
         assert_eq!(value.path_f64(&["unix_time"]), Some(1_700_000_000.0));
-        let collected = Stamp::collect();
+        let collected = Stamp::collect(Path::new("BENCH_sampling.json"));
         assert!(collected.nproc >= 1 && collected.unix_time > 0);
+    }
+
+    #[test]
+    fn rev_label_marks_trees_that_differ_from_head() {
+        let history = Path::new("BENCH_sampling.json");
+        assert_eq!(rev_label("0123abcd", "", history), "0123abcd");
+        // The history file being appended to never dirties the tree,
+        // however its path is spelled.
+        assert_eq!(rev_label("0123abcd", "BENCH_sampling.json\n", history), "0123abcd");
+        let dotted = Path::new("./BENCH_sampling.json");
+        assert_eq!(rev_label("0123abcd", "BENCH_sampling.json\n", dotted), "0123abcd");
+        // Any other tracked change does.
+        let changed = "BENCH_sampling.json\ncrates/model/src/sampler.rs\n";
+        assert_eq!(rev_label("0123abcd", changed, history), "0123abcd-dirty");
+        let elsewhere = Path::new("../history.json");
+        assert_eq!(rev_label("0123abcd", "BENCH_sampling.json\n", elsewhere), "0123abcd-dirty");
     }
 }

@@ -61,31 +61,9 @@ pub fn grow_until_match<B: Baseline + ?Sized, R: Rng>(
     growth: f64,
     rng: &mut R,
 ) -> GrowthCurve {
-    let mut points = Vec::new();
-    let mut matched_size = None;
-    let mut size = 1usize;
-    let mut last_len = 0usize;
-    while size <= max_size {
-        let inv = baseline.build(instance, size);
-        // Stop early when the strategy ran out of candidates.
-        let exhausted = inv.len() == last_len && size > 1;
-        last_len = inv.len();
-        let est = estimate_acceptance(instance, &inv, eval_samples, rng);
-        points.push(GrowthPoint { size: inv.len(), probability: est.probability });
-        if est.probability >= target_probability {
-            matched_size = Some(inv.len());
-            break;
-        }
-        if exhausted {
-            break;
-        }
-        size = if size < linear_until {
-            size + 1
-        } else {
-            ((size as f64 * growth).ceil() as usize).max(size + 1)
-        };
-    }
-    GrowthCurve { points, matched_size }
+    grow(instance, baseline, target_probability, max_size, linear_until, growth, |inv| {
+        estimate_acceptance(instance, inv, eval_samples, rng).probability
+    })
 }
 
 /// Pooled variant of [`grow_until_match`]: every size step is evaluated
@@ -101,15 +79,32 @@ pub fn grow_until_match_pooled<B: Baseline + ?Sized>(
     linear_until: usize,
     growth: f64,
 ) -> GrowthCurve {
+    grow(instance, baseline, target_probability, max_size, linear_until, growth, |inv| {
+        pool.coverage(inv)
+    })
+}
+
+/// The growth loop behind both variants: the size schedule and stop
+/// rules, with `score` estimating `f(I)` for each set tried.
+fn grow<B: Baseline + ?Sized>(
+    instance: &FriendingInstance<'_>,
+    baseline: &B,
+    target_probability: f64,
+    max_size: usize,
+    linear_until: usize,
+    growth: f64,
+    mut score: impl FnMut(&InvitationSet) -> f64,
+) -> GrowthCurve {
     let mut points = Vec::new();
     let mut matched_size = None;
     let mut size = 1usize;
     let mut last_len = 0usize;
     while size <= max_size {
         let inv = baseline.build(instance, size);
+        // Stop early when the strategy ran out of candidates.
         let exhausted = inv.len() == last_len && size > 1;
         last_len = inv.len();
-        let probability = pool.coverage(&inv);
+        let probability = score(&inv);
         points.push(GrowthPoint { size: inv.len(), probability });
         if probability >= target_probability {
             matched_size = Some(inv.len());

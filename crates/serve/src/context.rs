@@ -258,13 +258,6 @@ impl ServeError {
             ServeError::Delta(_) => "delta",
         }
     }
-
-    /// Whether retrying the identical query later can succeed without
-    /// changing it (back-pressure, not rejection) — the class batch
-    /// drivers requeue.
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, ServeError::Overloaded(ShedReason::SessionSaturated { .. }))
-    }
 }
 
 impl fmt::Display for ServeError {
@@ -534,15 +527,7 @@ impl<'g> SessionContext<'g> {
     }
 
     pub(crate) fn check_query_cap(&self, key: &PoolKey) -> Result<(), ServeError> {
-        if let Some(cap) = self.config.admission.max_query_walks {
-            if key.walks > cap {
-                return Err(ServeError::Overloaded(ShedReason::QueryTooLarge {
-                    walks: key.walks,
-                    cap,
-                }));
-            }
-        }
-        Ok(())
+        self.config.admission.admit(key.walks).map_err(ServeError::Overloaded)
     }
 
     /// Fetches (or samples) the entry for a key, reporting whether it was
@@ -703,12 +688,6 @@ impl<'g> SessionContext<'g> {
             cache_hit,
             degraded,
         })
-    }
-
-    /// Answers a batch in order, one result per query (errors don't stop
-    /// the batch — a service keeps serving).
-    pub fn query_batch(&mut self, queries: &[Query]) -> Vec<Result<QueryAnswer, ServeError>> {
-        queries.iter().map(|q| self.query(q)).collect()
     }
 
     /// Applies an edge delta to the session: rebuilds the resident
@@ -1047,7 +1026,7 @@ mod tests {
         let csr = routes_csr();
         let mut ctx = SessionContext::new(&csr, ServeConfig::default());
         let batch = [q(0.4, 5_000), q(0.4, 0), q(0.6, 5_000), q(0.2, 5_000)];
-        let answers = ctx.query_batch(&batch);
+        let answers: Vec<_> = batch.iter().map(|query| ctx.query(query)).collect();
         assert_eq!(answers.len(), 4);
         assert!(answers[0].is_ok() && answers[1].is_err());
         assert!(answers[2].as_ref().unwrap().cache_hit);
@@ -1081,14 +1060,14 @@ mod tests {
         };
         assert_eq!(zero_deadline.validate().unwrap_err(), "deadline must be positive");
         let zero_cap = ServeConfig {
-            admission: AdmissionPolicy { max_query_walks: Some(0), max_inflight_walks: None },
+            admission: AdmissionPolicy { max_query_walks: Some(0) },
             ..Default::default()
         };
         assert_eq!(zero_cap.validate().unwrap_err(), "max query walks must be positive");
         // One walk or millisecond is a legal (if tight) limit.
         let tight = ServeConfig {
             deadline: DeadlinePolicy { work_budget: Some(1), wall_clock_ms: Some(1) },
-            admission: AdmissionPolicy { max_query_walks: Some(1), max_inflight_walks: Some(0) },
+            admission: AdmissionPolicy { max_query_walks: Some(1) },
             ..Default::default()
         };
         assert_eq!(tight.validate(), Ok(()));
@@ -1107,16 +1086,9 @@ mod tests {
         assert_eq!(e.code(), "internal");
         let e = ServeError::ResourceExhausted { needed: 100, cap: 10 };
         assert!(e.to_string().starts_with("resource exhausted:"));
-        assert!(!e.is_retryable());
-        let shed = ServeError::Overloaded(ShedReason::SessionSaturated {
-            inflight: 10,
-            queries: 2,
-            cap: 8,
-        });
-        assert!(shed.to_string().starts_with("overloaded:"));
-        assert!(shed.is_retryable());
         let too_big = ServeError::Overloaded(ShedReason::QueryTooLarge { walks: 9, cap: 5 });
-        assert!(!too_big.is_retryable(), "shrinking is on the client, not on time");
+        assert!(too_big.to_string().starts_with("overloaded:"));
+        assert_eq!(too_big.code(), "overloaded");
     }
 
     #[test]
@@ -1232,7 +1204,7 @@ mod tests {
         let csr = routes_csr();
         let cfg = ServeConfig {
             walks: 50_000,
-            admission: AdmissionPolicy { max_query_walks: Some(6_000), max_inflight_walks: None },
+            admission: AdmissionPolicy { max_query_walks: Some(6_000) },
             ..Default::default()
         };
         let mut ctx = SessionContext::new(&csr, cfg);

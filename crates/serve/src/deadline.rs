@@ -9,10 +9,9 @@
 //! degrades gracefully — the answer comes from the partial pool, marked
 //! `degraded`, bit-identical for a fixed `(seed, budget)`. **Admission
 //! control** bounds what enters at all: [`AdmissionPolicy`] caps the
-//! work a single query may request and the work a batch window may hold
-//! in flight ([`AdmissionLedger`]); queries over either limit are shed
-//! with [`ShedReason`] (the `err overloaded` protocol line) instead of
-//! being allowed to stall the session.
+//! work a single query may request; a query over the cap is shed with
+//! [`ShedReason`] (the `err overloaded` protocol line) instead of being
+//! allowed to stall the session.
 
 use std::fmt;
 
@@ -57,15 +56,25 @@ pub struct AdmissionPolicy {
     /// ceiling clamp). A query over this cap is shed with
     /// [`ShedReason::QueryTooLarge`]. `None` = no per-query cap.
     pub max_query_walks: Option<u64>,
-    /// Ceiling on walks reserved across an in-flight admission window
-    /// (see [`AdmissionLedger`]). `None` = unbounded window.
-    pub max_inflight_walks: Option<u64>,
 }
 
 impl AdmissionPolicy {
     /// Admit everything.
-    pub const OPEN: AdmissionPolicy =
-        AdmissionPolicy { max_query_walks: None, max_inflight_walks: None };
+    pub const OPEN: AdmissionPolicy = AdmissionPolicy { max_query_walks: None };
+
+    /// Admits or sheds one query that needs `walks` effective walks.
+    /// Purely arithmetic — no clocks, no randomness — so replaying the
+    /// same request stream sheds the same queries every run.
+    ///
+    /// # Errors
+    ///
+    /// The [`ShedReason`] to report to the client.
+    pub fn admit(&self, walks: u64) -> Result<(), ShedReason> {
+        match self.max_query_walks {
+            Some(cap) if walks > cap => Err(ShedReason::QueryTooLarge { walks, cap }),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Why admission control shed a query — the payload of
@@ -81,17 +90,6 @@ pub enum ShedReason {
         /// The per-query cap it exceeded.
         cap: u64,
     },
-    /// Admitting the query would push the in-flight window over its
-    /// walk ceiling. Retrying after the window drains will succeed.
-    SessionSaturated {
-        /// Walks currently reserved by admitted queries.
-        inflight: u64,
-        /// Queries currently holding those reservations (the retry
-        /// hint: try again after this many completions).
-        queries: u64,
-        /// The window's walk ceiling.
-        cap: u64,
-    },
 }
 
 impl fmt::Display for ShedReason {
@@ -103,79 +101,7 @@ impl fmt::Display for ShedReason {
                     "query needs {walks} walks, per-query cap is {cap}; retry with budget <= {cap}"
                 )
             }
-            ShedReason::SessionSaturated { inflight, queries, cap } => {
-                write!(
-                    f,
-                    "{inflight} walks in flight across {queries} queries, window cap is {cap}; \
-                     retry after {queries} completions"
-                )
-            }
         }
-    }
-}
-
-/// The in-flight work ledger behind batch-window admission: reservations
-/// are made as queries are admitted and released as they complete, so
-/// the window's outstanding work never exceeds
-/// [`AdmissionPolicy::max_inflight_walks`]. Purely arithmetic — no
-/// clocks, no randomness — so a batch driver replaying the same request
-/// stream sheds the same queries every run.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionLedger {
-    inflight_walks: u64,
-    inflight_queries: u64,
-}
-
-impl AdmissionLedger {
-    /// An empty ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Walks currently reserved.
-    pub fn inflight_walks(&self) -> u64 {
-        self.inflight_walks
-    }
-
-    /// Queries currently holding reservations.
-    pub fn inflight_queries(&self) -> u64 {
-        self.inflight_queries
-    }
-
-    /// Tries to reserve `walks` for one query under `policy`. On success
-    /// the reservation is held until [`release`](Self::release).
-    ///
-    /// # Errors
-    ///
-    /// The [`ShedReason`] to report to the client. The ledger is
-    /// unchanged on error.
-    pub fn try_reserve(&mut self, policy: &AdmissionPolicy, walks: u64) -> Result<(), ShedReason> {
-        if let Some(cap) = policy.max_query_walks {
-            if walks > cap {
-                return Err(ShedReason::QueryTooLarge { walks, cap });
-            }
-        }
-        if let Some(cap) = policy.max_inflight_walks {
-            let total = self.inflight_walks.saturating_add(walks);
-            // A window must always admit at least one query, or an
-            // over-cap first query would deadlock the whole batch.
-            if total > cap && self.inflight_queries > 0 {
-                return Err(ShedReason::SessionSaturated {
-                    inflight: self.inflight_walks,
-                    queries: self.inflight_queries,
-                    cap,
-                });
-            }
-        }
-        self.inflight_walks = self.inflight_walks.saturating_add(walks);
-        self.inflight_queries += 1;
-        Ok(())
-    }
-
-    /// Releases a reservation made by [`try_reserve`](Self::try_reserve).
-    pub fn release(&mut self, walks: u64) {
-        self.inflight_walks = self.inflight_walks.saturating_sub(walks);
-        self.inflight_queries = self.inflight_queries.saturating_sub(1);
     }
 }
 
@@ -187,55 +113,25 @@ mod tests {
     fn unlimited_policies_admit_everything() {
         assert!(DeadlinePolicy::default().is_unlimited());
         assert_eq!(DeadlinePolicy::default(), DeadlinePolicy::UNLIMITED);
-        let mut ledger = AdmissionLedger::new();
-        for _ in 0..100 {
-            ledger.try_reserve(&AdmissionPolicy::OPEN, u64::MAX / 200).unwrap();
+        assert_eq!(AdmissionPolicy::default(), AdmissionPolicy::OPEN);
+        for walks in [0, 1, u64::MAX / 200, u64::MAX] {
+            assert_eq!(AdmissionPolicy::OPEN.admit(walks), Ok(()));
         }
-        assert_eq!(ledger.inflight_queries(), 100);
     }
 
     #[test]
     fn per_query_cap_sheds_oversized_queries() {
-        let policy = AdmissionPolicy { max_query_walks: Some(1_000), max_inflight_walks: None };
-        let mut ledger = AdmissionLedger::new();
-        assert_eq!(ledger.try_reserve(&policy, 1_000), Ok(()));
-        let shed = ledger.try_reserve(&policy, 1_001).unwrap_err();
+        let policy = AdmissionPolicy { max_query_walks: Some(1_000) };
+        assert_eq!(policy.admit(1_000), Ok(()));
+        let shed = policy.admit(1_001).unwrap_err();
         assert_eq!(shed, ShedReason::QueryTooLarge { walks: 1_001, cap: 1_000 });
-        // The failed reservation left the ledger untouched.
-        assert_eq!(ledger.inflight_queries(), 1);
-        assert_eq!(ledger.inflight_walks(), 1_000);
-    }
-
-    #[test]
-    fn window_cap_sheds_then_admits_after_release() {
-        let policy = AdmissionPolicy { max_query_walks: None, max_inflight_walks: Some(5_000) };
-        let mut ledger = AdmissionLedger::new();
-        ledger.try_reserve(&policy, 3_000).unwrap();
-        ledger.try_reserve(&policy, 2_000).unwrap();
-        let shed = ledger.try_reserve(&policy, 1).unwrap_err();
-        assert!(matches!(shed, ShedReason::SessionSaturated { inflight: 5_000, queries: 2, .. }));
-        ledger.release(3_000);
-        ledger.try_reserve(&policy, 1).unwrap();
-        assert_eq!(ledger.inflight_walks(), 2_001);
-        assert_eq!(ledger.inflight_queries(), 2);
-    }
-
-    #[test]
-    fn first_query_is_always_admitted() {
-        // An over-cap first query must not deadlock an empty window.
-        let policy = AdmissionPolicy { max_query_walks: None, max_inflight_walks: Some(100) };
-        let mut ledger = AdmissionLedger::new();
-        assert_eq!(ledger.try_reserve(&policy, 10_000), Ok(()));
-        ledger.release(10_000);
-        assert_eq!(ledger, AdmissionLedger::new());
+        // Admission keeps no state: a shed does not affect the next query.
+        assert_eq!(policy.admit(1), Ok(()));
     }
 
     #[test]
     fn shed_reasons_carry_retry_hints() {
         let too_large = ShedReason::QueryTooLarge { walks: 9, cap: 5 }.to_string();
         assert!(too_large.contains("retry with budget <= 5"), "{too_large}");
-        let saturated =
-            ShedReason::SessionSaturated { inflight: 10, queries: 3, cap: 12 }.to_string();
-        assert!(saturated.contains("retry after 3 completions"), "{saturated}");
     }
 }

@@ -9,18 +9,19 @@
 //! supplies the amortization layer:
 //!
 //! * [`SessionContext`] holds a (possibly relabeled) [`CsrGraph`]
-//!   resident and answers [`Query`] batches;
+//!   resident and answers [`Query`]s one at a time, in request order;
 //! * [`PoolCache`] keeps sampled [`PathPool`]s — plus the
 //!   [`CoverInstance`](raf_cover::CoverInstance) built from each, which
 //!   is equally `α`-independent — behind an LRU with a byte-size budget,
 //!   with hit/miss/eviction counters;
 //! * [`protocol`] is the line-oriented request/response format behind
-//!   `raf serve` (batch request files or stdin/stdout, no network).
+//!   `raf serve`, which reads a request file or stdin through one loop
+//!   (no network).
 //!
 //! On top of the happy path sits a robustness layer: per-query
 //! [`DeadlinePolicy`] work budgets that *degrade* answers (partial pool,
-//! `degraded` marker) instead of failing them, [`AdmissionPolicy`]
-//! caps that shed over-limit queries with a retry hint
+//! `degraded` marker) instead of failing them, an [`AdmissionPolicy`]
+//! per-query walk cap that sheds oversized queries with a retry hint
 //! ([`ServeError::Overloaded`]), panic isolation that contains any
 //! query-pipeline panic to an [`ServeError::Internal`] response, cache
 //! integrity fingerprints that evict corrupt entries transparently, and
@@ -74,5 +75,5 @@ pub use context::{
     one_shot, DeltaOutcome, Query, QueryAnswer, QueryRejection, ServeConfig, ServeError,
     SessionContext, SessionStats,
 };
-pub use deadline::{AdmissionLedger, AdmissionPolicy, DeadlinePolicy, ShedReason};
+pub use deadline::{AdmissionPolicy, DeadlinePolicy, ShedReason};
 pub use fault::{FaultKind, FaultPlan, FaultSite};

@@ -65,14 +65,14 @@ fn parse_id(raw: &str, what: &str) -> Result<usize, String> {
     Ok(id)
 }
 
-/// Parses one request line. Returns `Ok(None)` for blank lines and `#`
+/// Parses one query line. Returns `Ok(None)` for blank lines and `#`
 /// comments (skipped, no response emitted).
 ///
 /// # Errors
 ///
 /// A human-readable description of the malformed line, deterministic in
 /// the input bytes and bounded in length.
-pub fn parse_request(line: &str, default_budget: u64) -> Result<Option<Query>, String> {
+fn parse_request(line: &str, default_budget: u64) -> Result<Option<Query>, String> {
     let line = line.trim();
     if line.is_empty() || line.starts_with('#') {
         return Ok(None);
@@ -99,19 +99,6 @@ pub fn parse_request(line: &str, default_budget: u64) -> Result<Option<Query>, S
         Some(raw) => raw.parse().map_err(|_| format!("bad budget {:?}", snippet(raw)))?,
     };
     Ok(Some(Query { s: NodeId::new(s), t: NodeId::new(t), alpha, budget }))
-}
-
-/// Parses one raw request line that may not be valid UTF-8 — the entry
-/// point `raf serve` reads stdin and batch files through, so a client
-/// writing garbage bytes gets an `err` response instead of killing the
-/// session. Invalid sequences decode lossily (U+FFFD), which can never
-/// form a digit, so they surface as ordinary deterministic parse errors.
-///
-/// # Errors
-///
-/// Same contract as [`parse_request`].
-pub fn parse_request_bytes(line: &[u8], default_budget: u64) -> Result<Option<Query>, String> {
-    parse_request(&String::from_utf8_lossy(line), default_budget)
 }
 
 /// One parsed request line: a friending query, a multi-target campaign,
@@ -171,16 +158,17 @@ fn parse_campaign(line: &str) -> Result<CampaignQuery, String> {
     Ok(CampaignQuery { s: NodeId::new(s), targets, alpha, budget })
 }
 
-/// Parses one request line of the full (query + churn) protocol.
-/// Query lines parse exactly as [`parse_request`]; lines whose first
-/// field is the verb `delta` parse the rest as an edge-delta spec.
-/// Returns `Ok(None)` for blank lines and `#` comments.
+/// Parses one request line of the full protocol. Lines whose first
+/// field is the verb `delta` parse the rest as an edge-delta spec, lines
+/// starting with `campaign` as a campaign, and every other line as an
+/// `s t alpha [budget]` query. Returns `Ok(None)` for blank lines and
+/// `#` comments (skipped, no response emitted).
 ///
 /// # Errors
 ///
-/// Same contract as [`parse_request`]: deterministic, bounded-length
-/// descriptions — hostile kilobyte tokens inside a delta spec are
-/// truncated before they are echoed.
+/// A human-readable description of the malformed line, deterministic in
+/// the input bytes and bounded in length — hostile kilobyte tokens
+/// inside a delta spec are truncated before they are echoed.
 pub fn parse_line(line: &str, default_budget: u64) -> Result<Option<Request>, String> {
     let line = line.trim();
     if line.is_empty() || line.starts_with('#') {
@@ -202,8 +190,11 @@ pub fn parse_line(line: &str, default_budget: u64) -> Result<Option<Request>, St
     }
 }
 
-/// Byte-level entry point for [`parse_line`], with the same lossy-UTF-8
-/// tolerance as [`parse_request_bytes`].
+/// Parses one raw request line that may not be valid UTF-8 — the entry
+/// point `raf serve` reads stdin and request files through, so a client
+/// writing garbage bytes gets an `err` response instead of killing the
+/// session. Invalid sequences decode lossily (U+FFFD), which can never
+/// form a digit, so they surface as ordinary deterministic parse errors.
 ///
 /// # Errors
 ///
@@ -343,18 +334,20 @@ mod tests {
     #[test]
     fn byte_lines_never_kill_the_parser() {
         // Valid UTF-8 passes through unchanged.
-        let q = parse_request_bytes(b"3 99 0.3 20000", 1).unwrap().unwrap();
-        assert_eq!((q.s.index(), q.t.index()), (3, 99));
+        match parse_line_bytes(b"3 99 0.3 20000", 1).unwrap().unwrap() {
+            Request::Query(q) => assert_eq!((q.s.index(), q.t.index()), (3, 99)),
+            other => panic!("expected a query, got {other:?}"),
+        }
         // Invalid UTF-8 decodes lossily and fails as a plain parse error,
         // deterministically.
-        let a = parse_request_bytes(b"\xff\xfe 99 0.3", 1).unwrap_err();
-        let b = parse_request_bytes(b"\xff\xfe 99 0.3", 1).unwrap_err();
+        let a = parse_line_bytes(b"\xff\xfe 99 0.3", 1).unwrap_err();
+        let b = parse_line_bytes(b"\xff\xfe 99 0.3", 1).unwrap_err();
         assert_eq!(a, b);
         assert!(a.contains("source"), "{a}");
         // NUL bytes are field content, not separators.
-        assert!(parse_request_bytes(b"3\x0099 0.3", 1).is_err());
+        assert!(parse_line_bytes(b"3\x0099 0.3", 1).is_err());
         // Non-UTF-8 comments are still comments.
-        assert_eq!(parse_request_bytes(b"# \xff\xfe", 1).unwrap(), None);
+        assert_eq!(parse_line_bytes(b"# \xff\xfe", 1).unwrap(), None);
     }
 
     #[test]

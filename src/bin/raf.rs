@@ -11,7 +11,7 @@
 //! raf serve --graph network.txt [--requests batch.txt] [--walks 100000]
 //!           [--seed 1] [--threads 1] [--cache-mb 256]
 //!           [--work-budget N] [--deadline-ms N] [--max-query-walks N]
-//!           [--max-inflight-walks N] [--retries N] [--fault-plan SPEC]
+//!           [--fault-plan SPEC]
 //! raf bench-json [--out BENCH_sampling.json] [--scenario NAME]
 //!           [--list-scenarios] [--quick] [--check-regression]
 //!           [--topology powerlaw_cluster] [--nodes N] [--walks N]
@@ -62,8 +62,6 @@ const COMMANDS: &[CommandSpec] = &[
             "work-budget",
             "deadline-ms",
             "max-query-walks",
-            "max-inflight-walks",
-            "retries",
             "fault-plan",
         ],
         switches: &[],
@@ -324,7 +322,7 @@ fn cmd_bench_json(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => BenchHistory::default(),
         Err(e) => return Err(format!("{out}: {e}").into()),
     };
-    let stamp = Stamp::collect();
+    let stamp = Stamp::collect(Path::new(&out));
     let mut changed: Vec<String> = Vec::new();
     for config in configs {
         let name = config.scenario().name();
@@ -379,39 +377,28 @@ fn cmd_bench_json(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Splits raw request bytes into lines with `str::lines` semantics —
-/// `\n` separators, optional trailing `\r` stripped, no phantom empty
-/// line after a trailing newline — without requiring the file to be
-/// valid UTF-8 (a garbage line must produce an `err parse` response,
-/// not kill the whole batch).
-fn byte_lines(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
-    let mut lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
-    if lines.last() == Some(&&b""[..]) {
-        lines.pop();
-    }
-    lines.into_iter().map(|l| l.strip_suffix(b"\r").unwrap_or(l))
-}
-
 /// The query-serving session (`raf serve`): load a SNAP edge list once,
 /// keep it resident behind a [`SessionContext`], and answer
-/// `s t alpha [budget]` request lines — from `--requests FILE` in batch
-/// mode, from stdin otherwise — one `ok`/`err` response line each (see
-/// `raf_serve::protocol`). A `campaign s t1,t2,... alpha budget` line
-/// allocates one shared invitation budget across several targets,
-/// answering from (and populating) the same pool cache single-target
-/// queries use. Queries on the same pair share one sampled pool; the
-/// cache summary goes to stderr on exit. The graph serves from the
-/// plain CSR layout, in the file's (compacted) node ids.
+/// `s t alpha [budget]` request lines — from `--requests FILE`, or from
+/// stdin by default — one `ok`/`err` response line each, in request
+/// order (see `raf_serve::protocol`). Both sources run the same loop,
+/// which flushes after every line so a driving process sees each answer
+/// immediately. A `campaign s t1,t2,... alpha budget` line allocates one
+/// shared invitation budget across several targets, answering from (and
+/// populating) the same pool cache single-target queries use, and a
+/// `delta` line applies churn at its position in the stream. Queries on
+/// the same pair share one sampled pool; the cache summary goes to
+/// stderr on exit. The graph serves from the plain CSR layout, in the
+/// file's (compacted) node ids.
 ///
 /// Robustness knobs: `--work-budget`/`--deadline-ms` degrade over-limit
-/// answers instead of failing them; `--max-query-walks` and
-/// `--max-inflight-walks` shed oversized / over-admitted queries with a
-/// retry hint (batch mode retries saturation sheds itself, in rounds, up
-/// to `--retries` times); `--fault-plan` injects deterministic faults
-/// for recovery testing (see `FaultPlan::parse` for the spec grammar).
+/// answers instead of failing them; `--max-query-walks` sheds oversized
+/// queries with a retry hint; `--fault-plan` injects deterministic
+/// faults for recovery testing (see `FaultPlan::parse` for the spec
+/// grammar).
 fn cmd_serve(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
-    use active_friending::serve::protocol;
-    use std::io::{BufRead, Write};
+    use active_friending::serve::protocol::{self, Request};
+    use std::io::{BufRead, BufReader, Write};
 
     let path = args.require("graph")?;
     let cache_mb: usize = args.get_or("cache-mb", 256)?;
@@ -427,19 +414,20 @@ fn cmd_serve(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
             work_budget: args.get_typed("work-budget")?,
             wall_clock_ms: args.get_typed("deadline-ms")?,
         },
-        admission: AdmissionPolicy {
-            max_query_walks: args.get_typed("max-query-walks")?,
-            max_inflight_walks: args.get_typed("max-inflight-walks")?,
-        },
+        admission: AdmissionPolicy { max_query_walks: args.get_typed("max-query-walks")? },
     };
     config.validate().map_err(|e| format!("serve: {e}"))?;
     let fault_plan = match args.get("fault-plan") {
         None => FaultPlan::empty(),
         Some(spec) => FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?,
     };
-    let retries: u32 = args.get_or("retries", 2)?;
     let default_budget = config.walks;
-    let admission = config.admission;
+    let mut requests: Box<dyn BufRead> = match args.get("requests") {
+        Some(file) => {
+            Box::new(BufReader::new(std::fs::File::open(file).map_err(|e| format!("{file}: {e}"))?))
+        }
+        None => Box::new(std::io::stdin().lock()),
+    };
     let builder = read_edge_list_path(Path::new(path), &EdgeListOptions::default())?;
     let mut social = builder.build(WeightScheme::UniformByDegree)?;
     let csr = social.to_csr();
@@ -455,175 +443,36 @@ fn cmd_serve(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
 
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    // Saturation sheds happen in the batch driver's admission window,
-    // outside the context, so they are tallied here and folded into the
-    // session's shed count on exit.
-    let mut saturated_sheds = 0u64;
-    let run_query = |ctx: &mut SessionContext<'_>, query: &Query| -> String {
-        match ctx.query(query) {
-            Ok(answer) => protocol::format_answer(query, &answer),
-            Err(e) => protocol::format_error(query, &e),
+    // Lines are read as raw bytes: a non-UTF-8 line answers `err parse`,
+    // it does not end the session.
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        if requests.read_until(b'\n', &mut buf)? == 0 {
+            break;
         }
-    };
-    let run_delta = |ctx: &mut SessionContext<'_>,
-                     social: &mut raf_graph::SocialGraph,
-                     delta: &raf_graph::EdgeDelta|
-     -> String {
-        match ctx.apply_delta(delta, social, WeightScheme::UniformByDegree) {
-            Ok(outcome) => protocol::format_delta_outcome(&outcome),
-            Err(e) => protocol::format_delta_error(&e),
-        }
-    };
-    let run_campaign = |ctx: &mut SessionContext<'_>, campaign: &CampaignQuery| -> String {
-        match ctx.campaign(campaign) {
-            Ok(answer) => protocol::format_campaign_answer(campaign, &answer),
-            Err(e) => protocol::format_campaign_error(campaign, &e),
-        }
-    };
-    if let Some(requests) = args.get("requests") {
-        // Batch mode: parse every line up front, answer in admission
-        // rounds, and print responses in request order. A round models
-        // one admission window: reservations accumulate in the ledger
-        // until the round ends, so --max-inflight-walks caps how much
-        // sampling work a single window may admit. Saturation sheds
-        // (retryable by contract) are deferred to the next round — the
-        // deterministic analogue of client backoff-and-retry — for up to
-        // --retries extra rounds; per-query-cap sheds are permanent and
-        // fail immediately. `delta` lines are churn barriers: queries
-        // before one are fully answered (retries included) before the
-        // delta applies, so every query sees exactly the graph its
-        // position in the file implies.
-        enum Slot {
-            /// Response line ready (answered, failed, or parse error).
-            Done(String),
-            /// Parsed query still waiting for admission.
-            Pending(Query),
-            /// A multi-target campaign waiting for its segment's first
-            /// round.
-            Campaign(CampaignQuery),
-            /// A churn barrier waiting to be applied.
-            Churn(raf_graph::EdgeDelta),
-            /// Blank/comment line: no response.
-            Skip,
-        }
-        let bytes = std::fs::read(requests)?;
-        let mut slots: Vec<Slot> = byte_lines(&bytes)
-            .map(|line| match protocol::parse_line_bytes(line, default_budget) {
-                Ok(None) => Slot::Skip,
-                Ok(Some(protocol::Request::Query(query))) => Slot::Pending(query),
-                Ok(Some(protocol::Request::Campaign(campaign))) => Slot::Campaign(campaign),
-                Ok(Some(protocol::Request::Delta(delta))) => Slot::Churn(delta),
-                Err(message) => Slot::Done(format!("err parse: {message}")),
-            })
-            .collect();
-        let mut start = 0usize;
-        while start < slots.len() {
-            if let Slot::Churn(_) = &slots[start] {
-                let Slot::Churn(delta) = std::mem::replace(&mut slots[start], Slot::Skip) else {
-                    unreachable!("just matched Churn");
-                };
-                slots[start] = Slot::Done(run_delta(&mut ctx, &mut social, &delta));
-                start += 1;
-                continue;
-            }
-            // The query segment up to the next churn barrier (or EOF),
-            // answered in admission rounds exactly as before.
-            let end = slots[start..]
-                .iter()
-                .position(|s| matches!(s, Slot::Churn(_)))
-                .map_or(slots.len(), |p| start + p);
-            let mut round = 0u32;
-            loop {
-                let mut ledger = AdmissionLedger::new();
-                let mut deferred = 0usize;
-                for slot in &mut slots[start..end] {
-                    if let Slot::Campaign(campaign) = slot {
-                        // Campaigns bypass the admission ledger: their
-                        // fan-out is bounded at parse time
-                        // (MAX_CAMPAIGN_TARGETS) and the per-query walk
-                        // cap still applies to every per-target pool
-                        // inside the context, so a campaign can never
-                        // admit more work than the same targets issued
-                        // as individual query lines.
-                        if round == 0 {
-                            *slot = Slot::Done(run_campaign(&mut ctx, campaign));
-                        }
-                        continue;
-                    }
-                    let Slot::Pending(query) = slot else { continue };
-                    let walks = query.budget.min(default_budget);
-                    match ledger.try_reserve(&admission, walks) {
-                        Ok(())
-                        // The context enforces the per-query cap itself (and
-                        // counts the shed in its session stats), so a
-                        // too-large query goes through it for the answer —
-                        // retrying could never admit it anyway.
-                        | Err(ShedReason::QueryTooLarge { .. }) => {
-                            // Admitted reservations are held until the
-                            // window closes: the ledger drains only when the
-                            // round does.
-                            *slot = Slot::Done(run_query(&mut ctx, query));
-                        }
-                        Err(ShedReason::SessionSaturated { .. }) if round < retries => {
-                            deferred += 1;
-                        }
-                        Err(shed) => {
-                            saturated_sheds += 1;
-                            *slot = Slot::Done(protocol::format_error(
-                                query,
-                                &ServeError::Overloaded(shed),
-                            ));
-                        }
-                    }
+        let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        let response = match protocol::parse_line_bytes(line, default_budget) {
+            Ok(None) => continue,
+            Ok(Some(Request::Query(query))) => match ctx.query(&query) {
+                Ok(answer) => protocol::format_answer(&query, &answer),
+                Err(e) => protocol::format_error(&query, &e),
+            },
+            Ok(Some(Request::Campaign(campaign))) => match ctx.campaign(&campaign) {
+                Ok(answer) => protocol::format_campaign_answer(&campaign, &answer),
+                Err(e) => protocol::format_campaign_error(&campaign, &e),
+            },
+            Ok(Some(Request::Delta(delta))) => {
+                match ctx.apply_delta(&delta, &mut social, WeightScheme::UniformByDegree) {
+                    Ok(outcome) => protocol::format_delta_outcome(&outcome),
+                    Err(e) => protocol::format_delta_error(&e),
                 }
-                if deferred == 0 {
-                    break;
-                }
-                round += 1;
             }
-            start = end;
-        }
-        for slot in &slots {
-            if let Slot::Done(response) = slot {
-                writeln!(out, "{response}")?;
-            }
-        }
-    } else {
-        // Interactive mode: serve stdin until EOF, flushing per line so
-        // a driving process sees each answer immediately. One query is
-        // in flight at a time, so the window cap is moot here; the
-        // per-query cap still applies inside the context. Lines are read
-        // as raw bytes — a non-UTF-8 line answers `err parse`, it does
-        // not end the session. `delta` lines apply churn at their
-        // position in the stream.
-        let stdin = std::io::stdin();
-        let mut reader = stdin.lock();
-        let mut buf = Vec::new();
-        loop {
-            buf.clear();
-            if reader.read_until(b'\n', &mut buf)? == 0 {
-                break;
-            }
-            let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
-            let line = line.strip_suffix(b"\r").unwrap_or(line);
-            match protocol::parse_line_bytes(line, default_budget) {
-                Ok(None) => {}
-                Ok(Some(protocol::Request::Query(query))) => {
-                    let response = run_query(&mut ctx, &query);
-                    writeln!(out, "{response}")?;
-                }
-                Ok(Some(protocol::Request::Campaign(campaign))) => {
-                    let response = run_campaign(&mut ctx, &campaign);
-                    writeln!(out, "{response}")?;
-                }
-                Ok(Some(protocol::Request::Delta(delta))) => {
-                    let response = run_delta(&mut ctx, &mut social, &delta);
-                    writeln!(out, "{response}")?;
-                }
-                Err(message) => writeln!(out, "err parse: {message}")?,
-            }
-            out.flush()?;
-        }
+            Err(message) => format!("err parse: {message}"),
+        };
+        writeln!(out, "{response}")?;
+        out.flush()?;
     }
     let stats = ctx.stats();
     eprintln!(
@@ -639,7 +488,7 @@ fn cmd_serve(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
         "robustness: {} degraded, {} shed, {} internal, {} resource-capped; \
          cache: {} oversized rejected, {} integrity evictions",
         session.degraded,
-        session.shed + saturated_sheds,
+        session.shed,
         session.internal,
         session.resource,
         stats.rejected,
@@ -811,8 +660,7 @@ USAGE:
   raf serve --graph <edge-list> [--requests FILE] [--walks N]
             [--seed N] [--threads N] [--cache-mb N] [--epsilon E]
             [--work-budget N] [--deadline-ms N]
-            [--max-query-walks N] [--max-inflight-walks N]
-            [--retries N] [--fault-plan SPEC]
+            [--max-query-walks N] [--fault-plan SPEC]
   raf bench-json [--out FILE] [--scenario NAME] [--list-scenarios]
             [--quick] [--check-regression]
             [--topology NAME] [--nodes N] [--walks N] [--seed N]
@@ -826,8 +674,9 @@ USAGE:
 A flag the command does not read is an error.
 
 serve keeps the graph resident and answers `s t alpha [budget]` request
-lines — one per line from --requests FILE (batch) or stdin
-(interactive) — as `ok`/`err` response lines on stdout. Queries on the
+lines — one per line from --requests FILE, or from stdin by default —
+as `ok`/`err` response lines on stdout, in request order, flushed per
+line; a file and stdin run the same loop. Queries on the
 same (s, t) pair share one sampled realization pool through an LRU
 cache (--cache-mb, default 256), so repeat queries that differ only in
 alpha or budget skip sampling entirely; the hit/miss summary prints to
@@ -841,21 +690,18 @@ reject, never killing the session). --work-budget caps the walk steps a
 query may spend (exhaustion returns a partial-pool answer tagged
 ` degraded=1`, still deterministic in the seed); --deadline-ms adds a
 wall-clock cap (answers then depend on timing). --max-query-walks sheds any query
-whose walk budget exceeds the cap; --max-inflight-walks caps the walks
-admitted per batch window — batch mode retries saturation sheds in up
-to --retries (default 2) extra rounds, deterministically, before
-answering `err ... overloaded`. --fault-plan injects deterministic
+whose walk budget exceeds the cap, answering `err ... overloaded` with
+a retry hint. --fault-plan injects deterministic
 faults (`panic@Q[:W]`, `alloc@Q:BYTES`, `slow@Q[:MS]`, `corrupt@Q`,
-comma-separated; Q indexes queries in execution order; a panic fires at
+comma-separated; Q indexes queries in request order; a panic fires at
 the first 256-walk block starting at or after walk W) to exercise the
 recovery paths; an empty plan leaves output bit-identical. Answers
 never depend on --threads: each walk is seeded by its index. A request
 line `delta <+u:v|-u:v>[,...]` mutates the resident graph in place:
 cached pools whose walks never touched a churned endpoint are kept,
 the rest are repaired by resampling exactly the invalidated walk mass
-(`ok delta ... repaired=R resampled=W`); queries after a delta see the
-post-churn graph, and batch mode applies each delta as a barrier at
-its position in the file.
+(`ok delta ... repaired=R resampled=W`); a delta applies at its
+position in the stream, so queries after it see the post-churn graph.
 
 bench-json times sampling plus the cover solve and appends one stamped
 history entry per scenario to FILE (default BENCH_sampling.json).

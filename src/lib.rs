@@ -90,7 +90,7 @@ pub mod prelude {
     pub use raf_model::sampler::{threads_from_env, SampleRequest};
     pub use raf_model::{FriendingInstance, InvitationSet, ModelError};
     pub use raf_serve::{
-        one_shot, AdmissionLedger, AdmissionPolicy, CampaignAnswer, CampaignQuery, DeadlinePolicy,
-        FaultPlan, Query, QueryAnswer, ServeConfig, ServeError, SessionContext, ShedReason,
+        one_shot, AdmissionPolicy, CampaignAnswer, CampaignQuery, DeadlinePolicy, FaultPlan, Query,
+        QueryAnswer, ServeConfig, ServeError, SessionContext, ShedReason,
     };
 }
