@@ -1,13 +1,13 @@
 //! Criterion benches regenerating each paper artifact at reduced scale —
-//! one bench per table and figure, so `cargo bench` exercises the entire
-//! evaluation pipeline end to end.
+//! one bench per table and per figure from Fig. 4 on. Fig. 3 is a
+//! `raf experiment` sweep, which the `sweep` unit tests drive.
 //!
 //! The full-scale regenerators are the `raf-bench` binaries (`cargo run
-//! -p raf-bench --bin fig3` etc.); these benches use
+//! -p raf-bench --bin fig4` etc.); these benches use
 //! [`ExperimentConfig::bench_scale`] to stay fast.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use raf_bench::experiments::{fig3, fig45, fig6, table1, table2};
+use raf_bench::experiments::{fig45, fig6, table1, table2};
 use raf_bench::ExperimentConfig;
 use raf_datasets::Dataset;
 
@@ -18,14 +18,6 @@ fn cfg() -> ExperimentConfig {
 fn bench_table1(c: &mut Criterion) {
     let config = cfg();
     c.bench_function("table1_dataset_statistics", |b| b.iter(|| table1::run(&config)));
-}
-
-fn bench_fig3(c: &mut Criterion) {
-    let config = cfg();
-    let mut group = c.benchmark_group("fig3_probability_vs_alpha");
-    group.sample_size(10);
-    group.bench_function("wiki", |b| b.iter(|| fig3::run(&config, Dataset::Wiki)));
-    group.finish();
 }
 
 fn bench_fig4(c: &mut Criterion) {
@@ -64,13 +56,5 @@ fn bench_fig6(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_table1,
-    bench_fig3,
-    bench_fig4,
-    bench_fig5,
-    bench_table2,
-    bench_fig6,
-);
+criterion_group!(benches, bench_table1, bench_fig4, bench_fig5, bench_table2, bench_fig6);
 criterion_main!(benches);

@@ -115,8 +115,11 @@ impl CampaignSweepConfig {
                 return Err("budget 0 invites nobody".into());
             }
         }
-        if self.scale <= 0.0 || self.scale.is_nan() || self.campaigns == 0 || self.walks == 0 {
-            return Err("scale, campaigns, and walks must be positive".into());
+        if !(self.scale > 0.0 && self.scale <= 1.0) {
+            return Err("scale must lie in (0, 1]".into());
+        }
+        if self.campaigns == 0 || self.walks == 0 {
+            return Err("campaigns and walks must be positive".into());
         }
         Ok(())
     }
@@ -433,6 +436,10 @@ mod tests {
         let mut cfg = tiny_config();
         cfg.datasets.clear();
         assert!(cfg.validate().is_err());
+        for scale in [0.0, -1.0, f64::NAN, f64::INFINITY, 1.5] {
+            let cfg = CampaignSweepConfig { scale, ..tiny_config() };
+            assert_eq!(cfg.validate().unwrap_err(), "scale must lie in (0, 1]", "scale {scale}");
+        }
         assert!(tiny_config().validate().is_ok());
         assert!(CampaignSweepConfig::quick().validate().is_ok());
     }

@@ -3,7 +3,6 @@
 
 pub mod campaign;
 pub mod common;
-pub mod fig3;
 pub mod fig45;
 pub mod fig6;
 pub mod sweep;

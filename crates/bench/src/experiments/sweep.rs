@@ -94,9 +94,10 @@ impl SweepConfig {
     }
 
     /// Validates the grid before a run: RAF's parameter system (eq. 17
-    /// with ε = 0.01) needs `α ∈ (0.01, 1]`, and zero budgets or empty
-    /// grids would make the sweep vacuous. [`run`] asserts this; CLI
-    /// callers surface the message as a clean error instead.
+    /// with ε = 0.01) needs `α ∈ (0.01, 1]`, zero budgets or empty grids
+    /// would make the sweep vacuous, and a scale above 1 (Table I size)
+    /// asks for a stand-in larger than its dataset. [`run`] asserts
+    /// this; CLI callers surface the message as a clean error instead.
     ///
     /// # Errors
     ///
@@ -121,8 +122,11 @@ impl SweepConfig {
                 return Err("budget 0 samples no realizations".into());
             }
         }
-        if self.scale <= 0.0 || self.scale.is_nan() || self.pairs == 0 || self.eval_samples == 0 {
-            return Err("scale, pairs, and eval-samples must be positive".into());
+        if !(self.scale > 0.0 && self.scale <= 1.0) {
+            return Err("scale must lie in (0, 1]".into());
+        }
+        if self.pairs == 0 || self.eval_samples == 0 {
+            return Err("pairs and eval-samples must be positive".into());
         }
         Ok(())
     }
@@ -512,8 +516,33 @@ mod tests {
         let mut cfg = tiny_config();
         cfg.datasets.clear();
         assert!(cfg.validate().is_err());
+        for scale in [0.0, -1.0, f64::NAN, f64::INFINITY, 1.5] {
+            let cfg = SweepConfig { scale, ..tiny_config() };
+            assert_eq!(cfg.validate().unwrap_err(), "scale must lie in (0, 1]", "scale {scale}");
+        }
         assert!(tiny_config().validate().is_ok());
         assert!(SweepConfig::quick().validate().is_ok());
+    }
+
+    #[test]
+    fn raf_tracks_or_beats_baselines_on_average() {
+        // One Fig. 3 row: HepTh at α = 0.2. The paper's claims at matched
+        // size, up to Monte-Carlo noise: RAF ≥ HD, and p_max bounds RAF.
+        let cfg = SweepConfig {
+            datasets: vec![Dataset::HepTh],
+            alphas: vec![0.2],
+            budgets: vec![8_000],
+            pairs: 6,
+            scale: 0.01,
+            eval_samples: 4_000,
+            ..SweepConfig::default()
+        };
+        let rows = run(&cfg).rows;
+        assert_eq!(rows.len(), 1);
+        let r = &rows[0];
+        assert!(r.pairs > 0, "no usable pairs");
+        assert!(r.raf >= r.hd - 0.02, "RAF {} vs HD {}", r.raf, r.hd);
+        assert!(r.pmax >= r.raf - 0.02, "pmax {} vs RAF {}", r.pmax, r.raf);
     }
 
     #[test]

@@ -10,7 +10,8 @@ use raf_model::{FriendingInstance, InvitationSet};
 /// Paths are consumed shortest-first; within a path, nodes are added from
 /// the `t` end backwards (the nodes closest to the target are the scarce
 /// resource). `s` and existing friends are skipped — they need no
-/// invitation.
+/// invitation. The routes come from `successive_disjoint_paths_csr`, the
+/// workspace's one disjoint-path search.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShortestPath;
 
@@ -31,9 +32,9 @@ impl Baseline for ShortestPath {
         }
         inv.insert(instance.target());
         if inv.len() < size {
-            // A generous path budget: every disjoint path consumes ≥ 1
-            // distinct interior node (or is the direct edge), so `size + 1`
-            // paths always suffice to fill `size` slots.
+            // Search at most `size + 1` routes. A two-hop route adds
+            // nobody (its interior node is a friend of `s`), so on pairs
+            // with many mutual friends the cap can stop SP short of `size`.
             let paths = successive_disjoint_paths_csr(instance, size + 1);
             'outer: for path in paths {
                 for &v in path.iter().rev() {
@@ -54,8 +55,14 @@ impl Baseline for ShortestPath {
     }
 }
 
-/// Successive interior-disjoint BFS shortest paths computed directly on
-/// the CSR snapshot.
+/// Up to `max_paths` successive interior-disjoint BFS shortest paths from
+/// `s` to `t` on the CSR snapshot, shortest first, each with both
+/// endpoints: every search skips the interiors of the paths before it, and
+/// the list stops early when no route is left.
+///
+/// There is no direct-edge case: [`FriendingInstance`] rejects an `s`–`t`
+/// pair that are already friends, so every path has an interior node, and
+/// blocking the interiors forces each search onto a new route.
 fn successive_disjoint_paths_csr(
     instance: &FriendingInstance<'_>,
     max_paths: usize,
@@ -66,7 +73,6 @@ fn successive_disjoint_paths_csr(
     let n = g.node_count();
     let (s, t) = (instance.initiator(), instance.target());
     let mut blocked = vec![false; n];
-    let mut allow_direct = true;
     let mut paths = Vec::new();
     for _ in 0..max_paths {
         // BFS avoiding blocked interiors.
@@ -82,9 +88,6 @@ fn successive_disjoint_paths_csr(
                     continue;
                 }
                 if u == t {
-                    if v == s && !allow_direct {
-                        continue;
-                    }
                     parent[u.index()] = Some(v);
                     found = true;
                     break 'bfs;
@@ -107,9 +110,6 @@ fn successive_disjoint_paths_csr(
             cur = p;
         }
         path.reverse();
-        if path.len() <= 2 {
-            allow_direct = false;
-        }
         for &v in &path[1..path.len() - 1] {
             blocked[v.index()] = true;
         }
@@ -128,6 +128,44 @@ mod tests {
         let mut b = GraphBuilder::new();
         b.add_edges(vec![(0, 1), (1, 5), (0, 2), (2, 3), (3, 4), (4, 5)]).unwrap();
         b.build(WeightScheme::UniformByDegree).unwrap().to_csr()
+    }
+
+    fn routes(g: &raf_graph::CsrGraph, s: usize, t: usize, max_paths: usize) -> Vec<Vec<NodeId>> {
+        let instance = FriendingInstance::new(g, NodeId::new(s), NodeId::new(t)).unwrap();
+        successive_disjoint_paths_csr(&instance, max_paths)
+    }
+
+    #[test]
+    fn finds_paths_in_length_order() {
+        let paths = routes(&two_routes(), 0, 5, 10);
+        assert_eq!(paths.len(), 2);
+        assert_eq!(paths[0].len(), 3);
+        assert_eq!(paths[1].len(), 5);
+    }
+
+    #[test]
+    fn interiors_are_disjoint() {
+        let paths = routes(&two_routes(), 0, 5, 10);
+        let mut seen = std::collections::HashSet::new();
+        for p in &paths {
+            for v in &p[1..p.len() - 1] {
+                assert!(seen.insert(*v), "interior node {v} reused");
+            }
+        }
+    }
+
+    #[test]
+    fn respects_max_paths() {
+        assert_eq!(routes(&two_routes(), 0, 5, 1).len(), 1);
+    }
+
+    #[test]
+    fn exhausts_when_no_more_routes() {
+        let mut b = GraphBuilder::new();
+        b.add_edges(vec![(0, 1), (1, 2)]).unwrap();
+        let g = b.build(WeightScheme::UniformByDegree).unwrap().to_csr();
+        // One route; its interior node 1 is then blocked.
+        assert_eq!(routes(&g, 0, 2, 10).len(), 1);
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //! * [`evaluator`] — shared machinery for the paper's experiments
 //!   (estimate `f(I)`, grow a baseline until it matches RAF's
 //!   probability);
-//! * [`report`] — serializable result records.
+//! * [`report`] — [`report::RatioCurve`], the binned size-ratio curve of
+//!   Figs. 4–5.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,6 @@
 //! The **maximum** active friending problem — the dual of Problem 1.
 //!
-//! Prior work (Yang et al. [7], Yuan et al. [6]) studies the maximization
+//! Prior work (Yang et al. \[7\], Yuan et al. \[6\]) studies the maximization
 //! version: given an invitation budget `k`, choose `I` with `|I| ≤ k`
 //! maximizing `f(I)`. The paper notes `f` is *supermodular* under the LT
 //! model, so plain greedy has no classical `(1−1/e)` guarantee — but the

@@ -1,76 +1,6 @@
-//! Serializable result records shared by the experiment binaries.
+//! The binned ratio curve behind the paper's Figs. 4–5.
 
 use serde::{Deserialize, Serialize};
-
-/// Per-(s, t)-pair evaluation record — one row of raw data behind the
-/// paper's Figs. 3–5 and Table II.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PairReport {
-    /// Initiator node id.
-    pub s: u32,
-    /// Target node id.
-    pub t: u32,
-    /// Monte-Carlo `p_max` estimate for the pair.
-    pub pmax: f64,
-    /// `|I_RAF|`.
-    pub raf_size: usize,
-    /// Estimated `f(I_RAF)`.
-    pub raf_probability: f64,
-    /// Estimated `f(I_HD)` at `|I_HD| = |I_RAF|`.
-    pub hd_probability: f64,
-    /// Estimated `f(I_SP)` at `|I_SP| = |I_RAF|`.
-    pub sp_probability: f64,
-    /// `|V_max|` for the pair.
-    pub vmax_size: usize,
-}
-
-/// Aggregate over many pairs: the averages the paper reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
-pub struct AggregateReport {
-    /// Number of pairs aggregated.
-    pub pairs: usize,
-    /// Mean `p_max`.
-    pub mean_pmax: f64,
-    /// Mean `f(I_RAF)`.
-    pub mean_raf: f64,
-    /// Mean `f(I_HD)`.
-    pub mean_hd: f64,
-    /// Mean `f(I_SP)`.
-    pub mean_sp: f64,
-    /// Mean `|I_RAF|`.
-    pub mean_raf_size: f64,
-    /// Mean `|V_max|`.
-    pub mean_vmax_size: f64,
-}
-
-impl AggregateReport {
-    /// Aggregates a slice of pair reports (empty input → zeroed report).
-    pub fn from_pairs(pairs: &[PairReport]) -> Self {
-        let n = pairs.len();
-        if n == 0 {
-            return Self::default();
-        }
-        let nf = n as f64;
-        AggregateReport {
-            pairs: n,
-            mean_pmax: pairs.iter().map(|p| p.pmax).sum::<f64>() / nf,
-            mean_raf: pairs.iter().map(|p| p.raf_probability).sum::<f64>() / nf,
-            mean_hd: pairs.iter().map(|p| p.hd_probability).sum::<f64>() / nf,
-            mean_sp: pairs.iter().map(|p| p.sp_probability).sum::<f64>() / nf,
-            mean_raf_size: pairs.iter().map(|p| p.raf_size as f64).sum::<f64>() / nf,
-            mean_vmax_size: pairs.iter().map(|p| p.vmax_size as f64).sum::<f64>() / nf,
-        }
-    }
-
-    /// Mean `|V_max| / |I_RAF|` — Table II's bottom row.
-    pub fn vmax_ratio(&self) -> f64 {
-        if self.mean_raf_size == 0.0 {
-            0.0
-        } else {
-            self.mean_vmax_size / self.mean_raf_size
-        }
-    }
-}
 
 /// A binned ratio curve — the Figs. 4–5 presentation: x = probability
 /// ratio bin midpoint, y = average size ratio within the bin.
@@ -111,37 +41,6 @@ impl RatioCurve {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn pair(pm: f64, raf: f64, hd: f64, sp: f64, size: usize, vm: usize) -> PairReport {
-        PairReport {
-            s: 0,
-            t: 1,
-            pmax: pm,
-            raf_size: size,
-            raf_probability: raf,
-            hd_probability: hd,
-            sp_probability: sp,
-            vmax_size: vm,
-        }
-    }
-
-    #[test]
-    fn aggregate_means() {
-        let pairs = vec![pair(0.2, 0.18, 0.1, 0.15, 10, 30), pair(0.4, 0.38, 0.2, 0.35, 20, 60)];
-        let agg = AggregateReport::from_pairs(&pairs);
-        assert_eq!(agg.pairs, 2);
-        assert!((agg.mean_pmax - 0.3).abs() < 1e-12);
-        assert!((agg.mean_raf_size - 15.0).abs() < 1e-12);
-        assert!((agg.mean_vmax_size - 45.0).abs() < 1e-12);
-        assert!((agg.vmax_ratio() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn aggregate_empty() {
-        let agg = AggregateReport::from_pairs(&[]);
-        assert_eq!(agg.pairs, 0);
-        assert_eq!(agg.vmax_ratio(), 0.0);
-    }
 
     #[test]
     fn ratio_curve_binning() {

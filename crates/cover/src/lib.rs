@@ -19,7 +19,7 @@
 //! sets index ([`CoverInstance::sets_containing`]), built once with it,
 //! which the solvers and the allocator read instead of building their own.
 //!
-//! The paper invokes the Chlamtáč et al. `2√|U|`-approximation [10] as a
+//! The paper invokes the Chlamtáč et al. `2√|U|`-approximation \[10\] as a
 //! black box. That algorithm relies on LP-rounding machinery for the
 //! densest-k-subhypergraph problem; this crate substitutes a combinatorial
 //! **portfolio** (see DESIGN.md §4):

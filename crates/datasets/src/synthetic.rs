@@ -105,11 +105,19 @@ pub fn generate_topology(
 ///
 /// # Errors
 ///
-/// Propagates generator failures; `scale` must yield at least a few dozen
-/// nodes.
+/// Returns [`GraphError::InvalidParameter`] when `scale` is not positive
+/// or asks for more than `u32::MAX` nodes (node ids are `u32`, and the
+/// float → `usize` cast would saturate); propagates generator failures.
+/// Small scales are raised to 50 nodes.
 pub fn generate(dataset: Dataset, scale: f64, seed: u64) -> Result<SocialGraph, GraphError> {
     let spec = dataset.spec();
-    let n = ((spec.nodes as f64 * scale).round() as usize).max(50);
+    let nodes = (spec.nodes as f64 * scale).round();
+    if !(scale > 0.0 && nodes <= u32::MAX as f64) {
+        return Err(GraphError::InvalidParameter {
+            message: format!("scale {scale} must be positive and give at most 2^32 - 1 nodes"),
+        });
+    }
+    let n = (nodes as usize).max(50);
     let mean_attach = spec.edges as f64 / spec.nodes as f64;
     let mut rng = StdRng::seed_from_u64(seed ^ hash_name(spec.name));
     let builder = match dataset {
@@ -410,6 +418,14 @@ mod tests {
     #[test]
     fn topology_rejects_degenerate_sizes() {
         assert!(generate_topology(Topology::Ring, 2, 0).is_err());
+    }
+
+    #[test]
+    fn rejects_unusable_scales() {
+        for scale in [f64::INFINITY, f64::NAN, 0.0, -1.0, 1e300] {
+            let err = generate(Dataset::Youtube, scale, 1).unwrap_err();
+            assert!(matches!(err, GraphError::InvalidParameter { .. }), "scale {scale}: {err}");
+        }
     }
 
     #[test]

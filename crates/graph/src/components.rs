@@ -1,7 +1,7 @@
-//! Connected components and largest-component extraction.
+//! Connected components, labelled in one union-find pass: the
+//! connectivity check behind the generator and dataset stand-in tests.
 
-use crate::subgraph::{induced_subgraph, NodeMapping};
-use crate::{GraphError, NodeId, SocialGraph, UnionFind, WeightScheme};
+use crate::{NodeId, SocialGraph, UnionFind};
 
 /// Component labels for every node, produced by [`connected_components`].
 #[derive(Debug, Clone)]
@@ -29,26 +29,6 @@ impl ComponentLabels {
         }
         sizes
     }
-
-    /// Nodes of the largest component (ties broken by lowest label).
-    pub fn largest(&self) -> Vec<NodeId> {
-        let sizes = self.sizes();
-        let best = sizes
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-            .map(|(i, _)| i as u32);
-        match best {
-            None => Vec::new(),
-            Some(label) => self
-                .labels
-                .iter()
-                .enumerate()
-                .filter(|(_, &l)| l == label)
-                .map(|(i, _)| NodeId::new(i))
-                .collect(),
-        }
-    }
 }
 
 /// Labels the connected components of `g` with a union-find pass.
@@ -71,28 +51,10 @@ pub fn connected_components(g: &SocialGraph) -> ComponentLabels {
     ComponentLabels { labels, count: next as usize }
 }
 
-/// Extracts the largest connected component as a standalone graph with
-/// relabeled nodes, plus the mapping back to the original ids.
-///
-/// The experiments operate on the largest component (friending across
-/// components is impossible: `p_max = 0`).
-///
-/// # Errors
-///
-/// Propagates weight-assignment failures from rebuilding with `scheme`.
-pub fn largest_component(
-    g: &SocialGraph,
-    scheme: WeightScheme,
-) -> Result<(SocialGraph, NodeMapping), GraphError> {
-    let labels = connected_components(g);
-    let nodes = labels.largest();
-    induced_subgraph(g, &nodes, scheme)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GraphBuilder;
+    use crate::{GraphBuilder, WeightScheme};
 
     fn two_components() -> SocialGraph {
         let mut b = GraphBuilder::new();
@@ -119,26 +81,6 @@ mod tests {
     }
 
     #[test]
-    fn largest_returns_biggest() {
-        let g = two_components();
-        let labels = connected_components(&g);
-        let nodes: Vec<usize> = labels.largest().iter().map(|v| v.index()).collect();
-        assert_eq!(nodes, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn largest_component_extraction() {
-        let g = two_components();
-        let (lcc, mapping) = largest_component(&g, WeightScheme::UniformByDegree).unwrap();
-        assert_eq!(lcc.node_count(), 3);
-        assert_eq!(lcc.edge_count(), 2);
-        // Node 1 (the middle) should still have degree 2 after relabeling.
-        let middle_new = mapping.to_new(NodeId::new(1)).unwrap();
-        assert_eq!(lcc.degree(middle_new), 2);
-        assert_eq!(mapping.to_original(middle_new), NodeId::new(1));
-    }
-
-    #[test]
     fn isolated_nodes_are_their_own_components() {
         let mut b = GraphBuilder::new();
         b.add_edge(0, 1).unwrap();
@@ -154,7 +96,6 @@ mod tests {
         let g = b.build(WeightScheme::UniformByDegree).unwrap();
         let labels = connected_components(&g);
         assert_eq!(labels.count(), 0);
-        assert!(labels.largest().is_empty());
     }
 
     #[test]

@@ -15,7 +15,6 @@ mod barabasi_albert;
 mod erdos_renyi;
 mod fixtures;
 mod powerlaw_cluster;
-mod watts_strogatz;
 
 pub use barabasi_albert::barabasi_albert;
 pub use erdos_renyi::{erdos_renyi_gnm, erdos_renyi_gnp};
@@ -23,4 +22,3 @@ pub use fixtures::{
     complete_graph, cycle_graph, grid_graph, parallel_paths, path_graph, star_graph,
 };
 pub use powerlaw_cluster::powerlaw_cluster;
-pub use watts_strogatz::watts_strogatz;

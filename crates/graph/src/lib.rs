@@ -14,12 +14,10 @@
 //! * [`CsrGraph`] — an immutable compressed-sparse-row snapshot with
 //!   cumulative weight tables, the hot-path structure used by realization
 //!   sampling in `raf-model`;
-//! * [`generators`] — Erdős–Rényi, Barabási–Albert, Watts–Strogatz,
-//!   Holme–Kim, and deterministic fixture graphs;
-//! * [`traversal`] — BFS/DFS, Dijkstra, and successive disjoint shortest
-//!   paths (the machinery behind the paper's SP baseline);
+//! * [`generators`] — Erdős–Rényi, Barabási–Albert, Holme–Kim, and
+//!   deterministic fixture graphs;
 //! * [`io`] — SNAP-compatible edge-list reading and writing;
-//! * [`metrics`] — the statistics reported in the paper's Table I.
+//! * [`GraphMetrics`] — the statistics reported in the paper's Table I.
 //!
 //! # Example
 //!
@@ -57,17 +55,15 @@ mod graph;
 mod metrics;
 mod node;
 mod relabel;
-mod subgraph;
 mod unionfind;
 mod weights;
 
 pub mod generators;
 pub mod io;
-pub mod traversal;
 
 pub use biconnected::BlockCutTree;
 pub use builder::GraphBuilder;
-pub use components::{connected_components, largest_component, ComponentLabels};
+pub use components::{connected_components, ComponentLabels};
 pub use csr::CsrGraph;
 pub use delta::{DeltaApplied, DeltaOp, EdgeDelta};
 pub use error::GraphError;
@@ -75,7 +71,6 @@ pub use graph::SocialGraph;
 pub use metrics::{clustering_coefficient, DegreeHistogram, GraphMetrics};
 pub use node::NodeId;
 pub use relabel::Relabeling;
-pub use subgraph::{induced_subgraph, NodeMapping};
 pub use unionfind::UnionFind;
 pub use weights::WeightScheme;
 

@@ -1,7 +1,6 @@
 //! Disjoint-set forest with union by rank and path halving.
 
-/// Union–find over `0..n`, used by connected-component labeling and the
-/// Watts–Strogatz/Holme–Kim generators' connectivity checks.
+/// Union–find over `0..n`, the engine of [`connected_components`](crate::connected_components).
 ///
 /// ```
 /// use raf_graph::UnionFind;

@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use raf_graph::generators::{barabasi_albert, erdos_renyi_gnm};
-use raf_graph::traversal::{bfs_distances, dijkstra, shortest_path};
-use raf_graph::{connected_components, GraphBuilder, NodeId, SocialGraph, WeightScheme};
+use raf_graph::{connected_components, GraphBuilder, SocialGraph, WeightScheme};
 use rand::SeedableRng;
 
 prop_compose! {
@@ -66,38 +65,6 @@ proptest! {
         let g = build(max_node, &edges);
         let degree_sum: usize = g.nodes().map(|v| g.degree(v)).sum();
         prop_assert_eq!(degree_sum, 2 * g.edge_count());
-    }
-
-    /// A BFS shortest path is consistent with the BFS distance map and is
-    /// a genuine path in the graph.
-    #[test]
-    fn shortest_path_consistent((max_node, edges) in edge_lists()) {
-        let g = build(max_node, &edges);
-        let s = NodeId::new(0);
-        let t = NodeId::new(g.node_count() - 1);
-        let dist = bfs_distances(&g, &[s]);
-        match shortest_path(&g, s, t) {
-            None => prop_assert_eq!(dist[t.index()], u32::MAX),
-            Some(path) => {
-                prop_assert_eq!(path.len() as u32 - 1, dist[t.index()]);
-                prop_assert_eq!(path[0], s);
-                prop_assert_eq!(*path.last().unwrap(), t);
-                for w in path.windows(2) {
-                    prop_assert!(g.has_edge(w[0], w[1]));
-                }
-            }
-        }
-    }
-
-    /// Dijkstra under uniform weights reaches exactly the BFS-reachable set.
-    #[test]
-    fn dijkstra_reachability_matches_bfs((max_node, edges) in edge_lists()) {
-        let g = build(max_node, &edges);
-        let s = NodeId::new(0);
-        let t = NodeId::new(g.node_count() - 1);
-        let bfs = shortest_path(&g, s, t);
-        let dj = dijkstra(&g, s, t);
-        prop_assert_eq!(bfs.is_some(), dj.is_some());
     }
 
     /// Component labels partition the node set, and nodes joined by an

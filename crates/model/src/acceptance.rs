@@ -1,6 +1,6 @@
 //! Monte-Carlo estimation of the acceptance probability `f(I)`.
 //!
-//! `f(I)` is #P-hard to compute exactly (Yuan et al. [6]); the paper
+//! `f(I)` is #P-hard to compute exactly (Yuan et al. \[6\]); the paper
 //! estimates it by sampling. Corollary 1 gives two equivalent routes:
 //! simulate the forward friending process, or sample backward walks and
 //! count coverage (`t(g) ⊆ I`). The reverse route only touches the walked

@@ -721,15 +721,16 @@ pub enum PoolRepair {
 /// Under degree-derived weight schemes churn on `{u, v}` renormalizes
 /// the whole in-weight distribution at both endpoints, so exactly the
 /// stored walks that *drew a step* at a touched endpoint are stale —
-/// resolved through the [`EdgeWalkIndex`] in time proportional to the
-/// affected walks. Those paths are dropped and their multiplicity mass
-/// is re-sampled on the post-delta `instance` through `template` (the
-/// entry's [`SampleRequest`] with its walk count replaced by the stale
-/// mass — the seed should be a *repair* seed derived from the pool seed
-/// and the delta serial, keeping the repaired pool a pure function of
-/// `(instance, walk history, seed)`). Kept paths and re-sampled
-/// paths merge through the interner and re-canonicalize, so two pools
-/// that agree as multisets still agree byte-for-byte after repair.
+/// resolved through the [`EdgeWalkIndex`](crate::walk_index::EdgeWalkIndex)
+/// in time proportional to the affected walks. Those paths are dropped
+/// and their multiplicity mass is re-sampled on the post-delta
+/// `instance` through `template` (the entry's [`SampleRequest`] with its
+/// walk count replaced by the stale mass — the seed should be a *repair*
+/// seed derived from the pool seed and the delta serial, keeping the
+/// repaired pool a pure function of `(instance, walk history, seed)`).
+/// Kept paths and re-sampled paths merge through the interner and
+/// re-canonicalize, so two pools that agree as multisets still agree
+/// byte-for-byte after repair.
 ///
 /// Conservation: `total_samples` is unchanged; the stale type-1 mass
 /// redistributes into the mini-pool's type-1/dangling/cycle tallies.

@@ -8,12 +8,13 @@
 //! the walk count, **not** on `α` or on how the budget clamps. This crate
 //! supplies the amortization layer:
 //!
-//! * [`SessionContext`] holds a (possibly relabeled) [`CsrGraph`]
-//!   resident and answers [`Query`]s one at a time, in request order;
-//! * [`PoolCache`] keeps sampled [`PathPool`]s — plus the
-//!   [`CoverInstance`](raf_cover::CoverInstance) built from each, which
-//!   is equally `α`-independent — behind an LRU with a byte-size budget,
-//!   with hit/miss/eviction counters;
+//! * [`SessionContext`] holds a (possibly relabeled)
+//!   [`CsrGraph`](raf_graph::CsrGraph) resident and answers [`Query`]s one
+//!   at a time, in request order;
+//! * [`PoolCache`] keeps sampled [`PathPool`](raf_model::sampler::PathPool)s
+//!   — plus the [`CoverInstance`](raf_cover::CoverInstance) built from
+//!   each, which is equally `α`-independent — behind an LRU with a
+//!   byte-size budget, with hit/miss/eviction counters;
 //! * [`protocol`] is the line-oriented request/response format behind
 //!   `raf serve`, which reads a request file or stdin through one loop
 //!   (no network).

@@ -50,7 +50,7 @@
 //!
 //! | Crate | Contents |
 //! |-------|----------|
-//! | [`graph`] (`raf-graph`) | weighted social graphs, CSR snapshots, generators, traversal, SNAP IO |
+//! | [`graph`] (`raf-graph`) | weighted social graphs, CSR snapshots, generators, SNAP IO |
 //! | [`model`] (`raf-model`) | friending process, realizations, reverse sampling behind the `SampleRequest` builder (one seed per walk; the sampler picks its loop), estimators |
 //! | [`cover`] (`raf-cover`) | Minimum p-Union / Minimum Subset Cover solvers |
 //! | [`core`] (`raf-core`) | the RAF algorithm, `V_max`, baselines, evaluation helpers |
