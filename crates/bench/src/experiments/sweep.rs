@@ -3,15 +3,19 @@
 //! realization-budget grid, RAF against the HD/SP baselines at matched
 //! invitation-set size.
 //!
-//! This is the sweep shape of the paper's Figs. 5–7 (and of the
-//! precursor evaluation in Yang et al., *Maximizing Acceptance
-//! Probability for Active Friending in On-Line Social Networks*): load
-//! each network of Table I — a real SNAP file when one is present in
-//! `data/`, the calibrated synthetic stand-in otherwise — screen `(s, t)`
-//! pairs with `p_max ≥ 0.01`, and chart acceptance probability as the
-//! threshold and budget grow. Graphs load into the plain CSR layout, the
-//! one layout every `raf` command serves, so screened pairs, reported ids and
-//! `raf serve` queries all share the file's node ids.
+//! One sweep answers four of the paper's artifacts (Sec. IV): Table I is
+//! its `nodes`, `edges` and `source` columns, Fig. 3 is one budget column
+//! over the paper's α grid, Table II is the `vmax` and `vmax_ratio`
+//! columns of the α = 0.1 rows, and Fig. 6 is the budget axis of one
+//! pair. Per dataset it loads the network of Table I (a real SNAP file
+//! when one is present in `data/`, the calibrated synthetic stand-in
+//! otherwise), screens `(s, t)` pairs with `p_max ≥ 0.01`, and charts
+//! acceptance probability as the threshold and budget grow. Graphs load
+//! into the plain CSR layout, the one layout every `raf` command serves,
+//! so screened pairs, reported ids and `raf serve` queries all share the
+//! file's node ids. `PreparedDataset` does the loading, screening and
+//! RAF runs for this sweep and for the Figs. 4–5 ratio form
+//! ([`super::fig45`]).
 //!
 //! The output is a schema-versioned report (CSV via [`CsvTable`], JSON
 //! via [`JsonValue`]) so downstream tooling can detect format changes.
@@ -19,11 +23,15 @@
 use crate::csv::{f, CsvTable};
 use crate::history::JsonValue;
 use raf_core::baselines::{Baseline, HighDegree, ShortestPath};
-use raf_core::{CoreError, RafAlgorithm, RafConfig, RealizationBudget};
-use raf_datasets::{load_dataset, sample_pairs, Dataset, DatasetSource, PairSamplerConfig};
-use raf_graph::NodeId;
+use raf_core::{CoreError, RafAlgorithm, RafConfig, RafResult, RealizationBudget};
+use raf_datasets::{
+    load_dataset, sample_pairs, Dataset, DatasetSource, PairSamplerConfig, SampledPair,
+};
+use raf_graph::{CsrGraph, NodeId};
+use raf_model::sampler::PathPool;
 use raf_model::FriendingInstance;
 use raf_serve::{ServeConfig, SessionContext};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -35,23 +43,26 @@ const EVAL_CACHE_BYTES: usize = 64 << 20;
 
 /// Version stamped into every report (CSV `schema` column, JSON
 /// `schema_version` field). Bump on any column/field change.
-pub const SWEEP_SCHEMA_VERSION: u64 = 1;
+pub const SWEEP_SCHEMA_VERSION: u64 = 2;
 
 /// The `schema` cell value of the CSV flavour.
-pub const CSV_SCHEMA: &str = "raf-experiment-v1";
+pub const CSV_SCHEMA: &str = "raf-experiment-v2";
 
-/// Configuration of one sweep run.
+/// Configuration of one sweep run. The defaults keep a run
+/// laptop-tractable; the paper's settings are noted per field.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
     /// Datasets to run (Table I order).
     pub datasets: Vec<Dataset>,
     /// Acceptance-threshold grid (the paper's α axis).
     pub alphas: Vec<f64>,
-    /// Realization-budget grid (`RealizationBudget::Capped` values).
+    /// Realization-budget grid (`RealizationBudget::Capped` values; the
+    /// paper's Fig. 6 runs up to 550,000).
     pub budgets: Vec<u64>,
-    /// Screened pairs per dataset.
+    /// Screened pairs per dataset (the paper uses 500).
     pub pairs: usize,
-    /// Graph scale relative to Table I sizes (ignored for real files).
+    /// Graph scale relative to Table I sizes (ignored for real files;
+    /// the paper's is 1).
     pub scale: f64,
     /// Walks per shared evaluation pool.
     pub eval_samples: u64,
@@ -160,6 +171,10 @@ pub struct SweepRow {
     pub sp: f64,
     /// Mean `|I_RAF|`.
     pub raf_size: f64,
+    /// Mean `|V_max|` (Table II's "Avg. |V_max|").
+    pub vmax: f64,
+    /// Mean per-pair `|V_max| / |I_RAF|` (Table II's "Avg. ratio").
+    pub vmax_ratio: f64,
     /// Wall-clock of the cell's RAF runs (sampling + solve), ms.
     pub wall_ms: f64,
 }
@@ -182,8 +197,21 @@ impl SweepReport {
     /// perf trajectories belong to `BENCH_sampling.json`.
     pub fn to_csv(&self) -> CsvTable {
         let mut table = CsvTable::new([
-            "schema", "dataset", "source", "nodes", "edges", "alpha", "budget", "pairs", "pmax",
-            "raf", "hd", "sp", "raf_size",
+            "schema",
+            "dataset",
+            "source",
+            "nodes",
+            "edges",
+            "alpha",
+            "budget",
+            "pairs",
+            "pmax",
+            "raf",
+            "hd",
+            "sp",
+            "raf_size",
+            "vmax",
+            "vmax_ratio",
         ]);
         for r in &self.rows {
             table.push_row([
@@ -200,6 +228,8 @@ impl SweepReport {
                 f(r.hd),
                 f(r.sp),
                 f(r.raf_size),
+                f(r.vmax),
+                f(r.vmax_ratio),
             ]);
         }
         table
@@ -224,6 +254,8 @@ impl SweepReport {
                     ("hd".into(), JsonValue::Num(r.hd)),
                     ("sp".into(), JsonValue::Num(r.sp)),
                     ("raf_size".into(), JsonValue::Num(r.raf_size)),
+                    ("vmax".into(), JsonValue::Num(r.vmax)),
+                    ("vmax_ratio".into(), JsonValue::Num(r.vmax_ratio)),
                 ])
             })
             .collect();
@@ -232,6 +264,123 @@ impl SweepReport {
             ("experiment".into(), JsonValue::Str("table1_sweep".into())),
             ("rows".into(), JsonValue::Arr(rows)),
         ])
+    }
+}
+
+/// A dataset loaded and screened for the sweep and the ratio form.
+pub(crate) struct PreparedDataset {
+    /// Which dataset.
+    pub dataset: Dataset,
+    /// `"real"` or `"synthetic"`.
+    pub source: &'static str,
+    /// The graph snapshot, in the plain layout.
+    pub csr: CsrGraph,
+    /// Screened `(s, t)` pairs with `p_max ≥ 0.01`, in draw order.
+    pub pairs: Vec<SampledPair>,
+}
+
+/// One RAF run of the grid: a screened pair at one `(α, budget)` cell.
+pub(crate) struct GridRun<'a> {
+    /// The cell's index, `alpha_index * budgets + budget_index`.
+    pub cell: usize,
+    /// The screened pair.
+    pub pair: &'a SampledPair,
+    /// The pair's instance on the prepared graph.
+    pub instance: &'a FriendingInstance<'a>,
+    /// The pair's shared evaluation pool.
+    pub eval_pool: &'a PathPool,
+    /// RAF's answer at the cell's α and budget.
+    pub result: RafResult,
+    /// Wall-clock of the RAF run, ns.
+    pub wall_ns: u128,
+}
+
+impl PreparedDataset {
+    /// Loads `dataset` at the configured scale and screens
+    /// `config.pairs` pairs per the paper's protocol. The pair sampler
+    /// draws in sequence, so a smaller `pairs` gives a prefix of a
+    /// larger screen.
+    ///
+    /// # Panics
+    ///
+    /// When the dataset cannot be loaded: a real file that does not
+    /// parse, since stand-ins never fail on a validated config.
+    pub(crate) fn load(config: &SweepConfig, dataset: Dataset) -> Self {
+        let loaded = load_dataset(dataset, config.scale, config.seed, &config.data_dir)
+            .expect("dataset loading cannot fail with validated configs");
+        let csr = loaded.graph.to_csr();
+        let source = match loaded.source {
+            DatasetSource::Real => "real",
+            DatasetSource::Synthetic => "synthetic",
+        };
+        let pair_cfg = PairSamplerConfig {
+            pairs: config.pairs,
+            screen_samples: 2_000,
+            seed: config.seed.wrapping_mul(31).wrapping_add(7),
+            ..Default::default()
+        };
+        let pairs = sample_pairs(&csr, &pair_cfg);
+        PreparedDataset { dataset, source, csr, pairs }
+    }
+
+    /// Runs RAF on every screened pair at every `(α, budget)` cell and
+    /// hands each run to `visit`, pair by pair. Pairs RAF cannot reach
+    /// are skipped.
+    ///
+    /// Every run of a pair is scored on one shared evaluation pool
+    /// (common random numbers), so differences between strategies and
+    /// cells reflect the strategies, not the noise. The pools go through
+    /// the serving layer's pool cache: a pair's first cell samples its
+    /// pool (a miss), and every later cell reuses it (a hit), the same
+    /// amortization `raf serve` gives repeat queries.
+    pub(crate) fn for_each_run(&self, config: &SweepConfig, mut visit: impl FnMut(GridRun<'_>)) {
+        let serve_cfg = ServeConfig {
+            walks: config.eval_samples,
+            epsilon: 0.01,
+            seed: config.seed ^ 0xE7A,
+            threads: config.threads,
+            cache_bytes: EVAL_CACHE_BYTES,
+            ..Default::default()
+        };
+        let mut eval_ctx = SessionContext::new(&self.csr, serve_cfg);
+        let b_len = config.budgets.len();
+        for pair in &self.pairs {
+            let (s, t) = (NodeId::new(pair.s as usize), NodeId::new(pair.t as usize));
+            let Ok(instance) = FriendingInstance::new(&self.csr, s, t) else {
+                continue;
+            };
+            for (ai, &alpha) in config.alphas.iter().enumerate() {
+                for (bi, &budget) in config.budgets.iter().enumerate() {
+                    let Ok(eval_pool) = eval_ctx.pool(s, t, config.eval_samples) else {
+                        continue;
+                    };
+                    let raf_cfg = RafConfig {
+                        alpha,
+                        epsilon: 0.01,
+                        confidence: 100_000.0,
+                        budget: RealizationBudget::Capped(budget),
+                        seed: config.seed,
+                        threads: config.threads,
+                        ..Default::default()
+                    };
+                    let start = Instant::now();
+                    let result = match RafAlgorithm::new(raf_cfg).run(&instance) {
+                        Ok(r) => r,
+                        Err(CoreError::TargetUnreachable { .. }) => continue,
+                        Err(e) => panic!("RAF failed on {}: {e}", self.dataset),
+                    };
+                    let wall_ns = start.elapsed().as_nanos();
+                    visit(GridRun {
+                        cell: ai * b_len + bi,
+                        pair,
+                        instance: &instance,
+                        eval_pool: &eval_pool,
+                        result,
+                        wall_ns,
+                    });
+                }
+            }
+        }
     }
 }
 
@@ -244,6 +393,8 @@ struct CellAcc {
     hd: f64,
     sp: f64,
     size: f64,
+    vmax: f64,
+    vmax_ratio: f64,
     wall_ns: u128,
 }
 
@@ -266,98 +417,41 @@ pub fn run(config: &SweepConfig) -> SweepReport {
 
 /// Runs the sweep grid for one dataset.
 pub fn run_dataset(config: &SweepConfig, dataset: Dataset) -> Vec<SweepRow> {
-    let loaded = load_dataset(dataset, config.scale, config.seed, &config.data_dir)
-        .expect("dataset loading cannot fail with validated configs");
-    let csr = loaded.graph.to_csr();
-    let source = match loaded.source {
-        DatasetSource::Real => "real",
-        DatasetSource::Synthetic => "synthetic",
-    };
-    let pair_cfg = PairSamplerConfig {
-        pairs: config.pairs,
-        screen_samples: 2_000,
-        seed: config.seed.wrapping_mul(31).wrapping_add(7),
-        ..Default::default()
-    };
-    let pairs = sample_pairs(&csr, &pair_cfg);
-    // The evaluation pools go through the serving layer's pool cache:
-    // the first grid cell that needs a pair's pool samples it (a miss),
-    // and every later cell of the same pair reuses the resident pool (a
-    // hit) — the same amortization `raf serve` gives repeat queries.
-    let serve_cfg = ServeConfig {
-        walks: config.eval_samples,
-        epsilon: 0.01,
-        seed: config.seed ^ 0xE7A,
-        threads: config.threads,
-        cache_bytes: EVAL_CACHE_BYTES,
-        ..Default::default()
-    };
-    let mut eval_ctx = SessionContext::new(&csr, serve_cfg);
-    let (a_len, b_len) = (config.alphas.len(), config.budgets.len());
-    let mut acc = vec![CellAcc::default(); a_len * b_len];
-    for pair in &pairs {
-        let (s, t) = (NodeId::new(pair.s as usize), NodeId::new(pair.t as usize));
-        let Ok(instance) = FriendingInstance::new(&csr, s, t) else {
-            continue;
-        };
-        // HD/SP depend only on (pair, size) and |I_RAF| repeats across
-        // grid cells, so memoize their coverage per size instead of
-        // re-sorting the whole candidate list per cell.
-        let mut baseline_cache: std::collections::HashMap<usize, (f64, f64)> =
-            std::collections::HashMap::new();
-        for (ai, &alpha) in config.alphas.iter().enumerate() {
-            for (bi, &budget) in config.budgets.iter().enumerate() {
-                // One shared evaluation pool per pair (common random
-                // numbers): every strategy at every grid point is scored
-                // against the same walks, so differences reflect the
-                // strategies, not the noise. Cached, so only the first
-                // cell pays the sampling.
-                let Ok(eval_pool) = eval_ctx.pool(s, t, config.eval_samples) else {
-                    continue;
-                };
-                let raf_cfg = RafConfig {
-                    alpha,
-                    epsilon: 0.01,
-                    confidence: 100_000.0,
-                    budget: RealizationBudget::Capped(budget),
-                    seed: config.seed,
-                    threads: config.threads,
-                    ..Default::default()
-                };
-                let start = Instant::now();
-                let result = match RafAlgorithm::new(raf_cfg).run(&instance) {
-                    Ok(r) => r,
-                    Err(CoreError::TargetUnreachable { .. }) => continue,
-                    Err(e) => panic!("RAF failed on {dataset}: {e}"),
-                };
-                let wall_ns = start.elapsed().as_nanos();
-                let size = result.invitation_size();
-                let (hd, sp) = *baseline_cache.entry(size).or_insert_with(|| {
-                    let hd = HighDegree::new().build(&instance, size);
-                    let sp = ShortestPath::new().build(&instance, size);
-                    (eval_pool.coverage(&hd), eval_pool.coverage(&sp))
-                });
-                let cell = &mut acc[ai * b_len + bi];
-                cell.pairs += 1;
-                cell.pmax += pair.pmax_estimate;
-                cell.raf += eval_pool.coverage(&result.invitations);
-                cell.hd += hd;
-                cell.sp += sp;
-                cell.size += size as f64;
-                cell.wall_ns += wall_ns;
-            }
-        }
-    }
-    let mut rows = Vec::with_capacity(a_len * b_len);
-    for (ai, &alpha) in config.alphas.iter().enumerate() {
-        for (bi, &budget) in config.budgets.iter().enumerate() {
-            let cell = acc[ai * b_len + bi];
+    let prep = PreparedDataset::load(config, dataset);
+    let mut acc = vec![CellAcc::default(); config.alphas.len() * config.budgets.len()];
+    // HD/SP depend only on (pair, size) and |I_RAF| repeats across grid
+    // cells, so memoize their coverage per size instead of re-sorting
+    // the whole candidate list per cell.
+    let mut baselines: HashMap<(u32, u32, usize), (f64, f64)> = HashMap::new();
+    prep.for_each_run(config, |run| {
+        let size = run.result.invitation_size();
+        let (hd, sp) = *baselines.entry((run.pair.s, run.pair.t, size)).or_insert_with(|| {
+            let hd = HighDegree::new().build(run.instance, size);
+            let sp = ShortestPath::new().build(run.instance, size);
+            (run.eval_pool.coverage(&hd), run.eval_pool.coverage(&sp))
+        });
+        let vmax = run.result.vmax_size as f64;
+        let cell = &mut acc[run.cell];
+        cell.pairs += 1;
+        cell.pmax += run.pair.pmax_estimate;
+        cell.raf += run.eval_pool.coverage(&run.result.invitations);
+        cell.hd += hd;
+        cell.sp += sp;
+        cell.size += size as f64;
+        cell.vmax += vmax;
+        cell.vmax_ratio += vmax / size as f64;
+        cell.wall_ns += run.wall_ns;
+    });
+    let cells = config.alphas.iter().flat_map(|&a| config.budgets.iter().map(move |&b| (a, b)));
+    cells
+        .zip(acc)
+        .map(|((alpha, budget), cell)| {
             let n = cell.pairs.max(1) as f64;
-            rows.push(SweepRow {
+            SweepRow {
                 dataset,
-                source,
-                nodes: csr.node_count(),
-                edges: csr.edge_count(),
+                source: prep.source,
+                nodes: prep.csr.node_count(),
+                edges: prep.csr.edge_count(),
                 alpha,
                 budget,
                 pairs: cell.pairs,
@@ -366,24 +460,58 @@ pub fn run_dataset(config: &SweepConfig, dataset: Dataset) -> Vec<SweepRow> {
                 hd: cell.hd / n,
                 sp: cell.sp / n,
                 raf_size: cell.size / n,
+                vmax: cell.vmax / n,
+                vmax_ratio: cell.vmax_ratio / n,
                 wall_ms: cell.wall_ns as f64 / 1e6,
-            });
-        }
-    }
-    rows
+            }
+        })
+        .collect()
 }
 
-/// Prints the paper-style panel for one dataset's rows.
+/// Prints the paper-style panel for one dataset's rows; the header names
+/// the graph's size and Table I's `m/n`.
 pub fn print(dataset: Dataset, rows: &[SweepRow]) {
-    println!("EXPERIMENT ({dataset}): acceptance probability vs (alpha, budget)");
+    let rows: Vec<&SweepRow> = rows.iter().filter(|r| r.dataset == dataset).collect();
+    let Some(first) = rows.first() else {
+        return;
+    };
     println!(
-        "{:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>7} {:>10}",
-        "alpha", "budget", "pmax", "RAF", "HD", "SP", "|I_RAF|", "pairs", "wall_ms"
+        "EXPERIMENT ({dataset}, {}): {} nodes, {} edges, m/n {:.2}; acceptance probability vs \
+         (alpha, budget)",
+        first.source,
+        first.nodes,
+        first.edges,
+        first.edges as f64 / first.nodes as f64,
     );
-    for r in rows.iter().filter(|r| r.dataset == dataset) {
+    println!(
+        "{:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>7} {:>10}",
+        "alpha",
+        "budget",
+        "pmax",
+        "RAF",
+        "HD",
+        "SP",
+        "|I_RAF|",
+        "|V_max|",
+        "ratio",
+        "pairs",
+        "wall_ms"
+    );
+    for r in rows {
         println!(
-            "{:>8.2} {:>10} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.1} {:>7} {:>10.1}",
-            r.alpha, r.budget, r.pmax, r.raf, r.hd, r.sp, r.raf_size, r.pairs, r.wall_ms
+            "{:>8.2} {:>10} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.1} {:>10.2} {:>10.2} {:>7} \
+             {:>10.1}",
+            r.alpha,
+            r.budget,
+            r.pmax,
+            r.raf,
+            r.hd,
+            r.sp,
+            r.raf_size,
+            r.vmax,
+            r.vmax_ratio,
+            r.pairs,
+            r.wall_ms
         );
     }
 }
@@ -552,7 +680,11 @@ mod tests {
         let mut out = Vec::new();
         report.to_csv().write_to(&mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("schema,dataset,source,nodes,edges,alpha,budget"));
+        assert!(text.starts_with(
+            "schema,dataset,source,nodes,edges,alpha,budget,pairs,pmax,raf,hd,sp,raf_size,vmax,\
+             vmax_ratio\n"
+        ));
+        assert_eq!(CSV_SCHEMA, "raf-experiment-v2");
         assert!(text.contains(CSV_SCHEMA));
         assert!(text.contains("hepth"));
         let json = report.to_json().render();
@@ -567,6 +699,69 @@ mod tests {
         };
         assert_eq!(rows.len(), report.rows.len());
         assert!(rows[0].path_f64(&["alpha"]).is_some());
+        assert!(rows[0].path_f64(&["vmax_ratio"]).is_some());
+    }
+
+    #[test]
+    fn prepares_pairs() {
+        let cfg = SweepConfig { pairs: 3, scale: 0.01, ..SweepConfig::default() };
+        let prep = PreparedDataset::load(&cfg, Dataset::Wiki);
+        assert!(!prep.pairs.is_empty());
+        assert!(prep.csr.node_count() > 0);
+    }
+
+    #[test]
+    fn regenerates_all_rows_with_calibrated_density() {
+        // Table I: every stand-in's m/n tracks the paper's average degree.
+        let cfg = SweepConfig { pairs: 1, scale: 0.01, ..SweepConfig::default() };
+        for dataset in Dataset::all() {
+            let prep = PreparedDataset::load(&cfg, dataset);
+            let spec = dataset.spec();
+            let avg_degree = prep.csr.edge_count() as f64 / prep.csr.node_count() as f64;
+            let rel = (avg_degree - spec.avg_degree).abs() / spec.avg_degree;
+            assert!(rel < 0.15, "{dataset}: avg degree {avg_degree} vs paper {}", spec.avg_degree);
+        }
+    }
+
+    #[test]
+    fn vmax_dominates_raf_size() {
+        // Table II's qualitative content: V_max is meaningfully larger
+        // than the RAF solution at α = 0.1.
+        let cfg = SweepConfig {
+            datasets: vec![Dataset::Wiki],
+            alphas: vec![0.1],
+            budgets: vec![6_000],
+            pairs: 5,
+            scale: 0.01,
+            eval_samples: 2_000,
+            ..SweepConfig::default()
+        };
+        let rows = run(&cfg).rows;
+        let r = &rows[0];
+        assert!(r.pairs > 0);
+        assert!(r.vmax >= r.raf_size, "Vmax {} smaller than RAF {}", r.vmax, r.raf_size);
+        assert!(r.vmax_ratio >= 1.0);
+    }
+
+    #[test]
+    fn probability_saturates_with_more_realizations() {
+        // Fig. 6 on one pair: the budget axis at α = 0.3. The last point
+        // is at least as good as the first, within Monte-Carlo noise.
+        let cfg = SweepConfig {
+            datasets: vec![Dataset::Wiki],
+            alphas: vec![0.3],
+            budgets: vec![200, 400, 1_000, 2_000, 4_000, 8_000, 14_000, 20_000],
+            pairs: 1,
+            scale: 0.01,
+            eval_samples: 4_000,
+            ..SweepConfig::default()
+        };
+        let rows = run(&cfg).rows;
+        assert_eq!(rows.len(), cfg.budgets.len());
+        assert_eq!(rows.last().unwrap().pairs, 1, "RAF failed at the largest budget");
+        let first = rows.first().unwrap().raf;
+        let last = rows.last().unwrap().raf;
+        assert!(last >= first - 0.02, "no saturation: first {first} last {last}");
     }
 
     #[test]

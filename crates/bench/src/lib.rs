@@ -1,20 +1,18 @@
-//! The experiment harness: regenerates every table and figure of the
-//! paper's evaluation (Sec. IV).
+//! The experiment harness: one `raf experiment` form per question of the
+//! paper's evaluation (Sec. IV), plus the `raf bench-json` count gate.
 //!
-//! | Paper artifact | Module | Binary |
-//! |----------------|--------|--------|
-//! | Table I (dataset statistics) | [`experiments::table1`] | `table1` |
-//! | Fig. 3 (probability vs α, RAF/HD/SP/p_max) | [`experiments::sweep`] | `raf experiment` (α grid 0.05–0.35, one budget) |
-//! | Fig. 4 (size ratio vs probability ratio, HD) | [`experiments::fig45`] | `fig4` |
-//! | Fig. 5 (size ratio vs probability ratio, SP) | [`experiments::fig45`] | `fig5` |
-//! | Table II (V_max vs RAF) | [`experiments::table2`] | `table2` |
-//! | Fig. 6 (probability vs realizations) | [`experiments::fig6`] | `fig6` |
+//! | Paper artifact | Module | `raf experiment` flags |
+//! |----------------|--------|------------------------|
+//! | Table I (dataset statistics) | [`experiments::sweep`] | any sweep: the `nodes`, `edges` and `source` columns; `--scale 1` is Table I size |
+//! | Fig. 3 (probability vs α, RAF/HD/SP/p_max) | [`experiments::sweep`] | `--alphas 0.05,…,0.35` at one budget |
+//! | Table II (V_max vs RAF) | [`experiments::sweep`] | the `vmax` and `vmax_ratio` columns of the α = 0.1 rows |
+//! | Fig. 6 (probability vs realizations) | [`experiments::sweep`] | `--alphas 0.3 --pairs 1 --budgets …` (the budget axis) |
+//! | Figs. 4–5 (size ratio vs probability ratio, HD/SP) | [`experiments::fig45`] | `--ratio` |
 //!
-//! `raf experiment` takes flags; the other binaries honour the same
-//! environment knobs (see [`ExperimentConfig::from_env`]): `AF_SCALE`,
-//! `AF_PAIRS`, `AF_EVAL_SAMPLES`, `AF_BUDGET`, `AF_SEED`, `AF_THREADS`,
-//! `AF_DATASETS`. Paper-scale settings and the scaled defaults are
-//! documented in EXPERIMENTS.md.
+//! Every form validates its flags and writes a schema-versioned CSV
+//! (JSON with `--out-json`) that is byte-identical at any `--threads`.
+//! `--targets k` runs the multi-target campaign sweep
+//! ([`experiments::campaign`]) instead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,7 +21,3 @@ pub mod csv;
 pub mod experiments;
 pub mod history;
 pub mod sampling;
-
-mod config;
-
-pub use config::ExperimentConfig;

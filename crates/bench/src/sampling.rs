@@ -1,8 +1,8 @@
 //! The Alg. 3 pipeline, sample `B_l` then solve Minimum Subset Cover,
 //! timed over the scenario matrix.
 //!
-//! Shared by the `sampling` criterion bench and the `raf bench-json`
-//! subcommand. One run samples a screened pair's pool through
+//! The engine of the `raf bench-json` subcommand. One run samples a
+//! screened pair's pool through
 //! [`SampleRequest`] into the flat [`PathPool`] arena, then solves the
 //! cover over its type-1 paths with [`CoverInstance::from_path_pool`]
 //! and the portfolio solver.
@@ -332,10 +332,9 @@ impl SamplingBenchReport {
 }
 
 /// Builds the classic benchmark workload: a Holme–Kim powerlaw-cluster
-/// graph and a screened `(s, t)` pair (kept as-is so the criterion bench
-/// and the historical `powerlaw_cluster_10k_t1` entries stay comparable
-/// across PRs).
-pub fn workload(nodes: usize, seed: u64) -> (CsrGraph, NodeId, NodeId) {
+/// graph and a screened `(s, t)` pair (kept as-is so the historical
+/// `powerlaw_cluster_10k_t1` entries stay comparable across commits).
+fn workload(nodes: usize, seed: u64) -> (CsrGraph, NodeId, NodeId) {
     let mut rng = StdRng::seed_from_u64(seed);
     let csr = generators::powerlaw_cluster(nodes, 2, 0.3, &mut rng)
         .expect("valid powerlaw-cluster parameters")
@@ -406,20 +405,9 @@ fn screened_pair(csr: CsrGraph, seed: u64) -> (CsrGraph, NodeId, NodeId) {
     (csr, s, t)
 }
 
-/// Sampling: the production `PathPool` pipeline, through the unified
-/// [`SampleRequest`] API.
-pub fn arena_sample_pool(
-    instance: &FriendingInstance<'_>,
-    l: u64,
-    master_seed: u64,
-    threads: usize,
-) -> PathPool {
-    SampleRequest::new(l).seed(master_seed).threads(threads).run(instance)
-}
-
 /// Cover phase: the weighted instance over the pool's unique paths
 /// (local element ids) and its portfolio solve.
-pub fn arena_solve(universe: usize, pool: PathPool, beta: f64) -> CoverSolution {
+fn arena_solve(universe: usize, pool: PathPool, beta: f64) -> CoverSolution {
     let b1 = pool.type1_count();
     let cover = CoverInstance::from_path_pool(universe, pool).expect("pool ids in range");
     let p = raf_cover::cover_requirement(beta, b1);
@@ -442,7 +430,9 @@ pub fn run_sampling_bench(config: SamplingBenchConfig) -> SamplingBenchReport {
     let (csr, s, t) = prepare_workload(config.workload, config.nodes, config.seed);
     let n = csr.node_count();
     let instance = FriendingInstance::new(&csr, s, t).expect("screened pair is valid");
-    let sample = || arena_sample_pool(&instance, config.walks, config.seed, config.threads);
+    let sample = || {
+        SampleRequest::new(config.walks).seed(config.seed).threads(config.threads).run(&instance)
+    };
 
     let reference = sample();
     if reference.type1_count() == 0 {
@@ -488,7 +478,7 @@ mod tests {
     /// The arena pool against first principles: walk `i` of
     /// `sample_target_path` drawn from `walk_rng(seed, i)`, every type-1
     /// walk kept with its duplicates, sorted and run-length encoded, must
-    /// equal the pool `arena_sample_pool` builds at `threads` threads,
+    /// equal the pool [`SampleRequest`] builds at `threads` threads,
     /// path for path and multiplicity for multiplicity.
     fn assert_pipelines_agree(nodes: usize, walks: u64, seed: u64, threads: usize) {
         use raf_model::reverse::sample_target_path;
@@ -501,7 +491,7 @@ mod tests {
             .map(|tp| tp.nodes.iter().map(|v| v.index() as u32).collect())
             .collect();
         reference.sort();
-        let arena = arena_sample_pool(&instance, walks, seed, threads);
+        let arena = SampleRequest::new(walks).seed(seed).threads(threads).run(&instance);
         // Same seeds ⇒ the exact same walk multiset ⇒ identical pmax.
         assert_eq!(reference.len(), arena.type1_count(), "threads={threads}");
         let reference_pmax = reference.len() as f64 / walks as f64;

@@ -6,8 +6,8 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// Invites the target plus uniformly random candidates — not in the
-/// paper's evaluation, but a useful floor for sanity checks and ablation
-/// benches: any strategy worth running should beat it.
+/// paper's evaluation, but a useful floor for sanity checks: any
+/// strategy worth running should beat it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RandomInvite {
     seed: u64,

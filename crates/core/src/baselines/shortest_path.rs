@@ -10,8 +10,9 @@ use raf_model::{FriendingInstance, InvitationSet};
 /// Paths are consumed shortest-first; within a path, nodes are added from
 /// the `t` end backwards (the nodes closest to the target are the scarce
 /// resource). `s` and existing friends are skipped — they need no
-/// invitation. The routes come from `successive_disjoint_paths_csr`, the
-/// workspace's one disjoint-path search.
+/// invitation. The routes come from `disjoint_routes`, the workspace's
+/// one disjoint-path search, which runs until the set reaches `size` or
+/// no route is left.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShortestPath;
 
@@ -32,11 +33,11 @@ impl Baseline for ShortestPath {
         }
         inv.insert(instance.target());
         if inv.len() < size {
-            // Search at most `size + 1` routes. A two-hop route adds
-            // nobody (its interior node is a friend of `s`), so on pairs
-            // with many mutual friends the cap can stop SP short of `size`.
-            let paths = successive_disjoint_paths_csr(instance, size + 1);
-            'outer: for path in paths {
+            // Routes are searched lazily, one per pass of the outer loop,
+            // so the search stops once the set reaches `size`. A two-hop
+            // route adds nobody (its interior node is a friend of `s`),
+            // so no route count fixed in advance would do.
+            'outer: for path in disjoint_routes(instance) {
                 for &v in path.iter().rev() {
                     if is_candidate(instance, v) {
                         inv.insert(v);
@@ -55,67 +56,67 @@ impl Baseline for ShortestPath {
     }
 }
 
-/// Up to `max_paths` successive interior-disjoint BFS shortest paths from
-/// `s` to `t` on the CSR snapshot, shortest first, each with both
-/// endpoints: every search skips the interiors of the paths before it, and
-/// the list stops early when no route is left.
+/// Successive interior-disjoint BFS shortest paths from `s` to `t` on
+/// the CSR snapshot, shortest first, each with both endpoints: every
+/// search skips the interiors of the paths before it, and the iterator
+/// ends when no route is left. The BFS arrays are allocated once, when
+/// the iterator is made, and every search reuses them.
 ///
 /// There is no direct-edge case: [`FriendingInstance`] rejects an `s`–`t`
 /// pair that are already friends, so every path has an interior node, and
 /// blocking the interiors forces each search onto a new route.
-fn successive_disjoint_paths_csr(
-    instance: &FriendingInstance<'_>,
-    max_paths: usize,
-) -> Vec<Vec<raf_graph::NodeId>> {
-    use raf_graph::NodeId;
-    use std::collections::VecDeque;
+fn disjoint_routes<'a>(
+    instance: &'a FriendingInstance<'_>,
+) -> impl Iterator<Item = Vec<raf_graph::NodeId>> + 'a {
     let g = instance.graph();
     let n = g.node_count();
     let (s, t) = (instance.initiator(), instance.target());
     let mut blocked = vec![false; n];
-    let mut paths = Vec::new();
-    for _ in 0..max_paths {
-        // BFS avoiding blocked interiors.
-        let mut parent: Vec<Option<NodeId>> = vec![None; n];
-        let mut visited = vec![false; n];
-        let mut queue = VecDeque::new();
-        visited[s.index()] = true;
+    // `seen[v] == search` marks `v` as visited by the current search, so
+    // no search clears the array.
+    let mut seen = vec![0u32; n];
+    let mut parent = vec![s; n];
+    let mut queue = std::collections::VecDeque::new();
+    let mut search = 0u32;
+    std::iter::from_fn(move || {
+        search += 1;
+        queue.clear();
+        seen[s.index()] = search;
         queue.push_back(s);
         let mut found = false;
         'bfs: while let Some(v) = queue.pop_front() {
             for &u in g.neighbors(v) {
-                if visited[u.index()] {
+                if seen[u.index()] == search {
                     continue;
                 }
                 if u == t {
-                    parent[u.index()] = Some(v);
+                    parent[u.index()] = v;
                     found = true;
                     break 'bfs;
                 }
                 if blocked[u.index()] {
                     continue;
                 }
-                visited[u.index()] = true;
-                parent[u.index()] = Some(v);
+                seen[u.index()] = search;
+                parent[u.index()] = v;
                 queue.push_back(u);
             }
         }
         if !found {
-            break;
+            return None;
         }
         let mut path = vec![t];
         let mut cur = t;
-        while let Some(p) = parent[cur.index()] {
-            path.push(p);
-            cur = p;
+        while cur != s {
+            cur = parent[cur.index()];
+            path.push(cur);
         }
         path.reverse();
         for &v in &path[1..path.len() - 1] {
             blocked[v.index()] = true;
         }
-        paths.push(path);
-    }
-    paths
+        Some(path)
+    })
 }
 
 #[cfg(test)]
@@ -132,7 +133,7 @@ mod tests {
 
     fn routes(g: &raf_graph::CsrGraph, s: usize, t: usize, max_paths: usize) -> Vec<Vec<NodeId>> {
         let instance = FriendingInstance::new(g, NodeId::new(s), NodeId::new(t)).unwrap();
-        successive_disjoint_paths_csr(&instance, max_paths)
+        disjoint_routes(&instance).take(max_paths).collect()
     }
 
     #[test]
@@ -210,6 +211,30 @@ mod tests {
         assert!(inv.contains(NodeId::new(4)));
         assert!(inv.contains(NodeId::new(3)));
         assert!(!inv.contains(NodeId::new(2)));
+    }
+
+    #[test]
+    fn fills_past_two_hop_routes() {
+        // Three two-hop routes through friends of s (2, 3, 4) add nobody;
+        // the fourth route 0-5-6-7-1 holds the second invitee.
+        let mut b = GraphBuilder::new();
+        b.add_edges(vec![
+            (0, 2),
+            (2, 1),
+            (0, 3),
+            (3, 1),
+            (0, 4),
+            (4, 1),
+            (0, 5),
+            (5, 6),
+            (6, 7),
+            (7, 1),
+        ])
+        .unwrap();
+        let g = b.build(WeightScheme::UniformByDegree).unwrap().to_csr();
+        let instance = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(1)).unwrap();
+        let inv = ShortestPath::new().build(&instance, 2);
+        assert_eq!(inv.to_vec(), vec![NodeId::new(1), NodeId::new(7)]);
     }
 
     #[test]

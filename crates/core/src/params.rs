@@ -19,7 +19,7 @@
 //! in the cancellation-free form `2x / (1 + √(1 + 4nx))`, and `ε0 = n·ε1`;
 //! past that, `ε0 = 0.5` and `ε1 = x / 1.5`.
 //!
-//! Paper errata handled here (see DESIGN.md §5): the printed eq. (17)
+//! Paper errata handled here (README, *Paper errata*): the printed eq. (17)
 //! swaps `α` and `ε1` relative to eq. (13) — we solve the consistent
 //! system — and for large `n` the coupling `ε0 = n·ε1` can push `ε0`
 //! beyond 1, where eq. (10) becomes vacuous and eq. (16) ill-defined,

@@ -51,9 +51,6 @@ pub struct RafConfig {
     pub threads: usize,
     /// Sample cap for the `p_max` estimation phase (Alg. 2).
     pub pmax_sample_cap: u64,
-    /// Replace `n` by `|V_max|` in eq. (16) and restrict the cover
-    /// universe, per the Sec. III-C refinement.
-    pub use_vmax_reduction: bool,
 }
 
 impl Default for RafConfig {
@@ -66,7 +63,6 @@ impl Default for RafConfig {
             seed: 0,
             threads: 1,
             pmax_sample_cap: 2_000_000,
-            use_vmax_reduction: true,
         }
     }
 }
@@ -119,8 +115,9 @@ pub struct RafResult {
     pub cover_p: usize,
     /// Sets actually covered by `I*` (≥ `cover_p`).
     pub covered: usize,
-    /// `|V_max|` when the reduction was enabled.
-    pub vmax_size: Option<usize>,
+    /// `|V_max|`, which replaces `n` in eq. (16) (the Sec. III-C
+    /// refinement).
+    pub vmax_size: usize,
 }
 
 impl RafResult {
@@ -224,19 +221,14 @@ impl RafAlgorithm {
         }
         let n = instance.node_count();
 
-        // Sec. III-C refinement: use |V_max| in place of n when enabled.
-        let (ground_size, vmax_size) = if cfg.use_vmax_reduction {
-            let vm = vmax_exact(instance);
-            if vm.is_empty() {
-                return Err(CoreError::TargetUnreachable { samples: 0 });
-            }
-            (vm.len(), Some(vm.len()))
-        } else {
-            (n, None)
-        };
+        // Sec. III-C refinement: use |V_max| in place of n.
+        let vmax_size = vmax_exact(instance).len();
+        if vmax_size == 0 {
+            return Err(CoreError::TargetUnreachable { samples: 0 });
+        }
 
         // Step 1: parameters (eq. 17, with errata handling).
-        let parameters = ParameterSet::solve(cfg.alpha, cfg.epsilon, ground_size)?;
+        let parameters = ParameterSet::solve(cfg.alpha, cfg.epsilon, vmax_size)?;
 
         // Step 2: p*_max by the DKLR stopping rule (Alg. 2), on a stream
         // of the pair seed that no pool walk index reaches.
@@ -267,7 +259,7 @@ impl RafAlgorithm {
 
         // Step 3: realization budget from eq. (16).
         let theory_l =
-            l_star(ground_size, cfg.confidence, parameters.eps0, parameters.eps1, pmax_est.pmax);
+            l_star(vmax_size, cfg.confidence, parameters.eps0, parameters.eps1, pmax_est.pmax);
         let l = match cfg.budget {
             RealizationBudget::Theory => theory_l.min(u64::MAX as f64) as u64,
             RealizationBudget::Capped(cap) => theory_l.min(cap as f64) as u64,
@@ -337,7 +329,6 @@ mod tests {
             seed: 7,
             threads: 1,
             pmax_sample_cap: 500_000,
-            use_vmax_reduction: true,
         };
         (g, cfg)
     }
@@ -403,7 +394,7 @@ mod tests {
         let result = RafAlgorithm::new(cfg).run(&instance).unwrap();
         let vm = crate::vmax::vmax_exact(&instance);
         assert!(vm.is_superset_of(&result.invitations));
-        assert_eq!(result.vmax_size, Some(vm.len()));
+        assert_eq!(result.vmax_size, vm.len());
     }
 
     #[test]

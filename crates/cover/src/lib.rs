@@ -22,7 +22,7 @@
 //! The paper invokes the Chlamtáč et al. `2√|U|`-approximation \[10\] as a
 //! black box. That algorithm relies on LP-rounding machinery for the
 //! densest-k-subhypergraph problem; this crate substitutes a combinatorial
-//! **portfolio** (see DESIGN.md §4):
+//! **portfolio**:
 //!
 //! * [`GreedyMarginal`] — repeatedly add the set with the smallest
 //!   marginal union increase (what the authors' released implementation

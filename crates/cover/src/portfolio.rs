@@ -5,8 +5,9 @@ use crate::{
 };
 
 /// The portfolio solver used as the paper's "Chlamtáč algorithm" stand-in
-/// (DESIGN.md §4): runs [`GreedyMarginal`], [`SmallestSets`], and
-/// [`AnchorSolver`] and returns the cheapest feasible solution.
+/// (the [crate docs](crate) say why): runs [`GreedyMarginal`],
+/// [`SmallestSets`], and [`AnchorSolver`] and returns the cheapest
+/// feasible solution.
 ///
 /// The paper's analysis consumes only the interface guarantee "a feasible
 /// solution within `2√|U|` of the optimum" — property tests in this crate

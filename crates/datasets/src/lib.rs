@@ -4,8 +4,8 @@
 //! 103K edges), HepTh (28K / 353K), HepPh (35K / 421K), and Youtube
 //! (1.1M / 6.0M). This environment has no network access, so the crate
 //! provides **synthetic stand-ins** calibrated to Table I's node/edge
-//! counts (DESIGN.md §4 documents why the substitution preserves the
-//! evaluation's shape), plus a loader that transparently prefers real
+//! counts ([`synthetic`] says which generator family stands in for each
+//! dataset and why), plus a loader that transparently prefers real
 //! SNAP edge lists dropped into `data/`.
 //!
 //! * [`Dataset`] — the four-dataset registry with Table I statistics;

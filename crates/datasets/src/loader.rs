@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 pub enum DatasetSource {
     /// A real SNAP edge list found on disk.
     Real,
-    /// The calibrated synthetic stand-in (DESIGN.md §4).
+    /// The calibrated synthetic stand-in ([`crate::synthetic`]).
     Synthetic,
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Each dataset maps to a generator family whose topology matches what the
 //! friending model actually consumes — a heavy-tailed degree sequence with
-//! the right density (see DESIGN.md §4):
+//! the right density (README, *Datasets & experiments*):
 //!
 //! * **Wiki** → Holme–Kim powerlaw-cluster (dense, clustered votes graph);
 //! * **HepTh / HepPh** → preferential attachment (citation networks);

@@ -4,8 +4,8 @@
 //!
 //! 1. **Dataset stand-ins** — the paper evaluates on four SNAP datasets
 //!    that cannot be downloaded in this environment; `raf-datasets`
-//!    calibrates the generators here to Table I's node/edge counts (see
-//!    DESIGN.md §4).
+//!    calibrates the generators here to Table I's node/edge counts (its
+//!    `synthetic` module maps each dataset to a generator family).
 //! 2. **Test fixtures** — deterministic gadgets (paths, stars, the
 //!    parallel-paths graph behind the paper's Fig. 1/2 and the Fig. 4
 //!    "breakpoint" discussion) with analytically known friending

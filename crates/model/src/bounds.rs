@@ -49,7 +49,7 @@ pub fn l_star(n: usize, n_confidence: f64, eps0: f64, eps1: f64, pmax_est: f64) 
 /// l_0 = (2ε + 4(e−2)(1+ε)·ln(2N)) / (ε²·p_max)
 /// ```
 ///
-/// (with the `ln(N/2)` → `ln(2N)` erratum fix; see DESIGN.md §5). This is
+/// (with the `ln(N/2)` → `ln(2N)` erratum fix; see README, *Paper errata*). This is
 /// the *expected* number of walks Alg. 2 uses, useful for budgeting.
 pub fn dklr_expected_samples(epsilon: f64, n_confidence: f64, pmax: f64) -> f64 {
     let e = std::f64::consts::E;

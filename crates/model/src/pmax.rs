@@ -11,8 +11,8 @@
 //!
 //! Paper erratum: Alg. 2 line 2 writes `ln(2/N)`, which is negative for
 //! `N > 2`; the DKLR rule uses `ln(2/δ)` for failure probability
-//! `δ = 1/N`, i.e. `ln(2N)`, which is what this module implements (see
-//! DESIGN.md §5).
+//! `δ = 1/N`, i.e. `ln(2N)`, which is what this module implements
+//! (README, *Paper errata*).
 
 use crate::reverse::sample_target_path;
 use crate::{FriendingInstance, ModelError};

@@ -194,7 +194,7 @@ mod tests {
         assert!(!out.target_friended);
         // 2 and 3 select each other: the Fig. 2 case-b cycle. Node 0 = s
         // joins H because the paper's formalism treats s uniformly: it is
-        // invited (I = V) and selected the seed 1 (see DESIGN.md §5).
+        // invited (I = V) and selected the seed 1 (README, *Paper errata*).
         assert_eq!(out.final_set, vec![NodeId::new(0), NodeId::new(1)]);
     }
 

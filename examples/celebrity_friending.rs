@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "RAF invites {} users (V_max would need {})",
         result.invitation_size(),
-        result.vmax_size.unwrap_or(0),
+        result.vmax_size,
     );
 
     // Compare against HD at the same budget: hubs alone do not make a path.

@@ -4,14 +4,17 @@
 //!
 //! ```sh
 //! cargo run --release --example dataset_report          # 2% scale
-//! AF_SCALE=0.1 cargo run --release --example dataset_report
+//! cargo run --release --example dataset_report -- 0.1   # 10% scale
 //! ```
 
 use active_friending::prelude::*;
 use raf_datasets::synthetic::calibration_error;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale: f64 = std::env::var("AF_SCALE").ok().and_then(|v| v.parse().ok()).unwrap_or(0.02);
+    let scale: f64 = match std::env::args().nth(1) {
+        Some(raw) => raw.parse().map_err(|_| format!("invalid scale {raw:?} (a number)"))?,
+        None => 0.02,
+    };
     println!("scale = {scale} (of Table I sizes)\n");
     println!(
         "{:>8} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8}",

@@ -16,8 +16,9 @@
 //!           [--list-scenarios] [--quick] [--check-regression]
 //!           [--topology powerlaw_cluster] [--nodes N] [--walks N]
 //!           [--seed 7] [--threads N] [--reps N]
-//! raf experiment [--dataset all] [--quick] [--targets K]
-//!           [--budgets 4,8,16] [--pairs N] [--out-csv FILE]
+//! raf experiment [--dataset all] [--quick] [--ratio | --targets K]
+//!           [--alphas 0.1,0.3] [--budgets 4000,8000] [--pairs N]
+//!           [--out-csv FILE] [--out-json FILE]
 //! ```
 //!
 //! The graph file is a SNAP-style edge list (whitespace-separated ids,
@@ -89,7 +90,7 @@ const COMMANDS: &[CommandSpec] = &[
             "out-json",
             "targets",
         ],
-        switches: &["quick"],
+        switches: &["quick", "ratio"],
     },
 ];
 
@@ -497,112 +498,146 @@ fn cmd_serve(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Runs the Table-I dataset sweep (`raf experiment`): every selected
-/// dataset × an α grid × a realization-budget grid, RAF vs the HD/SP
-/// baselines at matched invitation-set size, reported as a
-/// schema-versioned CSV (always) and JSON (with `--out-json`). Datasets
-/// load into the plain CSR layout, so screened pairs carry the file's
-/// node ids. Real SNAP files in `--data-dir` override the synthetic
-/// stand-ins. Deterministic for fixed flags and `--seed`; `--threads`
-/// never changes the output.
+/// Runs one of the three `raf experiment` forms, each a
+/// schema-versioned CSV (always) and JSON (with `--out-json`):
+///
+/// - the Table-I sweep (default): every selected dataset × an α grid × a
+///   realization-budget grid, RAF vs the HD/SP baselines at matched
+///   invitation-set size, with `V_max` beside RAF (Tables I–II and
+///   Figs. 3 and 6);
+/// - `--ratio`: HD and SP grown until they match RAF on the sweep's
+///   pairs and pools, binned into the five-bin curve (Figs. 4–5);
+/// - `--targets k`: the multi-target campaign sweep, screened campaigns
+///   (one source, `k` targets) × an invitation-budget grid, the joint
+///   greedy allocation against the equal/proportional splits. There
+///   `--budgets` is the *invitation*-budget grid (small integers, not
+///   realization counts), `--pairs` the campaign count and
+///   `--eval-samples` the per-target pool walk count; `--alphas` has no
+///   effect on allocation (the campaign objective is α-independent) and
+///   is rejected rather than silently ignored.
+///
+/// Datasets load into the plain CSR layout, so screened pairs carry the
+/// file's node ids. Real SNAP files in `--data-dir` override the
+/// synthetic stand-ins. Deterministic for fixed flags and `--seed`;
+/// `--threads` never changes the output.
 fn cmd_experiment(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
+    use raf_bench::experiments::campaign::{self, CampaignSweepConfig};
+    use raf_bench::experiments::fig45;
     use raf_bench::experiments::sweep::{self, SweepConfig};
 
-    if args.get("targets").is_some() {
-        return cmd_experiment_campaign(args);
+    let targets: Option<usize> = args.get_typed("targets")?;
+    let ratio = args.is_set("ratio");
+    if ratio && targets.is_some() {
+        return Err("--ratio and --targets select different experiment forms (drop one)".into());
     }
-    let mut config =
-        if args.is_set("quick") { SweepConfig::quick() } else { SweepConfig::default() };
-    if let Some(datasets) = parse_datasets(args)? {
-        config.datasets = datasets;
-    }
-    if let Some(raw) = args.get("alphas") {
-        config.alphas = parse_grid::<f64>("alphas", raw)?;
-    }
-    if let Some(raw) = args.get("budgets") {
-        config.budgets = parse_grid::<u64>("budgets", raw)?;
-    }
-    config.pairs = args.get_or("pairs", config.pairs)?;
-    config.scale = args.get_or("scale", config.scale)?;
-    config.eval_samples = args.get_or("eval-samples", config.eval_samples)?;
-    config.seed = args.get_or("seed", config.seed)?;
-    config.threads = args.get_or("threads", threads_from_env())?;
-    if let Some(dir) = args.get("data-dir") {
-        config.data_dir = std::path::PathBuf::from(dir);
-    }
-    config.validate()?;
+    // The flags every form reads; `None` keeps the form's default.
+    let quick = args.is_set("quick");
+    let datasets = parse_datasets(args)?;
+    let pairs: Option<usize> = args.get_typed("pairs")?;
+    let scale: Option<f64> = args.get_typed("scale")?;
+    let eval_samples: Option<u64> = args.get_typed("eval-samples")?;
+    let seed: Option<u64> = args.get_typed("seed")?;
+    let threads = args.get_or("threads", threads_from_env())?;
+    let data_dir = args.get("data-dir").map(std::path::PathBuf::from);
 
+    if let Some(targets) = targets {
+        if args.get("alphas").is_some() {
+            return Err(
+                "--alphas has no effect on campaign allocation (drop it, or drop --targets)".into(),
+            );
+        }
+        let defaults =
+            if quick { CampaignSweepConfig::quick() } else { CampaignSweepConfig::default() };
+        let config = CampaignSweepConfig {
+            datasets: datasets.unwrap_or(defaults.datasets),
+            targets,
+            budgets: parse_grid(args, "budgets")?.unwrap_or(defaults.budgets),
+            campaigns: pairs.unwrap_or(defaults.campaigns),
+            scale: scale.unwrap_or(defaults.scale),
+            walks: eval_samples.unwrap_or(defaults.walks),
+            seed: seed.unwrap_or(defaults.seed),
+            threads,
+            data_dir: data_dir.unwrap_or(defaults.data_dir),
+        };
+        config.validate()?;
+        let report = campaign::run(&config);
+        for &dataset in &config.datasets {
+            campaign::print(dataset, &report.rows);
+        }
+        return write_report(
+            args,
+            "EXPERIMENT_campaign.csv",
+            campaign::CAMPAIGN_CSV_SCHEMA,
+            report.rows.len(),
+            report.to_csv(),
+            report.schema_version,
+            report.to_json(),
+        );
+    }
+
+    let defaults = if quick { SweepConfig::quick() } else { SweepConfig::default() };
+    let config = SweepConfig {
+        datasets: datasets.unwrap_or(defaults.datasets),
+        alphas: parse_grid(args, "alphas")?.unwrap_or(defaults.alphas),
+        budgets: parse_grid(args, "budgets")?.unwrap_or(defaults.budgets),
+        pairs: pairs.unwrap_or(defaults.pairs),
+        scale: scale.unwrap_or(defaults.scale),
+        eval_samples: eval_samples.unwrap_or(defaults.eval_samples),
+        seed: seed.unwrap_or(defaults.seed),
+        threads,
+        data_dir: data_dir.unwrap_or(defaults.data_dir),
+    };
+    config.validate()?;
+    if ratio {
+        let report = fig45::run(&config);
+        for &dataset in &config.datasets {
+            fig45::print(dataset, &report.rows);
+        }
+        return write_report(
+            args,
+            "EXPERIMENT_ratio.csv",
+            fig45::RATIO_CSV_SCHEMA,
+            report.rows.len(),
+            report.to_csv(),
+            report.schema_version,
+            report.to_json(),
+        );
+    }
     let report = sweep::run(&config);
     for &dataset in &config.datasets {
         sweep::print(dataset, &report.rows);
     }
-    let csv_path = args.get("out-csv").unwrap_or("EXPERIMENT_table1.csv");
-    report.to_csv().write_to_path(Path::new(csv_path))?;
-    println!("wrote {csv_path} ({} rows, schema {})", report.rows.len(), sweep::CSV_SCHEMA);
-    if let Some(json_path) = args.get("out-json") {
-        let mut text = report.to_json().render();
-        text.push('\n');
-        std::fs::write(json_path, text)?;
-        println!("wrote {json_path} (schema_version {})", report.schema_version);
-    }
-    Ok(())
+    write_report(
+        args,
+        "EXPERIMENT_table1.csv",
+        sweep::CSV_SCHEMA,
+        report.rows.len(),
+        report.to_csv(),
+        report.schema_version,
+        report.to_json(),
+    )
 }
 
-/// The `raf experiment --targets k` flavour: the multi-target campaign
-/// sweep — screened campaigns (one source, `k` targets) × a shared
-/// invitation-budget grid per dataset, the joint greedy allocation
-/// against the independent equal/proportional splits. `--budgets` is the
-/// *invitation*-budget grid here (small integers, not realization
-/// counts), `--pairs` is the campaign count, and `--eval-samples` is the
-/// per-target pool walk count; `--alphas` has no effect on allocation
-/// (the campaign objective is α-independent) and is rejected to avoid
-/// silently ignoring it.
-fn cmd_experiment_campaign(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
-    use raf_bench::experiments::campaign::{self, CampaignSweepConfig};
-
-    if args.get("alphas").is_some() {
-        return Err(
-            "--alphas has no effect on campaign allocation (drop it, or drop --targets)".into()
-        );
-    }
-    let mut config = if args.is_set("quick") {
-        CampaignSweepConfig::quick()
-    } else {
-        CampaignSweepConfig::default()
-    };
-    config.targets = args.require_typed("targets")?;
-    if let Some(datasets) = parse_datasets(args)? {
-        config.datasets = datasets;
-    }
-    if let Some(raw) = args.get("budgets") {
-        config.budgets = parse_grid::<usize>("budgets", raw)?;
-    }
-    config.campaigns = args.get_or("pairs", config.campaigns)?;
-    config.scale = args.get_or("scale", config.scale)?;
-    config.walks = args.get_or("eval-samples", config.walks)?;
-    config.seed = args.get_or("seed", config.seed)?;
-    config.threads = args.get_or("threads", threads_from_env())?;
-    if let Some(dir) = args.get("data-dir") {
-        config.data_dir = std::path::PathBuf::from(dir);
-    }
-    config.validate()?;
-
-    let report = campaign::run(&config);
-    for &dataset in &config.datasets {
-        campaign::print(dataset, &report.rows);
-    }
-    let csv_path = args.get("out-csv").unwrap_or("EXPERIMENT_campaign.csv");
-    report.to_csv().write_to_path(Path::new(csv_path))?;
-    println!(
-        "wrote {csv_path} ({} rows, schema {})",
-        report.rows.len(),
-        campaign::CAMPAIGN_CSV_SCHEMA
-    );
+/// Writes an experiment report: the CSV to `--out-csv` (default
+/// `default_csv`) and, with `--out-json`, the JSON, each with a `wrote`
+/// line naming its schema.
+fn write_report(
+    args: &CliArgs,
+    default_csv: &str,
+    schema: &str,
+    rows: usize,
+    csv: raf_bench::csv::CsvTable,
+    schema_version: u64,
+    json: raf_bench::history::JsonValue,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let csv_path = args.get("out-csv").unwrap_or(default_csv);
+    csv.write_to_path(Path::new(csv_path))?;
+    println!("wrote {csv_path} ({rows} rows, schema {schema})");
     if let Some(json_path) = args.get("out-json") {
-        let mut text = report.to_json().render();
+        let mut text = json.render();
         text.push('\n');
         std::fs::write(json_path, text)?;
-        println!("wrote {json_path} (schema_version {})", report.schema_version);
+        println!("wrote {json_path} (schema_version {schema_version})");
     }
     Ok(())
 }
@@ -634,14 +669,17 @@ fn parse_datasets(
     Ok(Some(vec![dataset]))
 }
 
-/// Parses a comma-separated grid flag (e.g. `--alphas 0.1,0.2,0.3`).
+/// Parses a comma-separated grid flag (e.g. `--alphas 0.1,0.2,0.3`);
+/// `None` when the flag is absent.
 fn parse_grid<T: std::str::FromStr>(
+    args: &CliArgs,
     flag: &str,
-    raw: &str,
-) -> Result<Vec<T>, Box<dyn std::error::Error>> {
-    let values: Result<Vec<T>, _> = raw.split(',').map(|s| s.trim().parse::<T>()).collect();
-    match values {
-        Ok(v) if !v.is_empty() => Ok(v),
+) -> Result<Option<Vec<T>>, Box<dyn std::error::Error>> {
+    let Some(raw) = args.get(flag) else {
+        return Ok(None);
+    };
+    match raw.split(',').map(|s| s.trim().parse::<T>()).collect::<Result<Vec<T>, _>>() {
+        Ok(v) if !v.is_empty() => Ok(Some(v)),
         _ => Err(format!("invalid value {raw:?} for --{flag} (comma-separated numbers)").into()),
     }
 }
@@ -669,7 +707,7 @@ USAGE:
             [--alphas A,B,...] [--budgets N,M,...] [--pairs N]
             [--scale F] [--eval-samples N] [--seed N] [--threads N]
             [--data-dir DIR] [--out-csv FILE] [--out-json FILE]
-            [--targets K]
+            [--ratio | --targets K]
 
 A flag the command does not read is an error.
 
@@ -716,15 +754,22 @@ positive. Only --topology and --nodes define a custom one-off cell;
 --walks/--seed/--threads/--reps/--beta override knobs matrix-wide and
 reroute the runs to the `custom' lineage.
 
-experiment runs the Table-I sweep (RAF vs HD/SP over an alpha × budget
-grid per dataset) and writes a schema-versioned CSV (default
-EXPERIMENT_table1.csv; --out-json adds the JSON flavour). With
---targets K it instead sweeps multi-target campaigns (K targets per
-screened source, joint vs equal vs proportional budget splits over a
---budgets grid; --alphas does not apply) and writes
-EXPERIMENT_campaign.csv. Real SNAP files in --data-dir (default data/)
-override the synthetic stand-ins. --threads defaults to the
-RAF_THREADS environment variable.";
+experiment answers the paper's evaluation (Sec. IV). By default it runs
+the Table-I sweep: RAF vs HD/SP at matched size over an alpha × budget
+grid per dataset, with |V_max| beside |I_RAF|, written to a
+schema-versioned CSV (default EXPERIMENT_table1.csv; --out-json adds the
+JSON flavour). Its nodes/edges/source columns are Table I (--scale 1 is
+Table I size), one budget over --alphas 0.05,...,0.35 is Fig. 3, the
+vmax and vmax_ratio columns of the alpha 0.1 rows are Table II, and the
+budget axis of --alphas 0.3 --pairs 1 is Fig. 6. With --ratio it grows
+HD and SP until they match RAF on the sweep's pairs and pools and bins
+the size ratios (Figs. 4-5; the paper's panels are --alphas 0.3
+--budgets 30000), written to EXPERIMENT_ratio.csv. With --targets K it
+instead sweeps multi-target campaigns (K targets per screened source,
+joint vs equal vs proportional budget splits over a --budgets grid;
+--alphas does not apply) and writes EXPERIMENT_campaign.csv. Real SNAP
+files in --data-dir (default data/) override the synthetic stand-ins.
+--threads defaults to the RAF_THREADS environment variable.";
 
 #[cfg(test)]
 mod tests {

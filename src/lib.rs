@@ -57,8 +57,10 @@
 //! | [`datasets`] (`raf-datasets`) | Table I dataset stand-ins, SNAP loader, pair sampling |
 //! | [`serve`] (`raf-serve`) | amortized query serving: resident graph + LRU pool cache |
 //!
-//! See `DESIGN.md` for the system inventory and the per-experiment index,
-//! and `EXPERIMENTS.md` for paper-vs-measured results.
+//! The paper's evaluation (Tables I–II and Figs. 3–6) runs through one
+//! driver, `raf experiment`; README's *Datasets & experiments* gives the
+//! command for each artifact, and its *Paper errata* the three places
+//! where the code departs from the printed paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
