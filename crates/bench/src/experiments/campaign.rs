@@ -121,6 +121,9 @@ impl CampaignSweepConfig {
         if self.campaigns == 0 || self.walks == 0 {
             return Err("campaigns and walks must be positive".into());
         }
+        if self.threads == 0 {
+            return Err("threads must be positive".into());
+        }
         Ok(())
     }
 }
@@ -440,6 +443,8 @@ mod tests {
             let cfg = CampaignSweepConfig { scale, ..tiny_config() };
             assert_eq!(cfg.validate().unwrap_err(), "scale must lie in (0, 1]", "scale {scale}");
         }
+        let cfg = CampaignSweepConfig { threads: 0, ..tiny_config() };
+        assert_eq!(cfg.validate().unwrap_err(), "threads must be positive");
         assert!(tiny_config().validate().is_ok());
         assert!(CampaignSweepConfig::quick().validate().is_ok());
     }

@@ -7,7 +7,7 @@
 //! intervals and average y within each bin. Fig. 4 grows High-Degree and
 //! Fig. 5 Shortest-Path.
 //!
-//! The form reads the sweep's [`SweepConfig`] and runs RAF through the
+//! The form reads the sweep's [`SweepConfig`] and answers RAF through the
 //! sweep's `PreparedDataset`, so its pairs, its RAF answers and its
 //! evaluation pools are the sweep's: `f(I_RAF)` here is the sweep's `raf`
 //! cell. The paper's panels are one cell, `--alphas 0.3 --budgets
@@ -48,7 +48,7 @@ pub struct RatioRow {
     pub edges: usize,
     /// The acceptance threshold α.
     pub alpha: f64,
-    /// The realization budget cap.
+    /// The realization budget: walks in each RAF pool.
     pub budget: u64,
     /// The grown baseline, by [`Baseline::name`].
     pub baseline: &'static str,
@@ -173,11 +173,11 @@ pub fn run_dataset(config: &SweepConfig, dataset: Dataset) -> Vec<RatioRow> {
     let mut acc: Vec<[Growth; 2]> =
         vec![Default::default(); config.alphas.len() * config.budgets.len()];
     prep.for_each_run(config, |run| {
-        let f_raf = run.eval_pool.coverage(&run.result.invitations);
+        let f_raf = run.eval_pool.coverage(&run.answer.invitations);
         if f_raf <= 0.0 {
             return;
         }
-        let raf_size = run.result.invitation_size().max(1);
+        let raf_size = run.answer.invitations.len().max(1);
         for (baseline, growth) in baselines.iter().zip(&mut acc[run.cell]) {
             let curve = grow_until_match_pooled(
                 run.instance,

@@ -14,8 +14,9 @@
 //! into the plain CSR layout, the one layout every `raf` command serves,
 //! so screened pairs, reported ids and `raf serve` queries all share the
 //! file's node ids. `PreparedDataset` does the loading, screening and
-//! RAF runs for this sweep and for the Figs. 4–5 ratio form
-//! ([`super::fig45`]).
+//! RAF answers for this sweep and for the Figs. 4–5 ratio form
+//! ([`super::fig45`]). Every RAF answer is a `raf serve` query: a cell
+//! at budget `b` answers what `raf run --budget b` answers.
 //!
 //! The output is a schema-versioned report (CSV via [`CsvTable`], JSON
 //! via [`JsonValue`]) so downstream tooling can detect format changes.
@@ -23,23 +24,23 @@
 use crate::csv::{f, CsvTable};
 use crate::history::JsonValue;
 use raf_core::baselines::{Baseline, HighDegree, ShortestPath};
-use raf_core::{CoreError, RafAlgorithm, RafConfig, RafResult, RealizationBudget};
+use raf_core::vmax_exact;
 use raf_datasets::{
     load_dataset, sample_pairs, Dataset, DatasetSource, PairSamplerConfig, SampledPair,
 };
 use raf_graph::{CsrGraph, NodeId};
 use raf_model::sampler::PathPool;
 use raf_model::FriendingInstance;
-use raf_serve::{ServeConfig, SessionContext};
+use raf_serve::{Query, QueryAnswer, ServeConfig, ServeError, SessionContext};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::time::Instant;
 
-/// Byte budget of the per-dataset evaluation-pool cache. Eval pools are
-/// small (tens of thousands of walks), so this comfortably holds every
-/// screened pair's pool for the whole grid; the cap only matters as a
-/// backstop on misconfigured runs.
-const EVAL_CACHE_BYTES: usize = 64 << 20;
+/// Byte budget of each per-dataset pool cache, the evaluation pools' and
+/// RAF's. A pair's pools are small (tens of thousands of walks), and the
+/// grid is walked pair by pair, so this comfortably holds every pool a
+/// pair still needs; the cap only matters as a backstop on misconfigured
+/// runs.
+const CACHE_BYTES: usize = 64 << 20;
 
 /// Version stamped into every report (CSV `schema` column, JSON
 /// `schema_version` field). Bump on any column/field change.
@@ -56,8 +57,9 @@ pub struct SweepConfig {
     pub datasets: Vec<Dataset>,
     /// Acceptance-threshold grid (the paper's α axis).
     pub alphas: Vec<f64>,
-    /// Realization-budget grid (`RealizationBudget::Capped` values; the
-    /// paper's Fig. 6 runs up to 550,000).
+    /// Realization-budget grid: a cell at budget `b` samples exactly `b`
+    /// walks, as `raf run --budget b` does (the paper's Fig. 6 runs up to
+    /// 550,000).
     pub budgets: Vec<u64>,
     /// Screened pairs per dataset (the paper uses 500).
     pub pairs: usize,
@@ -106,9 +108,10 @@ impl SweepConfig {
 
     /// Validates the grid before a run: RAF's parameter system (eq. 17
     /// with ε = 0.01) needs `α ∈ (0.01, 1]`, zero budgets or empty grids
-    /// would make the sweep vacuous, and a scale above 1 (Table I size)
-    /// asks for a stand-in larger than its dataset. [`run`] asserts
-    /// this; CLI callers surface the message as a clean error instead.
+    /// would make the sweep vacuous, a scale above 1 (Table I size)
+    /// asks for a stand-in larger than its dataset, and zero threads
+    /// sample nothing. [`run`] asserts this; CLI callers surface the
+    /// message as a clean error instead.
     ///
     /// # Errors
     ///
@@ -139,6 +142,9 @@ impl SweepConfig {
         if self.pairs == 0 || self.eval_samples == 0 {
             return Err("pairs and eval-samples must be positive".into());
         }
+        if self.threads == 0 {
+            return Err("threads must be positive".into());
+        }
         Ok(())
     }
 }
@@ -157,7 +163,7 @@ pub struct SweepRow {
     pub edges: usize,
     /// The acceptance threshold α.
     pub alpha: f64,
-    /// The realization budget cap.
+    /// The realization budget: walks in each RAF pool.
     pub budget: u64,
     /// Pairs that contributed (RAF can fail on unreachable pairs).
     pub pairs: usize,
@@ -175,8 +181,6 @@ pub struct SweepRow {
     pub vmax: f64,
     /// Mean per-pair `|V_max| / |I_RAF|` (Table II's "Avg. ratio").
     pub vmax_ratio: f64,
-    /// Wall-clock of the cell's RAF runs (sampling + solve), ms.
-    pub wall_ms: f64,
 }
 
 /// A full sweep report.
@@ -191,10 +195,9 @@ pub struct SweepReport {
 impl SweepReport {
     /// The CSV flavour: one row per cell, `schema` column first.
     ///
-    /// Deliberately excludes wall-clock (`SweepRow::wall_ms` prints on
-    /// the stdout panel instead): the report is byte-deterministic for a
-    /// fixed config at any thread count, so diffs mean the *science* changed —
-    /// perf trajectories belong to `BENCH_sampling.json`.
+    /// It holds no wall-clock: the report is byte-deterministic for a
+    /// fixed config at any thread count, so diffs mean the *science*
+    /// changed — perf trajectories belong to `BENCH_sampling.json`.
     pub fn to_csv(&self) -> CsvTable {
         let mut table = CsvTable::new([
             "schema",
@@ -279,7 +282,7 @@ pub(crate) struct PreparedDataset {
     pub pairs: Vec<SampledPair>,
 }
 
-/// One RAF run of the grid: a screened pair at one `(α, budget)` cell.
+/// One RAF answer of the grid: a screened pair at one `(α, budget)` cell.
 pub(crate) struct GridRun<'a> {
     /// The cell's index, `alpha_index * budgets + budget_index`.
     pub cell: usize,
@@ -290,9 +293,7 @@ pub(crate) struct GridRun<'a> {
     /// The pair's shared evaluation pool.
     pub eval_pool: &'a PathPool,
     /// RAF's answer at the cell's α and budget.
-    pub result: RafResult,
-    /// Wall-clock of the RAF run, ns.
-    pub wall_ns: u128,
+    pub answer: QueryAnswer,
 }
 
 impl PreparedDataset {
@@ -323,26 +324,31 @@ impl PreparedDataset {
         PreparedDataset { dataset, source, csr, pairs }
     }
 
-    /// Runs RAF on every screened pair at every `(α, budget)` cell and
-    /// hands each run to `visit`, pair by pair. Pairs RAF cannot reach
+    /// Answers RAF on every screened pair at every `(α, budget)` cell and
+    /// hands each answer to `visit`, pair by pair. Pairs RAF cannot reach
     /// are skipped.
     ///
-    /// Every run of a pair is scored on one shared evaluation pool
-    /// (common random numbers), so differences between strategies and
-    /// cells reflect the strategies, not the noise. The pools go through
-    /// the serving layer's pool cache: a pair's first cell samples its
-    /// pool (a miss), and every later cell reuses it (a hit), the same
-    /// amortization `raf serve` gives repeat queries.
+    /// Two serving sessions share the work. RAF's answers are queries on
+    /// a session with the sweep's master seed, walk ceiling the largest
+    /// grid budget and `ε = 0.01`, so a pair's pool is sampled once per
+    /// budget and every further α answers from the cache, exactly as
+    /// `raf serve` answers repeat queries. Every answer of a pair is
+    /// scored on one evaluation pool from the other session (common
+    /// random numbers), so differences between strategies and cells
+    /// reflect the strategies, not the noise.
     pub(crate) fn for_each_run(&self, config: &SweepConfig, mut visit: impl FnMut(GridRun<'_>)) {
-        let serve_cfg = ServeConfig {
-            walks: config.eval_samples,
+        let session = |walks, seed| ServeConfig {
+            walks,
             epsilon: 0.01,
-            seed: config.seed ^ 0xE7A,
+            seed,
             threads: config.threads,
-            cache_bytes: EVAL_CACHE_BYTES,
+            cache_bytes: CACHE_BYTES,
             ..Default::default()
         };
-        let mut eval_ctx = SessionContext::new(&self.csr, serve_cfg);
+        let ceiling = config.budgets.iter().copied().max().unwrap_or(1);
+        let mut raf_ctx = SessionContext::new(&self.csr, session(ceiling, config.seed));
+        let mut eval_ctx =
+            SessionContext::new(&self.csr, session(config.eval_samples, config.seed ^ 0xE7A));
         let b_len = config.budgets.len();
         for pair in &self.pairs {
             let (s, t) = (NodeId::new(pair.s as usize), NodeId::new(pair.t as usize));
@@ -354,29 +360,17 @@ impl PreparedDataset {
                     let Ok(eval_pool) = eval_ctx.pool(s, t, config.eval_samples) else {
                         continue;
                     };
-                    let raf_cfg = RafConfig {
-                        alpha,
-                        epsilon: 0.01,
-                        confidence: 100_000.0,
-                        budget: RealizationBudget::Capped(budget),
-                        seed: config.seed,
-                        threads: config.threads,
-                        ..Default::default()
-                    };
-                    let start = Instant::now();
-                    let result = match RafAlgorithm::new(raf_cfg).run(&instance) {
-                        Ok(r) => r,
-                        Err(CoreError::TargetUnreachable { .. }) => continue,
+                    let answer = match raf_ctx.query(&Query { s, t, alpha, budget }) {
+                        Ok(answer) => answer,
+                        Err(ServeError::TargetUnreachable { .. }) => continue,
                         Err(e) => panic!("RAF failed on {}: {e}", self.dataset),
                     };
-                    let wall_ns = start.elapsed().as_nanos();
                     visit(GridRun {
                         cell: ai * b_len + bi,
                         pair,
                         instance: &instance,
                         eval_pool: &eval_pool,
-                        result,
-                        wall_ns,
+                        answer,
                     });
                 }
             }
@@ -395,7 +389,6 @@ struct CellAcc {
     size: f64,
     vmax: f64,
     vmax_ratio: f64,
-    wall_ns: u128,
 }
 
 /// Runs the sweep for every configured dataset.
@@ -421,26 +414,29 @@ pub fn run_dataset(config: &SweepConfig, dataset: Dataset) -> Vec<SweepRow> {
     let mut acc = vec![CellAcc::default(); config.alphas.len() * config.budgets.len()];
     // HD/SP depend only on (pair, size) and |I_RAF| repeats across grid
     // cells, so memoize their coverage per size instead of re-sorting
-    // the whole candidate list per cell.
+    // the whole candidate list per cell; |V_max| (Table II) depends on
+    // the pair alone.
     let mut baselines: HashMap<(u32, u32, usize), (f64, f64)> = HashMap::new();
+    let mut vmax_sizes: HashMap<(u32, u32), f64> = HashMap::new();
     prep.for_each_run(config, |run| {
-        let size = run.result.invitation_size();
+        let size = run.answer.invitations.len();
         let (hd, sp) = *baselines.entry((run.pair.s, run.pair.t, size)).or_insert_with(|| {
             let hd = HighDegree::new().build(run.instance, size);
             let sp = ShortestPath::new().build(run.instance, size);
             (run.eval_pool.coverage(&hd), run.eval_pool.coverage(&sp))
         });
-        let vmax = run.result.vmax_size as f64;
+        let vmax = *vmax_sizes
+            .entry((run.pair.s, run.pair.t))
+            .or_insert_with(|| vmax_exact(run.instance).len() as f64);
         let cell = &mut acc[run.cell];
         cell.pairs += 1;
         cell.pmax += run.pair.pmax_estimate;
-        cell.raf += run.eval_pool.coverage(&run.result.invitations);
+        cell.raf += run.eval_pool.coverage(&run.answer.invitations);
         cell.hd += hd;
         cell.sp += sp;
         cell.size += size as f64;
         cell.vmax += vmax;
         cell.vmax_ratio += vmax / size as f64;
-        cell.wall_ns += run.wall_ns;
     });
     let cells = config.alphas.iter().flat_map(|&a| config.budgets.iter().map(move |&b| (a, b)));
     cells
@@ -462,7 +458,6 @@ pub fn run_dataset(config: &SweepConfig, dataset: Dataset) -> Vec<SweepRow> {
                 raf_size: cell.size / n,
                 vmax: cell.vmax / n,
                 vmax_ratio: cell.vmax_ratio / n,
-                wall_ms: cell.wall_ns as f64 / 1e6,
             }
         })
         .collect()
@@ -484,34 +479,13 @@ pub fn print(dataset: Dataset, rows: &[SweepRow]) {
         first.edges as f64 / first.nodes as f64,
     );
     println!(
-        "{:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>7} {:>10}",
-        "alpha",
-        "budget",
-        "pmax",
-        "RAF",
-        "HD",
-        "SP",
-        "|I_RAF|",
-        "|V_max|",
-        "ratio",
-        "pairs",
-        "wall_ms"
+        "{:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>7}",
+        "alpha", "budget", "pmax", "RAF", "HD", "SP", "|I_RAF|", "|V_max|", "ratio", "pairs"
     );
     for r in rows {
         println!(
-            "{:>8.2} {:>10} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.1} {:>10.2} {:>10.2} {:>7} \
-             {:>10.1}",
-            r.alpha,
-            r.budget,
-            r.pmax,
-            r.raf,
-            r.hd,
-            r.sp,
-            r.raf_size,
-            r.vmax,
-            r.vmax_ratio,
-            r.pairs,
-            r.wall_ms
+            "{:>8.2} {:>10} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.1} {:>10.2} {:>10.2} {:>7}",
+            r.alpha, r.budget, r.pmax, r.raf, r.hd, r.sp, r.raf_size, r.vmax, r.vmax_ratio, r.pairs
         );
     }
 }
@@ -561,14 +535,34 @@ mod tests {
         let b = run(&cfg);
         assert_eq!(a.rows.len(), b.rows.len());
         for (x, y) in a.rows.iter().zip(&b.rows) {
-            // Everything except wall-clock must match bit for bit.
-            assert_eq!(x.pairs, y.pairs);
-            assert_eq!(x.pmax, y.pmax);
-            assert_eq!(x.raf, y.raf);
-            assert_eq!(x.hd, y.hd);
-            assert_eq!(x.sp, y.sp);
-            assert_eq!(x.raf_size, y.raf_size);
+            // A row holds no timing, so every field matches bit for bit.
+            assert_eq!(x, y);
         }
+    }
+
+    #[test]
+    fn sweep_cells_answer_what_serve_answers() {
+        // The sweep answers from one session whose walk ceiling is the
+        // largest budget and whose pools every α shares, yet each cell
+        // must answer what `raf run --budget b` answers: a cold one-shot
+        // query at `walks = b` and the sweep's master seed.
+        let cfg = SweepConfig { budgets: vec![1_500, 3_000], ..tiny_config() };
+        let prep = PreparedDataset::load(&cfg, cfg.datasets[0]);
+        let mut checked = 0;
+        prep.for_each_run(&cfg, |run| {
+            let alpha = cfg.alphas[run.cell / cfg.budgets.len()];
+            let budget = cfg.budgets[run.cell % cfg.budgets.len()];
+            let (s, t) = (NodeId::new(run.pair.s as usize), NodeId::new(run.pair.t as usize));
+            let serve = ServeConfig { walks: budget, seed: cfg.seed, ..Default::default() };
+            let cold = raf_serve::one_shot(&prep.csr, serve, &Query { s, t, alpha, budget })
+                .expect("a pair the sweep answers serves cold");
+            let label = format!("pair ({s:?}, {t:?}) alpha {alpha} budget {budget}");
+            assert_eq!(run.answer.invitations, cold.invitations, "{label}");
+            assert_eq!(run.answer.cover_p, cold.cover_p, "{label}");
+            assert_eq!(run.answer.covered, cold.covered, "{label}");
+            checked += 1;
+        });
+        assert!(checked >= cfg.alphas.len() * cfg.budgets.len(), "only {checked} cells answered");
     }
 
     #[test]
@@ -579,6 +573,7 @@ mod tests {
         // layout: load the dataset, screen on the plain CSR, and sweep
         // one grid cell manually on each layout — every probability must
         // match bit for bit.
+        use raf_core::{RafAlgorithm, RafConfig, RealizationBudget};
         use raf_graph::Relabeling;
         use std::sync::Arc;
         let cfg = tiny_config();
@@ -608,7 +603,7 @@ mod tests {
             assert_eq!(pool_a, pool_b, "pools diverged for pair ({s:?}, {t:?})");
             let raf_cfg = RafConfig {
                 alpha: 0.2,
-                budget: RealizationBudget::Capped(3_000),
+                budget: RealizationBudget::Fixed(3_000),
                 seed: 5,
                 ..Default::default()
             };
@@ -648,6 +643,8 @@ mod tests {
             let cfg = SweepConfig { scale, ..tiny_config() };
             assert_eq!(cfg.validate().unwrap_err(), "scale must lie in (0, 1]", "scale {scale}");
         }
+        let cfg = SweepConfig { threads: 0, ..tiny_config() };
+        assert_eq!(cfg.validate().unwrap_err(), "threads must be positive");
         assert!(tiny_config().validate().is_ok());
         assert!(SweepConfig::quick().validate().is_ok());
     }

@@ -46,30 +46,12 @@ pub fn evaluate<R: Rng>(
 }
 
 /// Grows `baseline` sets from size 1 upward (multiplicative steps of
-/// `growth` after `linear_until`) until the estimated probability reaches
+/// `growth` after `linear_until`) until the probability reaches
 /// `target_probability` or `max_size` is hit — the Figs. 4–5 protocol
 /// ("run HD/SP and continuously increase the size of the invitation set
-/// until the resulting acceptance probability equals f(I_RAF)").
-#[allow(clippy::too_many_arguments)]
-pub fn grow_until_match<B: Baseline + ?Sized, R: Rng>(
-    instance: &FriendingInstance<'_>,
-    baseline: &B,
-    target_probability: f64,
-    eval_samples: u64,
-    max_size: usize,
-    linear_until: usize,
-    growth: f64,
-    rng: &mut R,
-) -> GrowthCurve {
-    grow(instance, baseline, target_probability, max_size, linear_until, growth, |inv| {
-        estimate_acceptance(instance, inv, eval_samples, rng).probability
-    })
-}
-
-/// Pooled variant of [`grow_until_match`]: every size step is evaluated
-/// against the same pre-sampled walk pool (common random numbers), so the
-/// growth trajectory is monotone by construction and an order of
-/// magnitude cheaper on large graphs.
+/// until the resulting acceptance probability equals f(I_RAF)"). Every
+/// size step is scored against the same pre-sampled walk pool (common
+/// random numbers), so the growth trajectory is monotone by construction.
 pub fn grow_until_match_pooled<B: Baseline + ?Sized>(
     instance: &FriendingInstance<'_>,
     baseline: &B,
@@ -78,22 +60,6 @@ pub fn grow_until_match_pooled<B: Baseline + ?Sized>(
     max_size: usize,
     linear_until: usize,
     growth: f64,
-) -> GrowthCurve {
-    grow(instance, baseline, target_probability, max_size, linear_until, growth, |inv| {
-        pool.coverage(inv)
-    })
-}
-
-/// The growth loop behind both variants: the size schedule and stop
-/// rules, with `score` estimating `f(I)` for each set tried.
-fn grow<B: Baseline + ?Sized>(
-    instance: &FriendingInstance<'_>,
-    baseline: &B,
-    target_probability: f64,
-    max_size: usize,
-    linear_until: usize,
-    growth: f64,
-    mut score: impl FnMut(&InvitationSet) -> f64,
 ) -> GrowthCurve {
     let mut points = Vec::new();
     let mut matched_size = None;
@@ -104,7 +70,7 @@ fn grow<B: Baseline + ?Sized>(
         // Stop early when the strategy ran out of candidates.
         let exhausted = inv.len() == last_len && size > 1;
         last_len = inv.len();
-        let probability = score(&inv);
+        let probability = pool.coverage(&inv);
         points.push(GrowthPoint { size: inv.len(), probability });
         if probability >= target_probability {
             matched_size = Some(inv.len());
@@ -127,6 +93,7 @@ mod tests {
     use super::*;
     use crate::baselines::{HighDegree, ShortestPath};
     use raf_graph::{CsrGraph, GraphBuilder, NodeId, WeightScheme};
+    use raf_model::sampler::SampleRequest;
     use rand::SeedableRng;
 
     fn line_csr(n: usize) -> CsrGraph {
@@ -141,9 +108,8 @@ mod tests {
         // f = 1/2 = p_max.
         let g = line_csr(4);
         let inst = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(3)).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let curve =
-            grow_until_match(&inst, &ShortestPath::new(), 0.45, 20_000, 10, 8, 1.5, &mut rng);
+        let pool = SampleRequest::new(20_000).seed(1).run(&inst);
+        let curve = grow_until_match_pooled(&inst, &ShortestPath::new(), 0.45, &pool, 10, 8, 1.5);
         assert_eq!(curve.matched_size, Some(2));
         assert!(curve.final_probability() >= 0.45);
     }
@@ -155,8 +121,8 @@ mod tests {
         b.add_edge(2, 3).unwrap();
         let g = b.build(WeightScheme::UniformByDegree).unwrap().to_csr();
         let inst = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(3)).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let curve = grow_until_match(&inst, &HighDegree::new(), 0.1, 1_000, 50, 8, 1.5, &mut rng);
+        let pool = SampleRequest::new(1_000).seed(2).run(&inst);
+        let curve = grow_until_match_pooled(&inst, &HighDegree::new(), 0.1, &pool, 50, 8, 1.5);
         assert_eq!(curve.matched_size, None);
         assert_eq!(curve.final_probability(), 0.0);
     }
@@ -165,9 +131,8 @@ mod tests {
     fn growth_is_monotone_in_size() {
         let g = line_csr(6);
         let inst = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(5)).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let curve =
-            grow_until_match(&inst, &ShortestPath::new(), 2.0, 20_000, 20, 8, 1.5, &mut rng);
+        let pool = SampleRequest::new(20_000).seed(3).run(&inst);
+        let curve = grow_until_match_pooled(&inst, &ShortestPath::new(), 2.0, &pool, 20, 8, 1.5);
         // Target 2.0 unreachable ⇒ full trajectory recorded; sizes increase.
         for w in curve.points.windows(2) {
             assert!(w[1].size >= w[0].size);
@@ -177,7 +142,6 @@ mod tests {
 
     #[test]
     fn pooled_growth_matches_unpooled_shape() {
-        use raf_model::sampler::SampleRequest;
         let g = line_csr(4);
         let inst = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(3)).unwrap();
         let pool = SampleRequest::new(30_000).seed(5).run(&inst);

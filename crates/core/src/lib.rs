@@ -18,9 +18,13 @@
 //!    `f(I*) ≥ (α−ε)·p_max` and `|I*|/|I_α| = O(√n)` with probability
 //!    `≥ 1 − 2/N` (Theorem 1).
 //!
-//! Every entry point seeds per-pair pools with `pair_seed(seed, s, t)` and
-//! solves through [`select_invitations`], so `(graph, s, t, α, walks,
-//! seed)` gives one invitation set on every path, `raf serve` included.
+//! [`RafAlgorithm`] runs these steps one by one. It is the reference, not
+//! a driver: `raf run` and every `raf experiment` form answer through
+//! `raf-serve`'s session, which samples exactly the walks it is asked
+//! for and never runs steps 2–3 or `V_max`. Both seed per-pair pools with
+//! `pair_seed(seed, s, t)` and solve through [`select_invitations`], so a
+//! [`RealizationBudget::Fixed`]`(W)` run answers what a query served at
+//! `W` walks answers for the same `(graph, s, t, α, seed)`.
 //!
 //! # Also here
 //!

@@ -14,20 +14,19 @@ use serde::{Deserialize, Serialize};
 /// How many realizations Alg. 3 samples.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum RealizationBudget {
-    /// The full theoretical `l*` of eq. (16). Astronomically large on real
-    /// graphs (the paper itself notes in Sec. IV-E that far fewer suffice)
-    /// — use only on toy instances.
+    /// The full theoretical `l*` of eq. (16), Alg. 4 as published.
+    /// Astronomically large on real graphs (the paper itself notes in
+    /// Sec. IV-E that far fewer suffice), so use it only on toy instances.
     Theory,
-    /// `min(l*, cap)`: the theory bound capped at a practical ceiling.
-    /// This is the default, mirroring the paper's evaluation practice.
-    Capped(u64),
-    /// Exactly this many realizations, ignoring `l*` (the Fig. 6 sweep).
+    /// Exactly this many realizations, the walk count every driver
+    /// samples (`raf run --budget W` and `raf serve --walks W`) and the
+    /// paper's evaluation practice (Fig. 6). This is the default.
     Fixed(u64),
 }
 
 impl Default for RealizationBudget {
     fn default() -> Self {
-        RealizationBudget::Capped(200_000)
+        RealizationBudget::Fixed(200_000)
     }
 }
 
@@ -201,12 +200,17 @@ impl RafAlgorithm {
         &self.config
     }
 
-    /// Runs RAF on an instance, producing the invitation set `I*`.
+    /// Runs RAF on an instance stage by stage, producing the invitation
+    /// set `I*`: `V_max`, the parameters, Alg. 2's `p*_max` and `l*` all
+    /// run whatever the budget, and a `Fixed` budget then samples its own
+    /// walk count. No driver calls this; it is the reference that a cold
+    /// `raf_serve::one_shot` at the same walk count, `α` and seed answers
+    /// bit for bit (`tests/serving_equivalence.rs`).
     ///
     /// # Errors
     ///
-    /// * [`CoreError::InvalidParameter`] for a zero `Fixed` or `Capped`
-    ///   realization budget;
+    /// * [`CoreError::InvalidParameter`] for a zero `Fixed` realization
+    ///   budget;
     /// * [`CoreError::ParameterSolveFailed`] for invalid `(α, ε)`;
     /// * [`CoreError::TargetUnreachable`] when the `p_max` phase cannot
     ///   observe a single type-1 realization within its cap (the paper's
@@ -214,7 +218,7 @@ impl RafAlgorithm {
     /// * solver errors bubbled up from `raf-cover`.
     pub fn run(&self, instance: &FriendingInstance<'_>) -> Result<RafResult, CoreError> {
         let cfg = &self.config;
-        if matches!(cfg.budget, RealizationBudget::Fixed(0) | RealizationBudget::Capped(0)) {
+        if cfg.budget == RealizationBudget::Fixed(0) {
             return Err(CoreError::InvalidParameter {
                 message: "realization budget must be positive".to_string(),
             });
@@ -262,7 +266,6 @@ impl RafAlgorithm {
             l_star(vmax_size, cfg.confidence, parameters.eps0, parameters.eps1, pmax_est.pmax);
         let l = match cfg.budget {
             RealizationBudget::Theory => theory_l.min(u64::MAX as f64) as u64,
-            RealizationBudget::Capped(cap) => theory_l.min(cap as f64) as u64,
             RealizationBudget::Fixed(l) => l,
         };
 
@@ -335,7 +338,7 @@ mod tests {
 
     #[test]
     fn produces_guaranteed_quality_solution() {
-        let (g, cfg) = default_run(0.5, RealizationBudget::Capped(30_000));
+        let (g, cfg) = default_run(0.5, RealizationBudget::Fixed(30_000));
         let instance = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(1)).unwrap();
         let result = RafAlgorithm::new(cfg).run(&instance).unwrap();
         assert!(result.invitations.contains(NodeId::new(1)), "target must be invited");
@@ -416,21 +419,21 @@ mod tests {
         let instance = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(1)).unwrap();
         let fixed = RafAlgorithm::new(cfg.clone()).run(&instance).unwrap();
         assert_eq!(fixed.realizations_used, 5_000);
-        cfg.budget = RealizationBudget::Capped(2_000);
-        let capped = RafAlgorithm::new(cfg).run(&instance).unwrap();
-        assert!(capped.realizations_used <= 2_000);
-        assert!(capped.l_star > 2_000.0, "theory bound should exceed the cap");
+        // Alg. 4 as published samples exactly `l*`; a large ε keeps it to
+        // a few thousand walks on the toy graph.
+        cfg.alpha = 0.9;
+        cfg.epsilon = 0.8;
+        cfg.budget = RealizationBudget::Theory;
+        let theory = RafAlgorithm::new(cfg).run(&instance).unwrap();
+        assert_eq!(theory.realizations_used, theory.l_star as u64);
     }
 
     #[test]
     fn zero_budgets_are_rejected() {
-        let (g, mut cfg) = default_run(0.3, RealizationBudget::Fixed(0));
+        let (g, cfg) = default_run(0.3, RealizationBudget::Fixed(0));
         let instance = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(1)).unwrap();
-        for budget in [RealizationBudget::Fixed(0), RealizationBudget::Capped(0)] {
-            cfg.budget = budget;
-            let err = RafAlgorithm::new(cfg.clone()).run(&instance).unwrap_err();
-            assert!(matches!(err, CoreError::InvalidParameter { .. }), "{budget:?}: {err}");
-        }
+        let err = RafAlgorithm::new(cfg).run(&instance).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidParameter { .. }), "Fixed(0): {err}");
     }
 
     #[test]

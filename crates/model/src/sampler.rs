@@ -815,8 +815,9 @@ pub fn threads_from_env() -> usize {
 ///
 /// This is **the** derivation shared by every layer that samples a
 /// per-pair pool from one master seed: the serve cache's queries and
-/// campaign targets, and `RafAlgorithm`, `MaxFriending` and the sweeps
-/// through [`FriendingInstance::pair_seed`]. So every path draws the same
+/// campaign targets (which `raf run` and the sweeps answer through), and
+/// `RafAlgorithm` and `MaxFriending` through
+/// [`FriendingInstance::pair_seed`]. So every path draws the same
 /// walk stream for a pair, and serve queries share one cache entry. Node
 /// ids are original ids, the ones queries name, so a pair keeps its seed
 /// on every layout.

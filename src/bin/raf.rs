@@ -180,28 +180,39 @@ fn cmd_vmax(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
+/// One RAF answer: a cold `raf serve` query at `--walks = --budget`, so
+/// it prints the `p` and set a served query answers, and its `pmax` is
+/// the pool's estimate `|B1| / budget`.
 fn cmd_run(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
-    let csr = load_graph(args)?;
-    let instance = load_instance(args, &csr)?;
-    let alpha: f64 = args.require_typed("alpha")?;
-    let config = RafConfig {
-        alpha,
+    let budget: u64 = args.get_or("budget", 50_000)?;
+    if budget == 0 {
+        return Err("realization budget must be positive".into());
+    }
+    let config = ServeConfig {
+        walks: budget,
         epsilon: args.get_or("epsilon", 0.01)?,
-        budget: RealizationBudget::Capped(args.get_or("budget", 50_000)?),
         seed: args.get_or("seed", 1)?,
         threads: args.get_or("threads", threads_from_env())?,
         ..Default::default()
     };
-    let result = RafAlgorithm::new(config).run(&instance)?;
+    config.validate().map_err(|e| format!("run: {e}"))?;
+    let csr = load_graph(args)?;
+    let query = Query {
+        s: NodeId::new(args.require_typed("s")?),
+        t: NodeId::new(args.require_typed("t")?),
+        alpha: args.require_typed("alpha")?,
+        budget,
+    };
+    let answer = one_shot(&csr, config, &query)?;
     println!(
-        "|I*| = {}  (pool |B1| = {}, p = {}, beta = {:.4}, pmax* = {:.4})",
-        result.invitation_size(),
-        result.type1_count,
-        result.cover_p,
-        result.parameters.beta,
-        result.pmax_estimate,
+        "|I*| = {}  (pool |B1| = {}, p = {}, beta = {:.4}, pmax = {:.4})",
+        answer.invitations.len(),
+        answer.type1_count,
+        answer.cover_p,
+        answer.parameters.beta,
+        answer.pmax_estimate,
     );
-    let ids: Vec<String> = result.invitations.iter().map(|v| v.index().to_string()).collect();
+    let ids: Vec<String> = answer.invitations.iter().map(|v| v.index().to_string()).collect();
     println!("{}", ids.join(" "));
     Ok(())
 }
@@ -218,6 +229,9 @@ fn cmd_max(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     }
     if config.realizations == 0 {
         return Err("--realizations must be positive".into());
+    }
+    if config.threads == 0 {
+        return Err("--threads must be positive".into());
     }
     let csr = load_graph(args)?;
     let instance = load_instance(args, &csr)?;
@@ -711,6 +725,12 @@ USAGE:
 
 A flag the command does not read is an error.
 
+run answers one query as a fresh `raf serve --walks W` session answers
+the line `s t alpha W`, with W = --budget: it samples exactly W walks
+from the pair's seed, then prints |I*|, the pool's |B1|, the cover
+requirement p, beta and the pool's p_max estimate, and on a second line
+the invitation set. The two commands never disagree.
+
 serve keeps the graph resident and answers `s t alpha [budget]` request
 lines — one per line from --requests FILE, or from stdin by default —
 as `ok`/`err` response lines on stdout, in request order, flushed per
@@ -769,7 +789,8 @@ instead sweeps multi-target campaigns (K targets per screened source,
 joint vs equal vs proportional budget splits over a --budgets grid;
 --alphas does not apply) and writes EXPERIMENT_campaign.csv. Real SNAP
 files in --data-dir (default data/) override the synthetic stand-ins.
---threads defaults to the RAF_THREADS environment variable.";
+--threads defaults to the RAF_THREADS environment variable. A sweep
+cell's RAF answer is what `raf run --budget B` answers at its budget B.";
 
 #[cfg(test)]
 mod tests {

@@ -78,7 +78,7 @@ pub use raf_serve as serve;
 /// baselines, and the estimators.
 pub mod prelude {
     pub use raf_core::baselines::{Baseline, HighDegree, RandomInvite, ShortestPath};
-    pub use raf_core::evaluator::{evaluate, grow_until_match};
+    pub use raf_core::evaluator::evaluate;
     pub use raf_core::{
         vmax_exact, CoreError, ParameterSet, RafAlgorithm, RafConfig, RafResult, RealizationBudget,
     };

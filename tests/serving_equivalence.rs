@@ -6,10 +6,11 @@
 //! derive only from `(master seed, pair)`, so the cache can never change
 //! an answer, only skip resampling.
 //!
-//! The offline pipeline is held to the same answers: [`RafAlgorithm`] seeds
-//! its pool with `pair_seed`, solves for the same `β` (independent of the
-//! ground size) and selects through the same solve stage, so `raf run
-//! --budget W` answers what `raf serve --walks W` answers.
+//! The stage-by-stage reference is held to the same answers: no driver
+//! calls [`RafAlgorithm`], but it seeds its pool with `pair_seed`, solves
+//! for the same `β` (independent of the ground size) and selects through
+//! the same solve stage, so a `Fixed(W)` run answers what a cold query
+//! at `W` walks answers, and `raf run --budget W` is that query.
 //!
 //! Thread counts cover {1, 4} plus whatever `RAF_THREADS` the CI matrix
 //! sets, so the parallel sampler's per-thread merge is exercised through
@@ -153,7 +154,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// One pipeline: [`RafAlgorithm`] with a `Capped(W)` budget answers
+    /// One pipeline: [`RafAlgorithm`] with a `Fixed(W)` budget answers
     /// exactly what a cold [`one_shot`] query at `walks: W` answers, at
     /// every α, thread count and layout. Graphs of 40 to 400 nodes put
     /// `|V_max|·ε1` on both sides of the `ε0` cap, and the ground sizes
@@ -197,7 +198,7 @@ proptest! {
                         ..RafConfig::with_alpha(alpha)
                             .seed(master)
                             .threads(threads)
-                            .budget(RealizationBudget::Capped(walks))
+                            .budget(RealizationBudget::Fixed(walks))
                     };
                     let raf = RafAlgorithm::new(config).run(instance).unwrap();
                     prop_assert_eq!(&raf.invitations, &served.invitations, "{}", label);
