@@ -22,6 +22,7 @@ use crate::history::JsonValue;
 use raf_datasets::{load_dataset, sample_campaigns, Dataset, DatasetSource, PairSamplerConfig};
 use raf_graph::NodeId;
 use raf_serve::{CampaignQuery, ServeConfig, ServeError, SessionContext};
+use std::io::{self, Write};
 use std::path::PathBuf;
 
 /// Byte budget of the per-dataset campaign-pool cache (the same backstop
@@ -355,15 +356,24 @@ pub fn run_dataset(config: &CampaignSweepConfig, dataset: Dataset) -> Vec<Campai
         .collect()
 }
 
-/// Prints the panel for one dataset's rows.
-pub fn print(dataset: Dataset, rows: &[CampaignRow]) {
-    println!("CAMPAIGN ({dataset}): joint vs independent splits, shared budget across targets");
-    println!(
+/// Writes the panel for one dataset's rows to `out`.
+///
+/// # Errors
+///
+/// Returns the first write error, such as a closed pipe.
+pub fn print(out: &mut impl Write, dataset: Dataset, rows: &[CampaignRow]) -> io::Result<()> {
+    writeln!(
+        out,
+        "CAMPAIGN ({dataset}): joint vs independent splits, shared budget across targets"
+    )?;
+    writeln!(
+        out,
         "{:>8} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "targets", "budget", "objective", "joint", "equal", "prop", "gain", "|I|"
-    );
+    )?;
     for r in rows.iter().filter(|r| r.dataset == dataset) {
-        println!(
+        writeln!(
+            out,
             "{:>8} {:>8} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.1}",
             r.targets,
             r.budget,
@@ -373,8 +383,9 @@ pub fn print(dataset: Dataset, rows: &[CampaignRow]) {
             r.proportional_split,
             r.gain_over_best_split(),
             r.mean_size,
-        );
+        )?;
     }
+    Ok(())
 }
 
 #[cfg(test)]

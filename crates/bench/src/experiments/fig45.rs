@@ -21,6 +21,7 @@ use raf_core::baselines::{Baseline, HighDegree, ShortestPath};
 use raf_core::evaluator::grow_until_match_pooled;
 use raf_core::report::RatioCurve;
 use raf_datasets::Dataset;
+use std::io::{self, Write};
 
 /// Version stamped into every ratio report (CSV `schema` column, JSON
 /// `schema_version` field). Bump on any column/field change.
@@ -215,10 +216,15 @@ pub fn run_dataset(config: &SweepConfig, dataset: Dataset) -> Vec<RatioRow> {
     rows
 }
 
-/// Prints the Fig. 4/5 panels for one dataset's rows.
-pub fn print(dataset: Dataset, rows: &[RatioRow]) {
+/// Writes the Fig. 4/5 panels for one dataset's rows to `out`.
+///
+/// # Errors
+///
+/// Returns the first write error, such as a closed pipe.
+pub fn print(out: &mut impl Write, dataset: Dataset, rows: &[RatioRow]) -> io::Result<()> {
     for r in rows.iter().filter(|r| r.dataset == dataset) {
-        println!(
+        writeln!(
+            out,
             "FIG {} ({dataset}, alpha {:.2}, budget {}): |I_{b}|/|I_RAF| vs f(I_{b})/f(I_RAF)   \
              [{} pairs, {} points]",
             if r.baseline == HighDegree.name() { 4 } else { 5 },
@@ -227,15 +233,16 @@ pub fn print(dataset: Dataset, rows: &[RatioRow]) {
             r.pairs,
             r.points,
             b = r.baseline,
-        );
-        println!("{:>22} {:>22}", "prob ratio (bin mid)", "avg size ratio");
+        )?;
+        writeln!(out, "{:>22} {:>22}", "prob ratio (bin mid)", "avg size ratio")?;
         for (mid, mean) in r.curve.bin_midpoints.iter().zip(&r.curve.mean_size_ratio) {
             match mean {
-                Some(m) => println!("{mid:>22.1} {m:>22.2}"),
-                None => println!("{mid:>22.1} {:>22}", "(empty)"),
+                Some(m) => writeln!(out, "{mid:>22.1} {m:>22.2}")?,
+                None => writeln!(out, "{mid:>22.1} {:>22}", "(empty)")?,
             }
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -33,6 +33,7 @@ use raf_model::sampler::PathPool;
 use raf_model::FriendingInstance;
 use raf_serve::{Query, QueryAnswer, ServeConfig, ServeError, SessionContext};
 use std::collections::HashMap;
+use std::io::{self, Write};
 use std::path::PathBuf;
 
 /// Byte budget of each per-dataset pool cache, the evaluation pools' and
@@ -463,31 +464,39 @@ pub fn run_dataset(config: &SweepConfig, dataset: Dataset) -> Vec<SweepRow> {
         .collect()
 }
 
-/// Prints the paper-style panel for one dataset's rows; the header names
-/// the graph's size and Table I's `m/n`.
-pub fn print(dataset: Dataset, rows: &[SweepRow]) {
+/// Writes the paper-style panel for one dataset's rows to `out`; the
+/// header names the graph's size and Table I's `m/n`.
+///
+/// # Errors
+///
+/// Returns the first write error, such as a closed pipe.
+pub fn print(out: &mut impl Write, dataset: Dataset, rows: &[SweepRow]) -> io::Result<()> {
     let rows: Vec<&SweepRow> = rows.iter().filter(|r| r.dataset == dataset).collect();
     let Some(first) = rows.first() else {
-        return;
+        return Ok(());
     };
-    println!(
+    writeln!(
+        out,
         "EXPERIMENT ({dataset}, {}): {} nodes, {} edges, m/n {:.2}; acceptance probability vs \
          (alpha, budget)",
         first.source,
         first.nodes,
         first.edges,
         first.edges as f64 / first.nodes as f64,
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>7}",
         "alpha", "budget", "pmax", "RAF", "HD", "SP", "|I_RAF|", "|V_max|", "ratio", "pairs"
-    );
+    )?;
     for r in rows {
-        println!(
+        writeln!(
+            out,
             "{:>8.2} {:>10} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.1} {:>10.2} {:>10.2} {:>7}",
             r.alpha, r.budget, r.pmax, r.raf, r.hd, r.sp, r.raf_size, r.vmax, r.vmax_ratio, r.pairs
-        );
+        )?;
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -759,6 +768,42 @@ mod tests {
         let first = rows.first().unwrap().raf;
         let last = rows.last().unwrap().raf;
         assert!(last >= first - 0.02, "no saturation: first {first} last {last}");
+    }
+
+    #[test]
+    fn print_stops_at_a_closed_pipe() {
+        // A reader that has gone (`raf experiment … | head -1`) ends the
+        // panel with the writer's error instead of a panic.
+        struct ClosedPipe;
+        impl Write for ClosedPipe {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let row = SweepRow {
+            dataset: Dataset::HepTh,
+            source: "synthetic",
+            nodes: 280,
+            edges: 700,
+            alpha: 0.3,
+            budget: 3_000,
+            pairs: 3,
+            pmax: 0.2,
+            raf: 0.1,
+            hd: 0.05,
+            sp: 0.08,
+            raf_size: 4.0,
+            vmax: 200.0,
+            vmax_ratio: 50.0,
+        };
+        let err = print(&mut ClosedPipe, Dataset::HepTh, std::slice::from_ref(&row)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        let mut panel = Vec::new();
+        print(&mut panel, Dataset::HepTh, &[row]).unwrap();
+        assert_eq!(String::from_utf8(panel).unwrap().lines().count(), 3, "header, columns, row");
     }
 
     #[test]

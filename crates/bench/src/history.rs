@@ -431,9 +431,9 @@ impl BenchHistory {
 
 /// The entry fields the gate pins, as dotted paths. Each is a pure
 /// function of the cell (scenario, profile knobs and seed): the graph and
-/// screened pair, the pool's walk outcomes and arena size, and the cover
-/// solve's cost. No thread count or layout changes them.
-pub const COUNTED_FIELDS: [&str; 11] = [
+/// screened pair, the pool's walk outcomes, arena size and path digest,
+/// and the cover solve's cost. No thread count or layout changes them.
+pub const COUNTED_FIELDS: [&str; 12] = [
     "graph.nodes",
     "graph.edges",
     "graph.s",
@@ -444,6 +444,7 @@ pub const COUNTED_FIELDS: [&str; 11] = [
     "pool.arena_bytes",
     "pool.dangling",
     "pool.cycles",
+    "pool.digest",
     "cost.arena",
 ];
 
@@ -456,26 +457,35 @@ fn counted(entry: &JsonValue, field: &str) -> Option<f64> {
 #[derive(Debug, Clone, PartialEq)]
 pub enum CountGate {
     /// Not gated, for the reason given: no baseline, or a baseline that
-    /// predates a counted field.
+    /// carries no counted field.
     Skipped(String),
-    /// Every counted field equals the baseline's.
-    Equal,
-    /// One `FIELD baseline X now Y` line per counted field that differs,
-    /// in [`COUNTED_FIELDS`] order.
-    Changed(Vec<String>),
+    /// Compared on every counted field the baseline carries. The entry
+    /// passes when `changes` is empty.
+    Compared {
+        /// One `FIELD baseline X now Y` line per compared field that
+        /// differs, in [`COUNTED_FIELDS`] order.
+        changes: Vec<String>,
+        /// The counted fields the baseline predates, which were not
+        /// compared, in [`COUNTED_FIELDS`] order.
+        predates: Vec<&'static str>,
+    },
 }
 
 /// Gates a new entry against its baseline, the last committed entry of
-/// the same scenario and profile: every field of [`COUNTED_FIELDS`] must
-/// be equal. Timings are not compared.
+/// the same scenario and profile: every field of [`COUNTED_FIELDS`] that
+/// the baseline carries must be equal, so a field added later does not
+/// blind the gate to the others on an older baseline. Timings are not
+/// compared.
 pub fn gate_counts(baseline: Option<&JsonValue>, entry: &JsonValue) -> CountGate {
     let Some(baseline) = baseline else {
         return CountGate::Skipped("no committed baseline".into());
     };
     let mut changes = Vec::new();
+    let mut predates = Vec::new();
     for field in COUNTED_FIELDS {
         let Some(base) = counted(baseline, field) else {
-            return CountGate::Skipped(format!("baseline predates {field}"));
+            predates.push(field);
+            continue;
         };
         match counted(entry, field) {
             Some(now) if now == base => {}
@@ -483,11 +493,10 @@ pub fn gate_counts(baseline: Option<&JsonValue>, entry: &JsonValue) -> CountGate
             None => changes.push(format!("{field} baseline {base} now missing")),
         }
     }
-    if changes.is_empty() {
-        CountGate::Equal
-    } else {
-        CountGate::Changed(changes)
+    if predates.len() == COUNTED_FIELDS.len() {
+        return CountGate::Skipped("baseline carries no counted field".into());
     }
+    CountGate::Compared { changes, predates }
 }
 
 /// What makes an entry attributable: the code, the toolchain, the machine
@@ -606,7 +615,7 @@ mod tests {
       "stamp": { "git_rev": "0123abcd", "rustc": "rustc 1.0.0", "cpu": "Test CPU", "nproc": 2, "unix_time": 1700000000 },
       "graph": { "kind": "powerlaw_cluster", "nodes": 10000, "edges": 19997, "s": 7, "t": 3633 },
       "config": { "walks": 30000, "seed": 7, "threads": 1, "reps": 2, "beta": 0.3 },
-      "pool": { "type1": 7826, "unique_paths": 162, "dedup_factor": 48.309, "pmax_estimate": 0.260867, "cover_p": 2348, "arena_bytes": 6344, "dangling": 0, "cycles": 22174 },
+      "pool": { "type1": 7826, "unique_paths": 162, "dedup_factor": 48.309, "pmax_estimate": 0.260867, "cover_p": 2348, "arena_bytes": 6344, "dangling": 0, "cycles": 22174, "digest": 4503599627370497 },
       "arena_ns": { "sample": 2965029, "solve": 256670, "total": 3221699 },
       "cost": { "arena": 1 }
     }
@@ -724,13 +733,18 @@ mod tests {
         assert!(BenchHistory::from_text("{\"schema_version\": 3, \"entries\": []}").is_err());
     }
 
+    /// The verdict on an entry whose compared counts all match.
+    fn equal(predates: &[&'static str]) -> CountGate {
+        CountGate::Compared { changes: Vec::new(), predates: predates.to_vec() }
+    }
+
     #[test]
     fn gate_passes_equal_counts_whatever_the_timings() {
         let baseline = v2_entry();
         let slower = with_field(&baseline, "arena_ns.total", 9.9e9);
         let slower = with_field(&slower, "arena_ns.sample", 9.9e9);
-        assert_eq!(gate_counts(Some(&baseline), &slower), CountGate::Equal);
-        assert_eq!(gate_counts(Some(&baseline), &baseline), CountGate::Equal);
+        assert_eq!(gate_counts(Some(&baseline), &slower), equal(&[]));
+        assert_eq!(gate_counts(Some(&baseline), &baseline), equal(&[]));
     }
 
     #[test]
@@ -741,7 +755,10 @@ mod tests {
             let changed = with_field(&baseline, field, old + 1.0);
             assert_eq!(
                 gate_counts(Some(&baseline), &changed),
-                CountGate::Changed(vec![format!("{field} baseline {old} now {}", old + 1.0)]),
+                CountGate::Compared {
+                    changes: vec![format!("{field} baseline {old} now {}", old + 1.0)],
+                    predates: Vec::new(),
+                },
             );
         }
     }
@@ -750,18 +767,30 @@ mod tests {
     fn gate_skips_without_a_baseline_or_its_counts() {
         let entry = v2_entry();
         assert!(matches!(gate_counts(None, &entry), CountGate::Skipped(_)));
-        // An entry recorded before `pool.dangling` existed, and one
-        // without counts at all.
-        let old = BenchHistory::from_text(&V2.replace(", \"dangling\": 0, \"cycles\": 22174", ""))
-            .unwrap()
-            .entries
-            .remove(0);
-        let CountGate::Skipped(reason) = gate_counts(Some(&old), &entry) else {
-            panic!("a baseline without pool.dangling must skip");
-        };
-        assert!(reason.contains("pool.dangling"), "{reason}");
+        // An entry without counts at all.
         let bare = parse_json(r#"{ "scenario": "powerlaw_cluster_10k_t1", "profile": "quick" }"#);
         assert!(matches!(gate_counts(Some(&bare.unwrap()), &entry), CountGate::Skipped(_)));
+    }
+
+    #[test]
+    fn gate_compares_what_an_older_baseline_carries() {
+        // A baseline recorded before `pool.dangling`, `pool.cycles` and
+        // `pool.digest` existed still gates the other nine counts, and
+        // the verdict names the three it predates.
+        let old =
+            V2.replace(", \"dangling\": 0, \"cycles\": 22174, \"digest\": 4503599627370497", "");
+        let old = BenchHistory::from_text(&old).unwrap().entries.remove(0);
+        let predates = ["pool.dangling", "pool.cycles", "pool.digest"];
+        let entry = v2_entry();
+        assert_eq!(gate_counts(Some(&old), &entry), equal(&predates));
+        let changed = with_field(&entry, "pool.type1", 7_827.0);
+        assert_eq!(
+            gate_counts(Some(&old), &changed),
+            CountGate::Compared {
+                changes: vec!["pool.type1 baseline 7826 now 7827".into()],
+                predates: predates.to_vec(),
+            },
+        );
     }
 
     #[test]
@@ -772,7 +801,7 @@ mod tests {
         let history =
             BenchHistory::from_text(include_str!("../../../BENCH_sampling.json")).unwrap();
         let baseline = history.last_for("dataset_youtube_220k_t4", "quick").unwrap();
-        assert_eq!(gate_counts(Some(baseline), baseline), CountGate::Equal);
+        assert_eq!(gate_counts(Some(baseline), baseline), equal(&[]));
         let rendered = BenchHistory::from_text(&history.to_text()).unwrap();
         assert_eq!(rendered.entries, history.entries);
     }

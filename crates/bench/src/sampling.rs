@@ -271,8 +271,33 @@ pub struct SamplingBenchReport {
     pub arena_solve_ns: u128,
     /// Heap bytes of the sampled pool's flat arena.
     pub pool_arena_bytes: usize,
+    /// [`pool_digest`] of the sampled pool.
+    pub pool_digest: u64,
     /// Union cost of the solve.
     pub arena_cost: usize,
+}
+
+/// A 53-bit FNV-1a hash of a pool's type-1 paths and their
+/// multiplicities, in the pool's canonical order: each path as its
+/// length, its node ids and its multiplicity. Two pools with the same
+/// counts but one path swapped for another hash apart. The mask keeps
+/// the value exact through the history file's `f64` numbers.
+pub fn pool_digest(pool: &PathPool) -> u64 {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut hash = FNV_OFFSET;
+    let mut word = |w: u64| {
+        for byte in w.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(FNV_PRIME);
+        }
+    };
+    for (path, multiplicity) in pool.iter() {
+        word(path.len() as u64);
+        path.iter().for_each(|&node| word(u64::from(node)));
+        word(u64::from(multiplicity));
+    }
+    hash & ((1 << 53) - 1)
 }
 
 /// A `{ sample, solve, total }` timing object of a history entry.
@@ -303,7 +328,7 @@ impl SamplingBenchReport {
     /// entry (see [`crate::history`]), attributed by `stamp`.
     pub fn to_json(&self, stamp: &crate::history::Stamp) -> String {
         format!(
-            "{{\n  \"scenario\": \"{}\",\n  \"profile\": \"{}\",\n  \"stamp\": {},\n  \"graph\": {{ \"kind\": \"{}\", \"nodes\": {}, \"edges\": {}, \"s\": {}, \"t\": {} }},\n  \"config\": {{ \"walks\": {}, \"seed\": {}, \"threads\": {}, \"reps\": {}, \"beta\": {} }},\n  \"pool\": {{ \"type1\": {}, \"unique_paths\": {}, \"dedup_factor\": {:.3}, \"pmax_estimate\": {:.6}, \"cover_p\": {}, \"arena_bytes\": {}, \"dangling\": {}, \"cycles\": {} }},\n  \"arena_ns\": {},\n  \"cost\": {{ \"arena\": {} }}\n}}\n",
+            "{{\n  \"scenario\": \"{}\",\n  \"profile\": \"{}\",\n  \"stamp\": {},\n  \"graph\": {{ \"kind\": \"{}\", \"nodes\": {}, \"edges\": {}, \"s\": {}, \"t\": {} }},\n  \"config\": {{ \"walks\": {}, \"seed\": {}, \"threads\": {}, \"reps\": {}, \"beta\": {} }},\n  \"pool\": {{ \"type1\": {}, \"unique_paths\": {}, \"dedup_factor\": {:.3}, \"pmax_estimate\": {:.6}, \"cover_p\": {}, \"arena_bytes\": {}, \"dangling\": {}, \"cycles\": {}, \"digest\": {} }},\n  \"arena_ns\": {},\n  \"cost\": {{ \"arena\": {} }}\n}}\n",
             self.config.scenario().name(),
             self.config.profile,
             stamp.to_json().render(),
@@ -325,6 +350,7 @@ impl SamplingBenchReport {
             self.pool_arena_bytes,
             self.dangling,
             self.cycles,
+            self.pool_digest,
             ns_json(self.arena_sample_ns, self.arena_solve_ns),
             self.arena_cost,
         )
@@ -465,6 +491,7 @@ pub fn run_sampling_bench(config: SamplingBenchConfig) -> SamplingBenchReport {
         arena_sample_ns: sample_ns,
         arena_solve_ns: solve_ns,
         pool_arena_bytes: reference.heap_bytes(),
+        pool_digest: pool_digest(&reference),
         arena_cost,
         config,
     }
@@ -667,6 +694,7 @@ mod tests {
         assert_eq!(value.get("stamp"), Some(&test_stamp().to_json()));
         assert_eq!(value.path_f64(&["pool", "dangling"]), Some(report.dangling as f64));
         assert_eq!(value.path_f64(&["pool", "cycles"]), Some(report.cycles as f64));
+        assert_eq!(value.path_f64(&["pool", "digest"]), Some(report.pool_digest as f64));
         assert_eq!(value.path_f64(&["cost", "arena"]), Some(report.arena_cost as f64));
         assert!(value.path_f64(&["arena_ns", "total"]).unwrap() > 0.0);
         // An entry carries exactly these fields and one cost.
@@ -698,7 +726,21 @@ mod tests {
             parse_json(&report.to_json(&test_stamp())).unwrap()
         };
         let baseline = run(1, 1);
-        assert_eq!(gate_counts(Some(&baseline), &run(3, 2)), CountGate::Equal);
+        let equal = CountGate::Compared { changes: Vec::new(), predates: Vec::new() };
+        assert_eq!(gate_counts(Some(&baseline), &run(3, 2)), equal);
+    }
+
+    #[test]
+    fn pool_digest_tells_pools_apart() {
+        // Pools of other walks hash apart, and every digest survives the
+        // history file's f64 numbers.
+        let (csr, s, t) = workload(400, 3);
+        let instance = FriendingInstance::new(&csr, s, t).unwrap();
+        let pool = |seed| SampleRequest::new(6_000).seed(seed).run(&instance);
+        let digest = pool_digest(&pool(3));
+        assert_eq!(pool_digest(&pool(3)), digest);
+        assert_ne!(pool_digest(&pool(4)), digest);
+        assert_eq!(digest as f64 as u64, digest);
     }
 
     #[test]

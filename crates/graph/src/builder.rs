@@ -4,8 +4,8 @@ use crate::{GraphError, NodeId, SocialGraph, WeightScheme};
 use std::collections::HashSet;
 
 /// Builder for [`SocialGraph`]; collects undirected edges, deduplicates
-/// them, rejects self-loops, and assigns familiarity weights at
-/// [`build`](GraphBuilder::build) time.
+/// them and rejects self-loops. [`build`](GraphBuilder::build) lays out
+/// the sorted adjacency, which implies every familiarity weight.
 ///
 /// The node set is `0..n` where `n` is one past the largest id seen (or a
 /// larger explicit [`reserve_nodes`](GraphBuilder::reserve_nodes) value), so
@@ -152,13 +152,16 @@ impl GraphBuilder {
         Ok(self)
     }
 
-    /// Finalizes the graph, assigning weights with `scheme`.
+    /// Finalizes the graph under `scheme`, whose one variant derives every
+    /// weight from the degrees, so nothing is assigned or stored.
     ///
     /// # Errors
     ///
-    /// Propagates weight-assignment failures from
-    /// [`WeightScheme::weights_for`].
+    /// None today: every edge list the builder accepts is a valid graph.
+    /// The `Result` and the `scheme` argument stay so the call sites do
+    /// not churn.
     pub fn build(&self, scheme: WeightScheme) -> Result<SocialGraph, GraphError> {
+        let WeightScheme::UniformByDegree = scheme;
         let n = self.node_count;
         // Exact per-node preallocation: at million-node generator scale
         // the incremental regrowth of 2m random-order pushes dominated
@@ -176,11 +179,7 @@ impl GraphBuilder {
         for nbrs in &mut adj {
             nbrs.sort_unstable();
         }
-        let mut in_weights = Vec::with_capacity(n);
-        for (v, nbrs) in adj.iter().enumerate() {
-            in_weights.push(scheme.weights_for(NodeId::new(v), nbrs)?);
-        }
-        Ok(SocialGraph::from_parts(adj, in_weights, self.edges.len()))
+        Ok(SocialGraph::from_parts(adj, self.edges.len()))
     }
 }
 

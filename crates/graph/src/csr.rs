@@ -1,65 +1,45 @@
 //! Immutable compressed-sparse-row snapshot used by sampling hot paths.
 
-use crate::{NodeId, Relabeling, SocialGraph};
+use crate::{weights, NodeId, Relabeling, SocialGraph};
 use serde::{Deserialize, Serialize};
 
 /// Per-node metadata packed into one 24-byte record so a walk step loads
 /// one (occasionally two) cache lines instead of scattering across an
-/// offset table, a totals table, and a uniform-flag table. The third
-/// 8-byte word is the precomputed reciprocal `scale` that keeps the
-/// divide off the uniform selection fast path — measured worth more than
-/// the denser 16-byte layout it displaced.
+/// offset table and a totals table. The second 8-byte word is the
+/// precomputed reciprocal `scale` that keeps the divide off the
+/// selection path — measured worth more than the denser 16-byte layout
+/// it displaced.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct NodeMeta {
-    /// `Σ_u w(u,v)`.
+    /// `Σ_u w(u,v)`: the left-to-right sum of `degree` copies of
+    /// `1/degree`, so a draw at or past it selects nobody.
     total: f64,
-    /// `degree / total` (0 for isolated nodes): the uniform fast path
-    /// selects with one multiply, `⌊r · scale⌋`, instead of a divide —
-    /// the divide sat on the walk loop's critical dependency chain.
+    /// `degree / total` (0 for isolated nodes): selection picks slot
+    /// `⌊r · scale⌋` with one multiply instead of a divide — the divide
+    /// sat on the walk loop's critical dependency chain.
     scale: f64,
-    /// Start of the node's slice in `neighbors` / `cum_weights`.
+    /// Start of the node's slice in `neighbors`.
     base: u32,
-    /// Degree in the low 31 bits; the high bit is set when the node's
-    /// weights are all equal (the `O(1)` selection fast path).
-    packed_degree: u32,
+    /// The node's degree.
+    degree: u32,
 }
 
-/// High bit of [`NodeMeta::packed_degree`]: uniform-weight flag.
-const UNIFORM_BIT: u32 = 1 << 31;
-/// Low 31 bits of [`NodeMeta::packed_degree`]: the degree.
-const DEGREE_MASK: u32 = UNIFORM_BIT - 1;
-
-impl NodeMeta {
-    #[inline]
-    fn degree(self) -> usize {
-        (self.packed_degree & DEGREE_MASK) as usize
-    }
-
-    #[inline]
-    fn is_uniform(self) -> bool {
-        self.packed_degree & UNIFORM_BIT != 0
-    }
-}
-
-/// A compressed-sparse-row view of a [`SocialGraph`] with per-node
-/// cumulative weight tables.
+/// A compressed-sparse-row view of a [`SocialGraph`].
 ///
 /// This is the structure realization sampling (Def. 1 of the paper) runs
-/// on: selecting `g(v)` means drawing `r ~ U[0,1)` and, when
-/// `r < total_in_weight(v)`, binary-searching the cumulative weights of
-/// `v`'s neighbor slice — `O(log d)` per selection, `O(1)` for the
-/// uniform-weight fast path. Per-node metadata (slice offset, total
-/// weight, uniform flag) lives in one packed record per node, which is
-/// what keeps the backward-walk hot loop cache-resident on large graphs.
+/// on. Every neighbor of `v` weighs `1/|N_v|`, so selecting `g(v)` from a
+/// uniform draw `r` is one multiply: slot `⌊r · degree/total⌋` of `v`'s
+/// neighbor slice when `r < total_in_weight(v)`, nobody otherwise. No
+/// weight is stored; per-node metadata (slice offset, degree, total
+/// weight and its reciprocal scale) lives in one packed record per node,
+/// which is what keeps the backward-walk hot loop cache-resident on
+/// large graphs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CsrGraph {
     /// One packed record per node.
     meta: Vec<NodeMeta>,
     /// Concatenated sorted neighbor lists.
     neighbors: Vec<NodeId>,
-    /// `cum_weights[i]` = prefix sum of `v`'s incoming weights up to and
-    /// including slice position `i`.
-    cum_weights: Vec<f64>,
     /// Number of undirected edges.
     edge_count: usize,
     /// Whether neighbor slices are sorted by node id. The default build
@@ -105,51 +85,34 @@ impl CsrGraph {
         let n = g.node_count();
         let mut meta = Vec::with_capacity(n);
         let mut neighbors = Vec::with_capacity(2 * g.edge_count());
-        let mut cum_weights = Vec::with_capacity(2 * g.edge_count());
-        // Node `new` of the snapshot is node `source_of(new)` of `g`.
-        let source_of = |new: usize| -> NodeId {
-            match relabeling {
+        for new in 0..n {
+            // Node `new` of the snapshot is node `v` of `g`.
+            let v = match relabeling {
                 None => NodeId::new(new),
                 Some(r) => r.original_of(NodeId::new(new)),
-            }
-        };
-        for new in 0..n {
-            let v = source_of(new);
-            let ws = g.in_weights(v);
+            };
             let base = neighbors.len();
             match relabeling {
                 None => neighbors.extend_from_slice(g.neighbors(v)),
                 // Image order: position i maps position i.
                 Some(r) => neighbors.extend(g.neighbors(v).iter().map(|&u| r.new_of(u))),
             }
-            let mut acc = 0.0;
-            let first = ws.first().copied();
-            let mut is_uniform = true;
-            for &w in ws {
-                acc += w;
-                cum_weights.push(acc);
-                if let Some(f) = first {
-                    if (w - f).abs() > 1e-15 {
-                        is_uniform = false;
-                    }
-                }
-            }
             let degree = neighbors.len() - base;
             // Hard asserts (not debug): overflow would silently corrupt
-            // slices or flip the uniform flag in release builds.
-            assert!(degree <= DEGREE_MASK as usize, "degree overflows packed metadata");
+            // slices in release builds.
+            assert!(degree <= u32::MAX as usize, "degree overflows packed metadata");
             assert!(base <= u32::MAX as usize, "adjacency overflows u32 offsets");
+            let total = weights::total_in_weight(degree);
             meta.push(NodeMeta {
-                total: acc,
-                scale: if acc > 0.0 { degree as f64 / acc } else { 0.0 },
+                total,
+                scale: if total > 0.0 { degree as f64 / total } else { 0.0 },
                 base: base as u32,
-                packed_degree: degree as u32 | if is_uniform { UNIFORM_BIT } else { 0 },
+                degree: degree as u32,
             });
         }
         CsrGraph {
             meta,
             neighbors,
-            cum_weights,
             edge_count: g.edge_count(),
             sorted_neighbors: relabeling.is_none(),
         }
@@ -170,7 +133,7 @@ impl CsrGraph {
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
-        self.meta[v.index()].degree()
+        self.meta[v.index()].degree as usize
     }
 
     /// Neighbors of `v` — sorted by id for a default build, in image
@@ -179,7 +142,7 @@ impl CsrGraph {
     #[inline]
     pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
         let m = self.meta[v.index()];
-        &self.neighbors[m.base as usize..m.base as usize + m.degree()]
+        &self.neighbors[m.base as usize..m.base as usize + m.degree as usize]
     }
 
     /// Whether neighbor slices are sorted by node id (false only for
@@ -190,7 +153,8 @@ impl CsrGraph {
     }
 
     /// Total incoming familiarity of `v` (the probability that `v` selects
-    /// *some* neighbor in a realization).
+    /// *some* neighbor in a realization), the same left-to-right sum as
+    /// [`SocialGraph::total_in_weight`].
     #[inline]
     pub fn total_in_weight(&self, v: NodeId) -> f64 {
         self.meta[v.index()].total
@@ -216,47 +180,26 @@ impl CsrGraph {
         self.neighbor_position(u, v).is_some()
     }
 
-    /// The familiarity `w(u,v)`, reconstructed from the cumulative table.
+    /// The familiarity `w(u,v) = 1/|N_v|`, or `None` when `{u, v}` is not
+    /// an edge.
     pub fn in_weight(&self, u: NodeId, v: NodeId) -> Option<f64> {
-        let i = v.index();
-        if i >= self.node_count() {
+        if !self.has_edge(u, v) {
             return None;
         }
-        let base = self.meta[i].base as usize;
-        let pos = self.neighbor_position(u, v)?;
-        let hi = self.cum_weights[base + pos];
-        let lo = if pos == 0 { 0.0 } else { self.cum_weights[base + pos - 1] };
-        Some(hi - lo)
+        Some(weights::in_weight(self.degree(v)))
     }
 
     /// Realization selection for node `v` (Def. 1): given a uniform draw
     /// `r ∈ [0, 1)`, returns the neighbor `u` selected with probability
     /// `w(u,v)`, or `None` — the artificial user `ℵ0` — with the remaining
-    /// probability `1 − Σ_u w(u,v)`.
+    /// probability `1 − Σ_u w(u,v)`: the neighbor at
+    /// [`select_slot`](Self::select_slot)`(v, r)`.
     ///
     /// Deterministic in `r`, which makes the derandomized tests and the
     /// Lemma 1 equivalence checks straightforward.
     #[inline]
     pub fn select_with(&self, v: NodeId, r: f64) -> Option<NodeId> {
-        let m = self.meta[v.index()];
-        if r >= m.total {
-            return None;
-        }
-        let base = m.base as usize;
-        let d = m.degree();
-        debug_assert!(d > 0, "node with zero total weight cannot select");
-        if m.is_uniform() {
-            // All weights equal: index = floor(r · d/total), clamped.
-            // The reciprocal is precomputed in the record, so the fast
-            // path costs one multiply; `r < total` guarantees the clamp
-            // handles the at-most-one-ulp overshoot at the boundary.
-            let idx = (r * m.scale) as usize;
-            return Some(self.neighbors[base + idx.min(d - 1)]);
-        }
-        let slice = &self.cum_weights[base..base + d];
-        // First position whose cumulative weight exceeds r.
-        let idx = slice.partition_point(|&c| c <= r);
-        Some(self.neighbors[base + idx.min(d - 1)])
+        self.select_slot(v, r).map(|slot| self.neighbors[slot])
     }
 
     /// Hints the CPU to pull `v`'s packed metadata record into cache.
@@ -296,47 +239,23 @@ impl CsrGraph {
     /// Realization selection as a position: the neighbor-table slot
     /// holding the neighbor [`select_with`](Self::select_with) picks for
     /// `(v, r)`, or `None` (the artificial user `ℵ0`) when
-    /// `r ≥ total_in_weight(v)`. So `neighbor_at(select_slot(v, r)?)`
-    /// is `select_with(v, r)` for every `(v, r)` — the two are freely
-    /// interchangeable in deterministic pipelines (property-tested). The
-    /// lockstep sampler splits a step here: it selects and prefetches
-    /// the slot, and reads it a pass later.
-    ///
-    /// Non-uniform tables are searched guess-then-scan instead of by
-    /// bisection. The guess is the reciprocal fast path applied to a
-    /// non-uniform table: if the weights *were* equal the hit would be at
-    /// `⌊r · degree/total⌋`, so start there and scan outward to the true
-    /// partition point. Near-uniform tables resolve in O(1) expected
-    /// steps with no branch-mispredicting bisection; heavily skewed
-    /// tables degrade toward a linear scan, which is why
-    /// [`select_with`](Self::select_with) (O(log d) worst case) remains
-    /// the selection outside the lockstep loop.
+    /// `r ≥ total_in_weight(v)`. Each of `v`'s `d` neighbors weighs
+    /// `1/d`, so the slot is `⌊r · d/total⌋` within `v`'s slice, clamped
+    /// to its last position: one multiply by the record's precomputed
+    /// `scale`. The lockstep sampler splits a step here: it selects and
+    /// prefetches the slot, and reads it a pass later.
     #[inline]
     pub fn select_slot(&self, v: NodeId, r: f64) -> Option<usize> {
         let m = self.meta[v.index()];
         if r >= m.total {
             return None;
         }
-        let base = m.base as usize;
-        let d = m.degree();
+        let d = m.degree as usize;
         debug_assert!(d > 0, "node with zero total weight cannot select");
-        let guess = ((r * m.scale) as usize).min(d - 1);
-        if m.is_uniform() {
-            return Some(base + guess);
-        }
-        let slice = &self.cum_weights[base..base + d];
-        let mut idx = guess;
-        // Restore the partition-point invariants around the guess: every
-        // cumulative weight before `idx` must be ≤ r, the one at `idx`
-        // (if any) must exceed r. The table is nondecreasing, so the
-        // fixed point is unique and equals `partition_point(|&c| c <= r)`.
-        while idx > 0 && slice[idx - 1] > r {
-            idx -= 1;
-        }
-        while idx < d && slice[idx] <= r {
-            idx += 1;
-        }
-        Some(base + idx.min(d - 1))
+        // `r < total` bounds the product by `d` up to one ulp, which the
+        // clamp absorbs.
+        let idx = (r * m.scale) as usize;
+        Some(m.base as usize + idx.min(d - 1))
     }
 
     /// The neighbor stored at `slot`, a position returned by
@@ -399,7 +318,7 @@ mod tests {
         for v in g.nodes() {
             assert_eq!(csr.neighbors(v), g.neighbors(v));
             assert_eq!(csr.degree(v), g.degree(v));
-            assert!((csr.total_in_weight(v) - g.total_in_weight(v)).abs() < 1e-12);
+            assert_eq!(csr.total_in_weight(v), g.total_in_weight(v));
         }
     }
 
@@ -409,9 +328,8 @@ mod tests {
         let csr = g.to_csr();
         for v in g.nodes() {
             for &u in g.neighbors(v) {
-                let expected = g.in_weight(u, v).unwrap();
-                let got = csr.in_weight(u, v).unwrap();
-                assert!((expected - got).abs() < 1e-12);
+                assert_eq!(csr.in_weight(u, v), g.in_weight(u, v));
+                assert_eq!(csr.in_weight(u, v), Some(1.0 / g.degree(v) as f64));
             }
         }
         assert_eq!(csr.in_weight(NodeId::new(0), NodeId::new(3)), None);
@@ -430,37 +348,24 @@ mod tests {
         assert_eq!(csr.select_with(v, 1.0), None);
     }
 
-    #[test]
-    fn select_respects_partial_total() {
+    /// A star whose center has `leaves` neighbors.
+    fn star(leaves: usize) -> CsrGraph {
         let mut b = GraphBuilder::new();
-        b.add_edge(0, 1).unwrap();
-        let g = b.build(WeightScheme::ScaledByDegree { rho: 0.4 }).unwrap();
-        let csr = g.to_csr();
-        let v = NodeId::new(0);
-        assert_eq!(csr.select_with(v, 0.39), Some(NodeId::new(1)));
-        assert_eq!(csr.select_with(v, 0.4), None);
-        assert_eq!(csr.select_with(v, 0.9), None);
+        b.add_edges((1..=leaves).map(|leaf| (0, leaf))).unwrap();
+        b.build(WeightScheme::UniformByDegree).unwrap().to_csr()
     }
 
     #[test]
-    fn select_with_nonuniform_weights() {
-        use std::collections::HashMap;
-        let mut weights = HashMap::new();
-        weights.insert((1, 0), 0.2);
-        weights.insert((2, 0), 0.6);
-        weights.insert((0, 1), 0.5);
-        weights.insert((0, 2), 0.5);
-        let mut b = GraphBuilder::new();
-        b.add_edge(0, 1).unwrap();
-        b.add_edge(0, 2).unwrap();
-        let g = b.build(WeightScheme::Custom { weights }).unwrap();
-        let csr = g.to_csr();
+    fn select_respects_partial_total() {
+        // Six copies of 1/6 sum to one ulp below 1, so the center of a
+        // six-leaf star selects nobody on a draw in [total, 1).
+        let csr = star(6);
         let v = NodeId::new(0);
-        // Cumulative: [0.2, 0.8]; neighbor slice [1, 2].
-        assert_eq!(csr.select_with(v, 0.1), Some(NodeId::new(1)));
-        assert_eq!(csr.select_with(v, 0.2), Some(NodeId::new(2)));
-        assert_eq!(csr.select_with(v, 0.79), Some(NodeId::new(2)));
-        assert_eq!(csr.select_with(v, 0.8), None);
+        let total = csr.total_in_weight(v);
+        assert_eq!(total, 1.0f64.next_down());
+        assert_eq!(csr.select_with(v, total.next_down()), Some(NodeId::new(6)));
+        assert_eq!(csr.select_with(v, total), None);
+        assert_eq!(csr.select_with(v, 0.999_999), Some(NodeId::new(6)));
     }
 
     #[test]
@@ -505,56 +410,44 @@ mod tests {
     fn relabeled_selection_is_equivariant() {
         use crate::Relabeling;
         use rand::{Rng, SeedableRng};
-        // Non-uniform weights + a hub, so both selection paths and the
-        // dangling branch are exercised.
+        // A hub of degree 6, whose total sits one ulp below 1, and an
+        // isolated node, so selection and the dangling branch are both
+        // exercised.
         let mut b = GraphBuilder::new();
-        b.add_edges(vec![(0, 1), (0, 2), (0, 3), (2, 3), (3, 4)]).unwrap();
-        let g = b.build(WeightScheme::ScaledByDegree { rho: 0.9 }).unwrap();
+        b.add_edges(vec![(0, 1), (0, 2), (0, 3), (0, 5), (0, 6), (0, 7), (2, 3), (3, 4)]).unwrap();
+        let g = b.reserve_nodes(9).build(WeightScheme::UniformByDegree).unwrap();
         let plain = g.to_csr();
         let r = Relabeling::hub_bfs(&g);
         let relabeled = CsrGraph::from_social_graph_relabeled(&g, &r);
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         for _ in 0..2_000 {
             let v = NodeId::new(rng.gen_range(0..g.node_count()));
-            let draw = rng.gen::<f64>();
-            let expected = plain.select_with(v, draw).map(|u| r.new_of(u));
-            assert_eq!(relabeled.select_with(r.new_of(v), draw), expected);
+            // Draws lie in [0, 1): an isolated node's total is 0.
+            let total = plain.total_in_weight(v);
+            for draw in [rng.gen::<f64>(), total, total.next_down().max(0.0)] {
+                let expected = plain.select_with(v, draw).map(|u| r.new_of(u));
+                assert_eq!(relabeled.select_with(r.new_of(v), draw), expected);
+            }
         }
     }
 
     #[test]
     fn guided_selection_is_exactly_select_with() {
         use rand::{Rng, SeedableRng};
-        use std::collections::HashMap;
-        // A non-uniform star (exercises the guided scan), a uniform path
-        // (exercises the reciprocal fast path), and a scaled graph whose
-        // weights sum below 1 (a draw at or past the total dangles).
-        let mut weights = HashMap::new();
-        weights.insert((1, 0), 0.05);
-        weights.insert((2, 0), 0.5);
-        weights.insert((3, 0), 0.2);
-        weights.insert((4, 0), 0.1);
-        weights.insert((0, 1), 0.3);
-        weights.insert((0, 2), 0.3);
-        weights.insert((0, 3), 0.3);
-        weights.insert((0, 4), 0.3);
-        let mut b = GraphBuilder::new();
-        b.add_edges((1..5).map(|i| (0, i))).unwrap();
-        let skewed = b.build(WeightScheme::Custom { weights }).unwrap().to_csr();
-        let uniform = path4().to_csr();
-        let mut b = GraphBuilder::new();
-        b.add_edges(vec![(0, 1), (0, 2), (0, 3), (2, 3), (3, 4)]).unwrap();
-        let scaled = b.build(WeightScheme::ScaledByDegree { rho: 0.6 }).unwrap().to_csr();
+        // A path (totals of exactly 1), and stars whose centers' totals
+        // fall below 1 (degree 6), above it (degree 9) or hit it (degree
+        // 16): a draw at or past a total dangles.
+        let graphs = [path4().to_csr(), star(6), star(9), star(16)];
         let select = |csr: &CsrGraph, v, r| csr.select_slot(v, r).map(|slot| csr.neighbor_at(slot));
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        for csr in [&skewed, &uniform, &scaled] {
+        for csr in &graphs {
             for v in csr.nodes() {
+                let d = csr.degree(v);
                 let total = csr.total_in_weight(v);
-                // Every cumulative weight and the draw just below it sit
-                // on a partition boundary of the scan.
-                let m = csr.meta[v.index()];
-                let cum = &csr.cum_weights[m.base as usize..m.base as usize + m.degree()];
-                let boundaries = cum.iter().flat_map(|&c| [c, c.next_down()]);
+                // Each slot's first draw `k · total/d`, and the draw just
+                // below it, sit on a boundary of the multiply.
+                let boundaries = (1..d).map(|k| k as f64 * total / d as f64);
+                let boundaries = boundaries.flat_map(|b| [b, b.next_down()]);
                 for r in [0.0, 1e-12, 0.5, 0.999_999, 1.0, total, total.next_down()]
                     .into_iter()
                     .chain(boundaries)
@@ -565,15 +458,16 @@ mod tests {
                     let r = rng.gen::<f64>();
                     assert_eq!(select(csr, v, r), csr.select_with(v, r), "v={v:?} r={r}");
                 }
+                // The draw just below the total selects the last slot.
+                assert_eq!(csr.select_slot(v, total), None, "v={v:?}");
+                if d > 0 {
+                    assert_eq!(
+                        select(csr, v, total.next_down()),
+                        csr.neighbors(v).last().copied(),
+                        "v={v:?}"
+                    );
+                }
             }
-        }
-        // The scaled graph really dangles: a draw at its total selects
-        // nobody, the draw just below it somebody.
-        for v in scaled.nodes() {
-            let total = scaled.total_in_weight(v);
-            assert!(total < 1.0, "v={v:?} total={total}");
-            assert_eq!(scaled.select_slot(v, total), None, "v={v:?}");
-            assert!(scaled.select_slot(v, total.next_down()).is_some(), "v={v:?}");
         }
     }
 

@@ -4,8 +4,9 @@
 //! [`EdgeDelta`] collects add/remove operations in arrival order,
 //! collapses them deterministically (last operation per undirected edge
 //! wins — "rebuild batching"), and applies them by rebuilding the graph
-//! through [`GraphBuilder`] so familiarity weights are re-derived from
-//! the post-churn degrees exactly as a from-scratch load would.
+//! through [`GraphBuilder`], exactly as a from-scratch load of the
+//! post-churn edge list would. Weights follow the post-churn degrees,
+//! since `w(u,v) = 1/|N_v|` is implied by them.
 //!
 //! The node set is frozen: a delta rewires edges among the existing
 //! `0..n` ids. This keeps every resident [`Relabeling`](crate::Relabeling)
@@ -184,9 +185,9 @@ impl EdgeDelta {
         plan
     }
 
-    /// Applies the batched delta to `graph`, rebuilding adjacency and
-    /// re-deriving weights under `scheme` exactly as a fresh
-    /// [`GraphBuilder`] load of the post-churn edge list would.
+    /// Applies the batched delta to `graph`, rebuilding adjacency under
+    /// `scheme` exactly as a fresh [`GraphBuilder`] load of the
+    /// post-churn edge list would.
     ///
     /// Adds of present edges and removes of absent edges are no-ops and
     /// are excluded from the effect report; the node set is unchanged.
@@ -194,8 +195,7 @@ impl EdgeDelta {
     /// # Errors
     ///
     /// Returns [`GraphError::NodeOutOfRange`] when an endpoint is outside
-    /// `0..graph.node_count()` (the node set is frozen under churn), and
-    /// propagates weight-assignment failures from the rebuild.
+    /// `0..graph.node_count()` (the node set is frozen under churn).
     pub fn apply(
         &self,
         graph: &SocialGraph,
@@ -240,7 +240,7 @@ impl EdgeDelta {
 /// *effective* operations (no-ops excluded), in sorted `(u, v)` order.
 #[derive(Debug, Clone)]
 pub struct DeltaApplied {
-    /// The post-churn graph (same node set, rebuilt weights).
+    /// The post-churn graph (same node set, rebuilt adjacency).
     pub graph: SocialGraph,
     /// Edges that were actually inserted, sorted `(min, max)` pairs.
     pub added: Vec<(u32, u32)>,
@@ -261,8 +261,8 @@ impl DeltaApplied {
 
     /// Sorted, deduplicated endpoints of every effective operation.
     ///
-    /// Under degree-derived weight schemes these are exactly the nodes
-    /// whose in-weight distributions changed, which is the invalidation
+    /// Weights derive from degrees, so these are exactly the nodes whose
+    /// in-weight distributions changed, which is the invalidation
     /// unit for walk repair: a stored walk is stale iff it drew a step
     /// at a touched node.
     pub fn touched_nodes(&self) -> Vec<u32> {
@@ -373,7 +373,8 @@ mod tests {
         assert_eq!(applied.graph.edges().collect::<Vec<_>>(), fresh.edges().collect::<Vec<_>>());
         for v in 0..6 {
             let v = NodeId::new(v);
-            assert_eq!(applied.graph.in_weights(v), fresh.in_weights(v));
+            assert_eq!(applied.graph.neighbors(v), fresh.neighbors(v));
+            assert_eq!(applied.graph.total_in_weight(v), fresh.total_in_weight(v));
         }
     }
 
@@ -386,7 +387,7 @@ mod tests {
         for v in 0..5 {
             let v = NodeId::new(v);
             assert_eq!(applied.graph.neighbors(v), g.neighbors(v));
-            assert_eq!(applied.graph.in_weights(v), g.in_weights(v));
+            assert_eq!(applied.graph.total_in_weight(v), g.total_in_weight(v));
         }
     }
 }

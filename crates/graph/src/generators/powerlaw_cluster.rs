@@ -151,6 +151,6 @@ mod tests {
     fn zero_triad_probability_valid() {
         let b = powerlaw_cluster(100, 2, 0.0, &mut rng(5)).unwrap();
         let g = b.build(WeightScheme::UniformByDegree).unwrap();
-        g.validate().unwrap();
+        assert_eq!((g.node_count(), g.edge_count()), (100, b.edge_count()));
     }
 }

@@ -1,15 +1,17 @@
 //! The [`SocialGraph`] adjacency-list representation.
 
-use crate::{CsrGraph, GraphError, NodeId};
+use crate::{weights, CsrGraph, NodeId};
 use serde::{Deserialize, Serialize};
 
-/// An undirected simple graph with per-ordered-pair familiarity weights,
-/// the model of Sec. II-A of the paper.
+/// An undirected simple graph under the friending model of Sec. II-A of
+/// the paper.
 ///
-/// For an edge `{u, v}` the graph stores two weights: `w(u,v)` — `v`'s
-/// familiarity with `u` — and `w(v,u)`. Weights need not be symmetric. The
-/// LT normalization invariant `Σ_u w(u,v) ≤ 1` holds for every node (it is
-/// validated at construction time).
+/// Every ordered pair of friends `(u, v)` carries the familiarity
+/// `w(u,v) = 1/|N_v|` that `v` places on `u`
+/// ([`WeightScheme::UniformByDegree`](crate::WeightScheme::UniformByDegree)).
+/// Weights need not be symmetric, and they are implied by the degrees,
+/// so the graph stores only adjacency. The LT normalization
+/// `Σ_u w(u,v) ≤ 1` holds for every node up to rounding.
 ///
 /// Neighbor lists are kept sorted by node id, enabling `O(log d)` edge
 /// queries via binary search.
@@ -17,23 +19,15 @@ use serde::{Deserialize, Serialize};
 pub struct SocialGraph {
     /// `adj[v]` = sorted neighbor ids of node `v`.
     adj: Vec<Vec<NodeId>>,
-    /// `in_weights[v][i]` = `w(adj[v][i], v)`: the familiarity that `v`
-    /// places on its `i`-th neighbor.
-    in_weights: Vec<Vec<f64>>,
     /// Number of undirected edges.
     edge_count: usize,
 }
 
 impl SocialGraph {
-    /// Assembles a graph from pre-sorted adjacency and aligned incoming
-    /// weights. Used by [`GraphBuilder`](crate::GraphBuilder); not public.
-    pub(crate) fn from_parts(
-        adj: Vec<Vec<NodeId>>,
-        in_weights: Vec<Vec<f64>>,
-        edge_count: usize,
-    ) -> Self {
-        debug_assert_eq!(adj.len(), in_weights.len());
-        SocialGraph { adj, in_weights, edge_count }
+    /// Assembles a graph from pre-sorted adjacency. Used by
+    /// [`GraphBuilder`](crate::GraphBuilder); not public.
+    pub(crate) fn from_parts(adj: Vec<Vec<NodeId>>, edge_count: usize) -> Self {
+        SocialGraph { adj, edge_count }
     }
 
     /// Number of users `n = |V|`.
@@ -68,13 +62,6 @@ impl SocialGraph {
         &self.adj[v.index()]
     }
 
-    /// The incoming familiarity weights of `v`, aligned with
-    /// [`neighbors`](Self::neighbors): entry `i` is `w(neighbors(v)[i], v)`.
-    #[inline]
-    pub fn in_weights(&self, v: NodeId) -> &[f64] {
-        &self.in_weights[v.index()]
-    }
-
     /// Whether `{u, v}` is an edge (the users are friends).
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         if u.index() >= self.node_count() || v.index() >= self.node_count() {
@@ -83,21 +70,22 @@ impl SocialGraph {
         self.adj[v.index()].binary_search(&u).is_ok()
     }
 
-    /// The familiarity `w(u,v)` that `v` places on `u`, or `None` when the
-    /// two users are not friends (the paper sets such weights to 0).
+    /// The familiarity `w(u,v) = 1/|N_v|` that `v` places on `u`, or
+    /// `None` when the two users are not friends (the paper sets such
+    /// weights to 0).
     pub fn in_weight(&self, u: NodeId, v: NodeId) -> Option<f64> {
-        if v.index() >= self.node_count() {
+        if !self.has_edge(u, v) {
             return None;
         }
-        let idx = self.adj[v.index()].binary_search(&u).ok()?;
-        Some(self.in_weights[v.index()][idx])
+        Some(weights::in_weight(self.degree(v)))
     }
 
-    /// Total incoming familiarity `Σ_u w(u,v)`; at most 1 by the LT
-    /// normalization. A node's realization selects **no** neighbor with
-    /// probability `1 − total_in_weight(v)` (Def. 1).
+    /// Total incoming familiarity `Σ_u w(u,v)`, summed left to right: 1
+    /// up to rounding for a node with friends, 0 for an isolated one. A
+    /// node's realization selects **no** neighbor with probability
+    /// `1 − total_in_weight(v)` (Def. 1).
     pub fn total_in_weight(&self, v: NodeId) -> f64 {
-        self.in_weights[v.index()].iter().sum()
+        weights::total_in_weight(self.degree(v))
     }
 
     /// Iterates over every undirected edge once, as `(u, v)` with `u < v`.
@@ -111,29 +99,6 @@ impl SocialGraph {
     /// Iterates over all node ids `0..n`.
     pub fn nodes(&self) -> impl ExactSizeIterator<Item = NodeId> {
         (0..self.node_count()).map(NodeId::new)
-    }
-
-    /// Validates the LT normalization invariant on every node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::WeightNotNormalized`] for the first node whose
-    /// incoming weights exceed `1 + 1e-9`, or [`GraphError::InvalidWeight`]
-    /// if any individual weight lies outside `(0, 1]`.
-    pub fn validate(&self) -> Result<(), GraphError> {
-        for v in self.nodes() {
-            let mut total = 0.0;
-            for &w in self.in_weights(v) {
-                if !(w > 0.0 && w <= 1.0) {
-                    return Err(GraphError::InvalidWeight { weight: w });
-                }
-                total += w;
-            }
-            if total > 1.0 + 1e-9 {
-                return Err(GraphError::WeightNotNormalized { node: v.index(), total });
-            }
-        }
-        Ok(())
     }
 
     /// Builds the immutable CSR snapshot used by the sampling hot paths.
@@ -219,11 +184,6 @@ mod tests {
         for (u, v) in edges {
             assert!(u < v);
         }
-    }
-
-    #[test]
-    fn validate_accepts_uniform() {
-        triangle().validate().unwrap();
     }
 
     #[test]

@@ -5,14 +5,16 @@
 //! an undirected simple graph `G = (V, E)` where every **ordered** pair of
 //! friends `(u, v)` carries a familiarity weight `w(u,v) ∈ (0, 1]` — the
 //! weight that `v` places on its neighbor `u` — normalized so that
-//! `Σ_u w(u,v) ≤ 1` for every `v`.
+//! `Σ_u w(u,v) ≤ 1` for every `v`. Weights follow the paper's evaluation
+//! model (Sec. IV), `w(u,v) = 1/|N_v|`, so they are implied by the
+//! degrees and neither representation stores them.
 //!
 //! The crate provides:
 //!
-//! * [`SocialGraph`] — adjacency-list storage with per-ordered-pair weights,
-//!   built through [`GraphBuilder`] and a [`WeightScheme`];
-//! * [`CsrGraph`] — an immutable compressed-sparse-row snapshot with
-//!   cumulative weight tables, the hot-path structure used by realization
+//! * [`SocialGraph`] — sorted adjacency lists, built through
+//!   [`GraphBuilder`] under the one [`WeightScheme`];
+//! * [`CsrGraph`] — an immutable compressed-sparse-row snapshot with one
+//!   packed record per node, the hot-path structure used by realization
 //!   sampling in `raf-model`;
 //! * [`generators`] — Erdős–Rényi, Barabási–Albert, Holme–Kim, and
 //!   deterministic fixture graphs;

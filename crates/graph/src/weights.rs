@@ -1,198 +1,71 @@
-//! Familiarity-weight assignment schemes.
+//! The friending model's familiarity weights.
 
-use crate::{GraphError, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// How familiarity weights `w(u,v)` are assigned when building a
 /// [`SocialGraph`](crate::SocialGraph).
 ///
-/// All schemes must respect the paper's LT normalization
-/// `Σ_u w(u,v) ≤ 1`; construction fails otherwise.
+/// The one scheme is the paper's model, so a weight is implied by the
+/// degree of the node that places it, and no graph stores weights.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WeightScheme {
     /// The convention used throughout the paper's evaluation (Sec. IV,
-    /// "Friending Model"): `w(u,v) = 1/|N_v|`. Incoming weights sum to
-    /// exactly 1 for every non-isolated node.
+    /// "Friending Model"): `w(u,v) = 1/|N_v|`. Incoming weights sum to 1,
+    /// up to rounding, for every non-isolated node.
     UniformByDegree,
-    /// `w(u,v) = ρ / |N_v|` for `ρ ∈ (0, 1]`; sums to `ρ`, leaving a
-    /// `1 − ρ` probability of selecting nobody in every realization.
-    ScaledByDegree {
-        /// The total incoming mass `ρ`.
-        rho: f64,
-    },
-    /// Constant weight `w(u,v) = w0` for every ordered pair, as in the
-    /// paper's illustrative Example 1 (`w = 0.1`). Fails validation when
-    /// some node has degree `> 1/w0`.
-    Constant {
-        /// The per-pair weight `w0`.
-        weight: f64,
-    },
-    /// Like [`WeightScheme::Constant`] but capped:
-    /// `w(u,v) = min(w0, 1/|N_v|)`, so normalization always holds.
-    ConstantCapped {
-        /// The per-pair weight cap `w0`.
-        weight: f64,
-    },
-    /// Explicit weights for each ordered pair `(u, v)` (keys are
-    /// `(u, v)` meaning "`v`'s familiarity with `u`"). Every edge must be
-    /// covered in both directions.
-    Custom {
-        /// Map from ordered pair `(u, v)` to `w(u,v)`.
-        weights: HashMap<(u32, u32), f64>,
-    },
 }
 
-impl WeightScheme {
-    /// Computes the incoming weight vector for node `v` with sorted
-    /// neighbor list `nbrs`.
-    ///
-    /// # Errors
-    ///
-    /// * [`GraphError::InvalidWeight`] for weights outside `(0, 1]`;
-    /// * [`GraphError::WeightNotNormalized`] when the scheme would assign
-    ///   a total incoming weight above 1;
-    /// * [`GraphError::MissingWeight`] when a custom scheme lacks a pair.
-    pub fn weights_for(&self, v: NodeId, nbrs: &[NodeId]) -> Result<Vec<f64>, GraphError> {
-        let d = nbrs.len();
-        if d == 0 {
-            return Ok(Vec::new());
-        }
-        let ws: Vec<f64> = match self {
-            WeightScheme::UniformByDegree => vec![1.0 / d as f64; d],
-            WeightScheme::ScaledByDegree { rho } => {
-                if !(*rho > 0.0 && *rho <= 1.0) {
-                    return Err(GraphError::InvalidWeight { weight: *rho });
-                }
-                vec![rho / d as f64; d]
-            }
-            WeightScheme::Constant { weight } => {
-                if !(*weight > 0.0 && *weight <= 1.0) {
-                    return Err(GraphError::InvalidWeight { weight: *weight });
-                }
-                vec![*weight; d]
-            }
-            WeightScheme::ConstantCapped { weight } => {
-                if !(*weight > 0.0 && *weight <= 1.0) {
-                    return Err(GraphError::InvalidWeight { weight: *weight });
-                }
-                vec![weight.min(1.0 / d as f64); d]
-            }
-            WeightScheme::Custom { weights } => {
-                let mut ws = Vec::with_capacity(d);
-                for &u in nbrs {
-                    let w = weights
-                        .get(&(u.as_u32(), v.as_u32()))
-                        .copied()
-                        .ok_or(GraphError::MissingWeight { from: u.index(), to: v.index() })?;
-                    if !(w > 0.0 && w <= 1.0) {
-                        return Err(GraphError::InvalidWeight { weight: w });
-                    }
-                    ws.push(w);
-                }
-                ws
-            }
-        };
-        let total: f64 = ws.iter().sum();
-        if total > 1.0 + 1e-9 {
-            return Err(GraphError::WeightNotNormalized { node: v.index(), total });
-        }
-        Ok(ws)
+/// `w(u,v) = 1/|N_v|` for a node `v` of degree `degree ≥ 1`.
+#[inline]
+pub(crate) fn in_weight(degree: usize) -> f64 {
+    1.0 / degree as f64
+}
+
+/// `Σ_u w(u,v)` for a node of degree `degree`, summed left to right as
+/// `degree` copies of [`in_weight`]: 0 for an isolated node, otherwise
+/// within a few ulps of 1 and sometimes below it, where a draw in
+/// `[total, 1)` selects nobody. Selection compares draws against this
+/// exact sum, so its rounding is part of every sampled pool.
+pub(crate) fn total_in_weight(degree: usize) -> f64 {
+    let w = if degree == 0 { 0.0 } else { in_weight(degree) };
+    let mut total = 0.0;
+    for _ in 0..degree {
+        total += w;
     }
+    total
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn nbrs(ids: &[u32]) -> Vec<NodeId> {
-        ids.iter().map(|&i| NodeId::from(i)).collect()
-    }
+    use crate::{GraphBuilder, NodeId};
 
     #[test]
     fn uniform_by_degree() {
-        let ws = WeightScheme::UniformByDegree
-            .weights_for(NodeId::new(0), &nbrs(&[1, 2, 3, 4]))
-            .unwrap();
-        assert_eq!(ws, vec![0.25; 4]);
-    }
-
-    #[test]
-    fn scaled_by_degree() {
-        let ws = WeightScheme::ScaledByDegree { rho: 0.5 }
-            .weights_for(NodeId::new(0), &nbrs(&[1, 2]))
-            .unwrap();
-        assert_eq!(ws, vec![0.25; 2]);
-    }
-
-    #[test]
-    fn scaled_rejects_bad_rho() {
-        let err = WeightScheme::ScaledByDegree { rho: 1.5 }
-            .weights_for(NodeId::new(0), &nbrs(&[1]))
-            .unwrap_err();
-        assert!(matches!(err, GraphError::InvalidWeight { .. }));
-    }
-
-    #[test]
-    fn constant_ok_when_degree_small() {
-        let ws = WeightScheme::Constant { weight: 0.1 }
-            .weights_for(NodeId::new(0), &nbrs(&[1, 2, 3]))
-            .unwrap();
-        assert_eq!(ws, vec![0.1; 3]);
-    }
-
-    #[test]
-    fn constant_rejects_overfull_node() {
-        let neighbors = nbrs(&(1..=20).collect::<Vec<_>>());
-        let err = WeightScheme::Constant { weight: 0.1 }
-            .weights_for(NodeId::new(0), &neighbors)
-            .unwrap_err();
-        assert!(matches!(err, GraphError::WeightNotNormalized { .. }));
-    }
-
-    #[test]
-    fn constant_capped_never_overflows() {
-        let neighbors = nbrs(&(1..=20).collect::<Vec<_>>());
-        let ws = WeightScheme::ConstantCapped { weight: 0.1 }
-            .weights_for(NodeId::new(0), &neighbors)
-            .unwrap();
-        let total: f64 = ws.iter().sum();
-        assert!(total <= 1.0 + 1e-12);
-        assert_eq!(ws[0], 0.05); // 1/20 < 0.1
-    }
-
-    #[test]
-    fn custom_weights_lookup() {
-        let mut weights = HashMap::new();
-        weights.insert((1, 0), 0.3);
-        weights.insert((2, 0), 0.6);
-        let ws =
-            WeightScheme::Custom { weights }.weights_for(NodeId::new(0), &nbrs(&[1, 2])).unwrap();
-        assert_eq!(ws, vec![0.3, 0.6]);
-    }
-
-    #[test]
-    fn custom_missing_pair_errors() {
-        let weights = HashMap::new();
-        let err =
-            WeightScheme::Custom { weights }.weights_for(NodeId::new(0), &nbrs(&[1])).unwrap_err();
-        assert!(matches!(err, GraphError::MissingWeight { .. }));
-    }
-
-    #[test]
-    fn custom_over_normalized_errors() {
-        let mut weights = HashMap::new();
-        weights.insert((1, 0), 0.7);
-        weights.insert((2, 0), 0.7);
-        let err = WeightScheme::Custom { weights }
-            .weights_for(NodeId::new(0), &nbrs(&[1, 2]))
-            .unwrap_err();
-        assert!(matches!(err, GraphError::WeightNotNormalized { .. }));
+        // A star's center has degree 4: each leaf weighs 1/4 on both
+        // graph representations.
+        let mut b = GraphBuilder::new();
+        b.add_edges((1..=4).map(|leaf| (0, leaf))).unwrap();
+        let g = b.build(WeightScheme::UniformByDegree).unwrap();
+        let csr = g.to_csr();
+        for leaf in 1..=4 {
+            let (u, v) = (NodeId::new(leaf), NodeId::new(0));
+            assert_eq!(g.in_weight(u, v), Some(0.25));
+            assert_eq!(csr.in_weight(u, v), Some(0.25));
+        }
+        assert_eq!(g.total_in_weight(NodeId::new(0)), 1.0);
+        assert_eq!(csr.total_in_weight(NodeId::new(0)), 1.0);
     }
 
     #[test]
     fn isolated_node_has_no_weights() {
-        let ws = WeightScheme::UniformByDegree.weights_for(NodeId::new(0), &[]).unwrap();
-        assert!(ws.is_empty());
+        assert_eq!(total_in_weight(0), 0.0);
+        let mut b = GraphBuilder::new();
+        b.add_edge(0, 1).unwrap();
+        let g = b.reserve_nodes(3).build(WeightScheme::UniformByDegree).unwrap();
+        let isolated = NodeId::new(2);
+        assert_eq!(g.total_in_weight(isolated), 0.0);
+        assert_eq!(g.to_csr().total_in_weight(isolated), 0.0);
+        assert_eq!(g.in_weight(NodeId::new(0), isolated), None);
     }
 }

@@ -1,12 +1,9 @@
-//! Integration tests for the graph crate: IO round-trips at scale and
-//! CSR sampling with non-uniform weights.
+//! Integration tests for the graph crate: IO round-trips at scale.
 
-use proptest::prelude::*;
 use raf_graph::generators::barabasi_albert;
 use raf_graph::io::{read_edge_list, write_edge_list, EdgeListOptions};
-use raf_graph::{GraphBuilder, NodeId, WeightScheme};
+use raf_graph::WeightScheme;
 use rand::SeedableRng;
-use std::collections::HashMap;
 
 #[test]
 fn io_roundtrip_on_generated_graph() {
@@ -28,55 +25,4 @@ fn io_roundtrip_on_generated_graph() {
     d1.sort_unstable();
     d2.sort_unstable();
     assert_eq!(d1, d2);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Non-uniform custom weights: CSR selection frequencies match the
-    /// declared weights on a random star (all edges share the center, so
-    /// every weight matters for one selection distribution).
-    #[test]
-    fn csr_selection_matches_custom_weights(
-        raw in proptest::collection::vec(1u32..100, 2..6),
-        seed in 0u64..500,
-    ) {
-        // Normalize raw weights into (0, 1] summing to ≤ 0.9.
-        let total_raw: u32 = raw.iter().sum();
-        let weights: Vec<f64> =
-            raw.iter().map(|&r| 0.9 * r as f64 / total_raw as f64).collect();
-        let leaves = weights.len();
-        let mut map = HashMap::new();
-        for (i, &w) in weights.iter().enumerate() {
-            // center = 0, leaves = 1..=leaves; w((leaf), 0) = w.
-            map.insert(((i + 1) as u32, 0u32), w);
-            map.insert((0u32, (i + 1) as u32), 0.5f64);
-        }
-        let mut b = GraphBuilder::new();
-        for leaf in 1..=leaves {
-            b.add_edge(0, leaf).unwrap();
-        }
-        let g = b.build(WeightScheme::Custom { weights: map }).unwrap();
-        let csr = g.to_csr();
-        // Empirical selection frequencies of the center node.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let trials = 30_000;
-        let mut counts = vec![0usize; leaves + 1];
-        let mut none = 0usize;
-        for _ in 0..trials {
-            match csr.select_with(NodeId::new(0), rand::Rng::gen::<f64>(&mut rng)) {
-                Some(u) => counts[u.index()] += 1,
-                None => none += 1,
-            }
-        }
-        for (i, &w) in weights.iter().enumerate() {
-            let freq = counts[i + 1] as f64 / trials as f64;
-            prop_assert!(
-                (freq - w).abs() < 0.02,
-                "leaf {}: freq {} vs weight {}", i + 1, freq, w
-            );
-        }
-        let none_freq = none as f64 / trials as f64;
-        prop_assert!((none_freq - 0.1).abs() < 0.02, "ℵ0 frequency {none_freq}");
-    }
 }

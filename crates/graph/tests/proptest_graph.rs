@@ -26,7 +26,9 @@ fn build(max_node: usize, edges: &[(usize, usize)]) -> SocialGraph {
 }
 
 proptest! {
-    /// CSR snapshots agree with the adjacency representation everywhere.
+    /// CSR snapshots agree with the adjacency representation everywhere,
+    /// and both imply the weights exactly: `w(u,v)` is `1.0 / d` and the
+    /// total is the left-to-right sum of `d` copies of it.
     #[test]
     fn csr_equivalent_to_adjacency((max_node, edges) in edge_lists()) {
         let g = build(max_node, &edges);
@@ -35,11 +37,43 @@ proptest! {
         prop_assert_eq!(csr.edge_count(), g.edge_count());
         for v in g.nodes() {
             prop_assert_eq!(csr.neighbors(v), g.neighbors(v));
-            prop_assert!((csr.total_in_weight(v) - g.total_in_weight(v)).abs() < 1e-12);
+            let d = g.degree(v);
+            let mut total = 0.0f64;
+            for _ in 0..d {
+                total += 1.0 / d as f64;
+            }
+            prop_assert_eq!(g.total_in_weight(v).to_bits(), total.to_bits());
+            prop_assert_eq!(csr.total_in_weight(v).to_bits(), total.to_bits());
             for &u in g.neighbors(v) {
-                let a = g.in_weight(u, v).unwrap();
-                let b = csr.in_weight(u, v).unwrap();
-                prop_assert!((a - b).abs() < 1e-12);
+                prop_assert_eq!(g.in_weight(u, v), Some(1.0 / d as f64));
+                prop_assert_eq!(csr.in_weight(u, v), Some(1.0 / d as f64));
+            }
+        }
+    }
+
+    /// Selection is the floor the model implies: a draw `r` below the
+    /// total picks `neighbors(v)[min(⌊r · (d/total)⌋, d − 1)]`, and any
+    /// other draw, the total itself included, selects nobody.
+    #[test]
+    fn selection_is_the_scaled_floor(
+        (max_node, edges) in edge_lists(),
+        draws in proptest::collection::vec(0.0f64..1.0, 8),
+    ) {
+        let g = build(max_node, &edges);
+        let csr = g.to_csr();
+        for v in g.nodes() {
+            let (d, total) = (g.degree(v), g.total_in_weight(v));
+            // Draws lie in [0, 1): an isolated node's total is 0.
+            let below_total = total.next_down().max(0.0);
+            let edge_draws = [0.0, total, below_total, 1.0f64.next_down(), 1.0];
+            for r in draws.iter().copied().chain(edge_draws) {
+                let expected = if r < total {
+                    let slot = ((r * (d as f64 / total)) as usize).min(d - 1);
+                    Some(g.neighbors(v)[slot])
+                } else {
+                    None
+                };
+                prop_assert_eq!(csr.select_with(v, r), expected, "v={:?} r={}", v, r);
             }
         }
     }
@@ -48,7 +82,6 @@ proptest! {
     #[test]
     fn uniform_weights_normalized((max_node, edges) in edge_lists()) {
         let g = build(max_node, &edges);
-        prop_assert!(g.validate().is_ok());
         for v in g.nodes() {
             let total = g.total_in_weight(v);
             if g.degree(v) > 0 {
@@ -84,20 +117,19 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Generators produce graphs that pass validation and match their
-    /// declared node counts.
+    /// Generators produce graphs that match their declared node and edge
+    /// counts.
     #[test]
     fn generators_valid(seed in 0u64..1000, n in 10usize..60) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let ba = barabasi_albert(n, 2, &mut rng).unwrap()
-            .build(WeightScheme::UniformByDegree).unwrap();
-        prop_assert_eq!(ba.node_count(), n);
-        prop_assert!(ba.validate().is_ok());
+        let ba = barabasi_albert(n, 2, &mut rng).unwrap();
+        let edges = ba.edge_count();
+        let ba = ba.build(WeightScheme::UniformByDegree).unwrap();
+        prop_assert_eq!((ba.node_count(), ba.edge_count()), (n, edges));
 
         let m = (n * 2).min(n * (n - 1) / 2);
         let gnm = erdos_renyi_gnm(n, m, &mut rng).unwrap()
             .build(WeightScheme::UniformByDegree).unwrap();
-        prop_assert_eq!(gnm.edge_count(), m);
-        prop_assert!(gnm.validate().is_ok());
+        prop_assert_eq!((gnm.node_count(), gnm.edge_count()), (n, m));
     }
 }

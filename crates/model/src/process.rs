@@ -5,11 +5,13 @@
 //! `Σ_{v ∈ C} w(v,u)` has reached `θ_u` into a new friend, until no more
 //! users convert or the target joins.
 //!
-//! Forward simulation probes `w(v,u)` per propagated edge, which on a
-//! *relabeled* snapshot is a linear neighbor scan (image-order slices
-//! have no binary search) — `O(deg)` at hubs. That is acceptable here
-//! because the forward process is the validation route; the evaluation's
-//! hot path is reverse sampling, which never calls `in_weight`.
+//! Forward simulation reads `w(v,u) = 1/|N_u|` per propagated edge
+//! through `in_weight`, which confirms the edge first: a binary search,
+//! or on a *relabeled* snapshot a linear neighbor scan (image-order
+//! slices have no binary search) — `O(deg)` at hubs. That is acceptable
+//! here because the forward process is the validation route, which only
+//! tests run; the evaluation's hot path is reverse sampling, which never
+//! calls `in_weight`.
 
 use crate::{FriendingInstance, InvitationSet};
 use raf_graph::NodeId;
@@ -180,21 +182,29 @@ mod tests {
     #[test]
     fn example_one_from_paper() {
         // Fig. 1: s's friends are v1..v4's structure approximated — we test
-        // the qualitative claim: an invited node without enough mutual
-        // friends does not convert, an uninvited node never converts.
+        // the qualitative claim: an invited node converts once enough
+        // mutual friends weigh in, an uninvited node never converts.
         // Star: s(0) - {1, 2}; 1 - 3; 2 - 3; t(4) - 3.
         let mut b = GraphBuilder::new();
         b.add_edges(vec![(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]).unwrap();
-        let g = b.build(WeightScheme::ConstantCapped { weight: 0.4 }).unwrap().to_csr();
+        let g = b.build(WeightScheme::UniformByDegree).unwrap().to_csr();
         let inst = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(4)).unwrap();
-        // θ_3 = 0.5: needs both 1 and 2 (0.4 + 0.4 ≥ 0.5) — one is enough
-        // only if 0.4 ≥ 0.5, false. Invite {3, 4} only: 3 converts because
-        // BOTH seeds 1,2 are friends already... they are seeds, so their
-        // influence counts immediately.
+        // Node 3 has degree 3, so each friend weighs 1/3 to it. θ_3 = 0.5
+        // needs both seeds 1 and 2 (1/3 + 1/3 ≥ 0.5); one alone is not
+        // enough (1/3 < 0.5). Both are seeds, so their influence counts in
+        // round 1, and t (degree 1, w = 1 ≥ 0.3) follows in round 2.
         let inv = InvitationSet::from_nodes(5, [NodeId::new(3), NodeId::new(4)]);
         let out = run_process_with_thresholds(&inst, &inv, &[0.9, 0.9, 0.9, 0.5, 0.3]);
         assert!(out.target_friended);
         assert_eq!(out.rounds, 2);
+        // A threshold above 2/3 keeps node 3, and with it t, out.
+        let out = run_process_with_thresholds(&inst, &inv, &[0.9, 0.9, 0.9, 0.7, 0.3]);
+        assert!(!out.target_friended);
+        assert_eq!(out.final_friends, vec![NodeId::new(1), NodeId::new(2)]);
+        // Uninvited, node 3 never converts, however low its threshold.
+        let only_t = InvitationSet::from_nodes(5, [NodeId::new(4)]);
+        let out = run_process_with_thresholds(&inst, &only_t, &[0.0; 5]);
+        assert!(!out.target_friended);
     }
 
     #[test]

@@ -718,10 +718,10 @@ pub enum PoolRepair {
 /// endpoint set is `touched` (original-space ids, as reported by
 /// `DeltaApplied::touched_nodes`).
 ///
-/// Under degree-derived weight schemes churn on `{u, v}` renormalizes
-/// the whole in-weight distribution at both endpoints, so exactly the
-/// stored walks that *drew a step* at a touched endpoint are stale —
-/// resolved through the [`EdgeWalkIndex`](crate::walk_index::EdgeWalkIndex)
+/// Weights derive from degrees (`w(u,v) = 1/|N_v|`), so churn on
+/// `{u, v}` renormalizes the whole in-weight distribution at both
+/// endpoints, and exactly the stored walks that *drew a step* at a
+/// touched endpoint are stale — resolved through the [`EdgeWalkIndex`](crate::walk_index::EdgeWalkIndex)
 /// in time proportional to the affected walks. Those paths are dropped
 /// and their multiplicity mass is re-sampled on the post-delta
 /// `instance` through `template` (the entry's [`SampleRequest`] with its
@@ -1063,33 +1063,23 @@ mod tests {
     fn kernels_produce_identical_pools() {
         // Both loops draw walk i from walk_rng(seed, i) and book the same
         // steps per walk, so they sample bit-equal pools — with and
-        // without a step budget, at every thread count, and under weight
-        // schemes whose incoming weights sum below 1 (a draw past the
-        // total selects nobody and the walk dangles).
+        // without a step budget, and at every thread count.
         let mut b = GraphBuilder::new();
         b.add_edges(vec![(0, 2), (2, 3), (3, 1), (0, 4), (4, 1), (2, 4), (3, 5), (5, 1)]).unwrap();
-        let schemes = [
-            WeightScheme::UniformByDegree,
-            WeightScheme::ScaledByDegree { rho: 0.6 },
-            WeightScheme::ConstantCapped { weight: 0.3 },
-        ];
         let budgeted = SampleControl { max_steps: Some(7_000), ..SampleControl::UNLIMITED };
-        for scheme in schemes {
-            let g = b.build(scheme.clone()).unwrap().to_csr();
-            let inst = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(1)).unwrap();
-            for threads in [1usize, 3, 4] {
-                for control in [&SampleControl::UNLIMITED, &budgeted] {
-                    let request =
-                        SampleRequest::new(12_000).seed(29).threads(threads).control(control);
-                    let scalar = request.run_loop(&inst, false);
-                    let lockstep = request.run_loop(&inst, true);
-                    assert_eq!(
-                        scalar, lockstep,
-                        "loop divergence under {scheme:?} at threads={threads} budget={:?}",
-                        control.max_steps
-                    );
-                    assert!(scalar.total_samples() > 0);
-                }
+        let g = b.build(WeightScheme::UniformByDegree).unwrap().to_csr();
+        let inst = FriendingInstance::new(&g, NodeId::new(0), NodeId::new(1)).unwrap();
+        for threads in [1usize, 3, 4] {
+            for control in [&SampleControl::UNLIMITED, &budgeted] {
+                let request = SampleRequest::new(12_000).seed(29).threads(threads).control(control);
+                let scalar = request.run_loop(&inst, false);
+                let lockstep = request.run_loop(&inst, true);
+                assert_eq!(
+                    scalar, lockstep,
+                    "loop divergence at threads={threads} budget={:?}",
+                    control.max_steps
+                );
+                assert!(scalar.total_samples() > 0);
             }
         }
     }
@@ -1098,57 +1088,40 @@ mod tests {
     fn loops_agree_on_walks_that_spill() {
         // G(1000, 0.05) with `s` hanging off node 0 alone, so N_s = {0}
         // and walks run long: a few percent pass SCAN_LIMIT nodes, where
-        // the walk scratch spills to the heap. The random weights make
-        // every table non-uniform (the guided scan) and sum below 1, so
-        // long walks also dangle in pass A. Both loops must sample
+        // the walk scratch spills to the heap. Both loops must sample
         // bit-equal pools here too, with and without a step budget.
         use crate::reverse::SCAN_LIMIT;
-        use rand::Rng;
         let mut rng = StdRng::seed_from_u64(5);
         let mut b = raf_graph::generators::erdos_renyi_gnp(1_000, 0.05, &mut rng).unwrap();
         b.add_edge(1_000, 0).unwrap();
-        let uniform = b.build(WeightScheme::UniformByDegree).unwrap();
-        let mut weights = std::collections::HashMap::new();
-        for v in uniform.nodes() {
-            let draws: Vec<f64> =
-                uniform.neighbors(v).iter().map(|_| rng.gen_range(0.5..1.5)).collect();
-            let total: f64 = draws.iter().sum();
-            for (&u, w) in uniform.neighbors(v).iter().zip(draws) {
-                weights.insert((u.index() as u32, v.index() as u32), 0.995 * w / total);
-            }
-        }
-        let skewed = b.build(WeightScheme::Custom { weights }).unwrap();
+        let g = b.build(WeightScheme::UniformByDegree).unwrap().to_csr();
+        let inst = FriendingInstance::new(&g, NodeId::new(1_000), NodeId::new(999)).unwrap();
         let budgeted = SampleControl { max_steps: Some(300_000), ..SampleControl::UNLIMITED };
-        for social in [&uniform, &skewed] {
-            let g = social.to_csr();
-            let inst = FriendingInstance::new(&g, NodeId::new(1_000), NodeId::new(999)).unwrap();
-            for threads in [1usize, 4] {
-                for control in [&SampleControl::UNLIMITED, &budgeted] {
-                    let request =
-                        SampleRequest::new(16_000).seed(13).threads(threads).control(control);
-                    let scalar = request.run_loop(&inst, false);
-                    assert_eq!(
-                        scalar,
-                        request.run_loop(&inst, true),
-                        "loop divergence at threads={threads} budget={:?}",
-                        control.max_steps
-                    );
-                    // The pool's walks really took the rare path.
-                    let mut scratch = WalkScratch::new();
-                    let spilled = (0..scalar.total_samples())
-                        .filter(|&walk| {
-                            sample_walk_scratch(&inst, &mut walk_rng(13, walk), &mut scratch);
-                            scratch.nodes().len() > SCAN_LIMIT
-                        })
-                        .count() as u64;
-                    assert!(
-                        100 * spilled > scalar.total_samples(),
-                        "{spilled} of {} walks spilled at budget={:?}",
-                        scalar.total_samples(),
-                        control.max_steps
-                    );
-                    assert!(scalar.total_samples() > 4_000, "the budget left too few walks");
-                }
+        for threads in [1usize, 4] {
+            for control in [&SampleControl::UNLIMITED, &budgeted] {
+                let request = SampleRequest::new(16_000).seed(13).threads(threads).control(control);
+                let scalar = request.run_loop(&inst, false);
+                assert_eq!(
+                    scalar,
+                    request.run_loop(&inst, true),
+                    "loop divergence at threads={threads} budget={:?}",
+                    control.max_steps
+                );
+                // The pool's walks really took the rare path.
+                let mut scratch = WalkScratch::new();
+                let spilled = (0..scalar.total_samples())
+                    .filter(|&walk| {
+                        sample_walk_scratch(&inst, &mut walk_rng(13, walk), &mut scratch);
+                        scratch.nodes().len() > SCAN_LIMIT
+                    })
+                    .count() as u64;
+                assert!(
+                    100 * spilled > scalar.total_samples(),
+                    "{spilled} of {} walks spilled at budget={:?}",
+                    scalar.total_samples(),
+                    control.max_steps
+                );
+                assert!(scalar.total_samples() > 4_000, "the budget left too few walks");
             }
         }
     }

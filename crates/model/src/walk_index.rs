@@ -3,9 +3,9 @@
 //! Incremental pool repair needs to answer "which stored walks does this
 //! edge delta invalidate?" without scanning the whole arena. A stored
 //! type-1 path `[t, v1, …, vk]` drew one weighted step at every recorded
-//! node, and under degree-derived weight schemes (the serving default,
-//! `UniformByDegree`) churn on edge `{u, v}` renormalizes the *entire*
-//! in-weight distribution at both endpoints — so the exact invalidation
+//! node, and since weights derive from degrees (`w(u,v) = 1/|N_v|`)
+//! churn on edge `{u, v}` renormalizes the *entire* in-weight
+//! distribution at both endpoints — so the exact invalidation
 //! unit is "the walk drew a step at a touched endpoint". Every draw site
 //! lies on the path, so indexing paths by their recorded nodes is the
 //! edge-bundle index of the ISSUE collapsed to node granularity: the

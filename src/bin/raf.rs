@@ -24,13 +24,15 @@
 //! The graph file is a SNAP-style edge list (whitespace-separated ids,
 //! `#` comments); weights follow the paper's `w(u,v) = 1/|N_v|`.
 //! `--threads` defaults to the `RAF_THREADS` environment variable. A
-//! flag the subcommand does not read is an error.
+//! flag the subcommand does not read is an error. Every command writes
+//! stdout through one lock and ends with one `error:` line and exit code
+//! 1 when it cannot, for instance when the reader of a pipe has gone.
 
 use active_friending::cli::{wants_help, CliArgs, CommandSpec};
 use active_friending::prelude::*;
 use raf_core::{MaxFriending, MaxFriendingConfig};
 use raf_graph::io::{read_edge_list_path, EdgeListOptions};
-use rand::SeedableRng;
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -119,15 +121,16 @@ fn main() -> ExitCode {
 }
 
 fn dispatch(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
+    let out = &mut std::io::stdout().lock();
     match args.command.as_str() {
-        "stats" => cmd_stats(args),
-        "pmax" => cmd_pmax(args),
-        "vmax" => cmd_vmax(args),
-        "run" => cmd_run(args),
-        "max" => cmd_max(args),
-        "bench-json" => cmd_bench_json(args),
-        "experiment" => cmd_experiment(args),
-        "serve" => cmd_serve(args),
+        "stats" => cmd_stats(args, out),
+        "pmax" => cmd_pmax(args, out),
+        "vmax" => cmd_vmax(args, out),
+        "run" => cmd_run(args, out),
+        "max" => cmd_max(args, out),
+        "bench-json" => cmd_bench_json(args, out),
+        "experiment" => cmd_experiment(args, out),
+        "serve" => cmd_serve(args, out),
         other => unreachable!("CliArgs::parse admits only COMMANDS, not {other:?}"),
     }
 }
@@ -148,15 +151,18 @@ fn load_instance<'g>(
     Ok(FriendingInstance::new(csr, NodeId::new(s), NodeId::new(t))?)
 }
 
-fn cmd_stats(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_stats(args: &CliArgs, out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
     let path = args.require("graph")?;
     let builder = read_edge_list_path(Path::new(path), &EdgeListOptions::default())?;
     let graph = builder.build(WeightScheme::UniformByDegree)?;
-    println!("{}", GraphMetrics::compute(&graph));
+    writeln!(out, "{}", GraphMetrics::compute(&graph))?;
     Ok(())
 }
 
-fn cmd_pmax(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
+/// The pool estimate `|B1| / samples` of `p_max`, sampled from the
+/// pair's walk streams: the `pmax` that `raf run --budget samples` and
+/// `raf serve --walks samples` print for the same pair and seed.
+fn cmd_pmax(args: &CliArgs, out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
     let samples: u64 = args.get_or("samples", 50_000)?;
     if samples == 0 {
         return Err("--samples must be positive".into());
@@ -164,26 +170,31 @@ fn cmd_pmax(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     let seed: u64 = args.get_or("seed", 1)?;
     let csr = load_graph(args)?;
     let instance = load_instance(args, &csr)?;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let est = estimate_pmax_fixed(&instance, samples, &mut rng);
-    println!("pmax ≈ {:.6}  (type-1: {} / {})", est.pmax, est.type1, est.samples);
+    let pool = SampleRequest::new(samples).seed(instance.pair_seed(seed)).run(&instance);
+    writeln!(
+        out,
+        "pmax ≈ {:.6}  (type-1: {} / {})",
+        pool.pmax_estimate(),
+        pool.type1_count(),
+        pool.total_samples()
+    )?;
     Ok(())
 }
 
-fn cmd_vmax(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_vmax(args: &CliArgs, out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
     let csr = load_graph(args)?;
     let instance = load_instance(args, &csr)?;
     let vm = vmax_exact(&instance);
-    println!("|V_max| = {}", vm.len());
+    writeln!(out, "|V_max| = {}", vm.len())?;
     let ids: Vec<String> = vm.iter().map(|v| v.index().to_string()).collect();
-    println!("{}", ids.join(" "));
+    writeln!(out, "{}", ids.join(" "))?;
     Ok(())
 }
 
 /// One RAF answer: a cold `raf serve` query at `--walks = --budget`, so
 /// it prints the `p` and set a served query answers, and its `pmax` is
 /// the pool's estimate `|B1| / budget`.
-fn cmd_run(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_run(args: &CliArgs, out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
     let budget: u64 = args.get_or("budget", 50_000)?;
     if budget == 0 {
         return Err("realization budget must be positive".into());
@@ -204,20 +215,21 @@ fn cmd_run(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
         budget,
     };
     let answer = one_shot(&csr, config, &query)?;
-    println!(
+    writeln!(
+        out,
         "|I*| = {}  (pool |B1| = {}, p = {}, beta = {:.4}, pmax = {:.4})",
         answer.invitations.len(),
         answer.type1_count,
         answer.cover_p,
         answer.parameters.beta,
         answer.pmax_estimate,
-    );
+    )?;
     let ids: Vec<String> = answer.invitations.iter().map(|v| v.index().to_string()).collect();
-    println!("{}", ids.join(" "));
+    writeln!(out, "{}", ids.join(" "))?;
     Ok(())
 }
 
-fn cmd_max(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_max(args: &CliArgs, out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
     let config = MaxFriendingConfig {
         budget: args.require_typed("k")?,
         realizations: args.get_or("realizations", 50_000)?,
@@ -236,13 +248,14 @@ fn cmd_max(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     let csr = load_graph(args)?;
     let instance = load_instance(args, &csr)?;
     let result = MaxFriending::new(config).run(&instance);
-    println!(
+    writeln!(
+        out,
         "|I| = {}  estimated f(I) ≈ {:.6}",
         result.invitations.len(),
         result.estimated_probability
-    );
+    )?;
     let ids: Vec<String> = result.invitations.iter().map(|v| v.index().to_string()).collect();
-    println!("{}", ids.join(" "));
+    writeln!(out, "{}", ids.join(" "))?;
     Ok(())
 }
 
@@ -250,15 +263,16 @@ fn cmd_max(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
 /// scenario matrix and **appends** one stamped entry per scenario to the
 /// history file (`BENCH_sampling.json`, the repo's perf trajectory
 /// record). With `--check-regression`, fails when any counted field of a
-/// new entry (graph, pool and cost counts, see
+/// new entry (graph, pool and cost counts and the pool digest, see
 /// [`raf_bench::history::COUNTED_FIELDS`]) differs from the last
-/// committed entry of the same `(scenario, profile)`; timings against
-/// that entry are printed and advisory. Every cell's knobs are validated
+/// committed entry of the same `(scenario, profile)`, on every field that
+/// entry carries; timings against that entry are printed and advisory.
+/// Every cell's knobs are validated
 /// before any cell runs. Runs whose `--walks`/`--reps`/`--seed`/`--beta`/
 /// `--threads` deviate from the profile's standard knobs are recorded
 /// under the `custom` profile lineage so they can never become a
 /// `full`/`quick` baseline.
-fn cmd_bench_json(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_bench_json(args: &CliArgs, out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
     use raf_bench::history::{gate_counts, parse_json, BenchHistory, CountGate, Stamp};
     use raf_bench::sampling::{
         find_scenario, quick_matrix, run_sampling_bench, scenario_config, scenario_matrix,
@@ -268,13 +282,13 @@ fn cmd_bench_json(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
 
     if args.is_set("list-scenarios") {
         for s in scenario_matrix() {
-            println!("{}", s.name());
+            writeln!(out, "{}", s.name())?;
         }
         return Ok(());
     }
     let profile = if args.is_set("quick") { BenchProfile::Quick } else { BenchProfile::Full };
     let check = args.is_set("check-regression");
-    let out = args.get("out").unwrap_or("BENCH_sampling.json").to_string();
+    let file = args.get("out").unwrap_or("BENCH_sampling.json").to_string();
 
     // Only the axes that *define* a cell trigger the custom-cell path.
     // `--threads` used to be a trigger too, which made
@@ -330,14 +344,14 @@ fn cmd_bench_json(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
         configs.push(config);
     }
 
-    let mut history = match std::fs::read_to_string(&out) {
-        Ok(text) => BenchHistory::from_text(&text).map_err(|e| format!("{out}: {e}"))?,
+    let mut history = match std::fs::read_to_string(&file) {
+        Ok(text) => BenchHistory::from_text(&text).map_err(|e| format!("{file}: {e}"))?,
         // Only a genuinely absent file starts a fresh history; any other
         // read error must not end in overwriting the committed record.
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => BenchHistory::default(),
-        Err(e) => return Err(format!("{out}: {e}").into()),
+        Err(e) => return Err(format!("{file}: {e}").into()),
     };
-    let stamp = Stamp::collect(Path::new(&out));
+    let stamp = Stamp::collect(Path::new(&file));
     let mut changed: Vec<String> = Vec::new();
     for config in configs {
         let name = config.scenario().name();
@@ -348,43 +362,55 @@ fn cmd_bench_json(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
         );
         let report = run_sampling_bench(config);
         let arena_ms = report.arena_total_ns() as f64 / 1e6;
-        println!(
+        writeln!(
+            out,
             "{name}: arena {arena_ms:.1} ms (type-1 {} → {} unique, dedup {:.1}x, cost {})",
             report.type1,
             report.unique_paths,
             report.dedup_factor(),
             report.arena_cost,
-        );
+        )?;
         let entry = parse_json(&report.to_json(&stamp)).map_err(|e| format!("entry JSON: {e}"))?;
         if check {
             let baseline = history.last_for(&name, lineage);
             match gate_counts(baseline, &entry) {
                 CountGate::Skipped(reason) => {
-                    println!("{name}: {lineage} gate skipped: {reason}");
+                    writeln!(out, "{name}: {lineage} gate skipped: {reason}")?;
                 }
-                CountGate::Equal => println!("{name}: counts equal the {lineage} baseline"),
-                CountGate::Changed(changes) => {
-                    for change in &changes {
-                        println!("{name}: count changed: {change}");
+                CountGate::Compared { changes, predates } => {
+                    if !predates.is_empty() {
+                        writeln!(
+                            out,
+                            "{name}: {lineage} baseline predates {}, not compared",
+                            predates.join(", ")
+                        )?;
                     }
-                    changed.push(name.clone());
+                    if changes.is_empty() {
+                        writeln!(out, "{name}: counts equal the {lineage} baseline")?;
+                    } else {
+                        for change in &changes {
+                            writeln!(out, "{name}: count changed: {change}")?;
+                        }
+                        changed.push(name.clone());
+                    }
                 }
             }
             if let Some(base) = baseline.and_then(|b| b.path_f64(&["arena_ns", "total"])) {
-                println!(
+                writeln!(
+                    out,
                     "{name}: advisory timing: arena {arena_ms:.1} ms vs baseline {:.1} ms",
                     base / 1e6
-                );
+                )?;
             }
         }
         history.push(entry);
     }
-    std::fs::write(&out, history.to_text())?;
-    println!("wrote {out} ({} entries)", history.entries.len());
+    std::fs::write(&file, history.to_text())?;
+    writeln!(out, "wrote {file} ({} entries)", history.entries.len())?;
     if !changed.is_empty() {
         return Err(format!(
             "counted fields differ from the committed baseline in {} (listed above); if the \
-             change is intended, commit the entries this run appended to {out}",
+             change is intended, commit the entries this run appended to {file}",
             changed.join(", ")
         )
         .into());
@@ -411,9 +437,9 @@ fn cmd_bench_json(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
 /// queries with a retry hint; `--fault-plan` injects deterministic
 /// faults for recovery testing (see `FaultPlan::parse` for the spec
 /// grammar).
-fn cmd_serve(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_serve(args: &CliArgs, out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
     use active_friending::serve::protocol::{self, Request};
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::{BufRead, BufReader};
 
     let path = args.require("graph")?;
     let cache_mb: usize = args.get_or("cache-mb", 256)?;
@@ -456,8 +482,6 @@ fn cmd_serve(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
         csr.edge_count()
     );
 
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
     // Lines are read as raw bytes: a non-UTF-8 line answers `err parse`,
     // it does not end the session.
     let mut buf = Vec::new();
@@ -534,7 +558,7 @@ fn cmd_serve(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
 /// file's node ids. Real SNAP files in `--data-dir` override the
 /// synthetic stand-ins. Deterministic for fixed flags and `--seed`;
 /// `--threads` never changes the output.
-fn cmd_experiment(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_experiment(args: &CliArgs, out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
     use raf_bench::experiments::campaign::{self, CampaignSweepConfig};
     use raf_bench::experiments::fig45;
     use raf_bench::experiments::sweep::{self, SweepConfig};
@@ -576,13 +600,13 @@ fn cmd_experiment(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
         config.validate()?;
         let report = campaign::run(&config);
         for &dataset in &config.datasets {
-            campaign::print(dataset, &report.rows);
+            campaign::print(out, dataset, &report.rows)?;
         }
         return write_report(
             args,
+            out,
             "EXPERIMENT_campaign.csv",
             campaign::CAMPAIGN_CSV_SCHEMA,
-            report.rows.len(),
             report.to_csv(),
             report.schema_version,
             report.to_json(),
@@ -605,13 +629,13 @@ fn cmd_experiment(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     if ratio {
         let report = fig45::run(&config);
         for &dataset in &config.datasets {
-            fig45::print(dataset, &report.rows);
+            fig45::print(out, dataset, &report.rows)?;
         }
         return write_report(
             args,
+            out,
             "EXPERIMENT_ratio.csv",
             fig45::RATIO_CSV_SCHEMA,
-            report.rows.len(),
             report.to_csv(),
             report.schema_version,
             report.to_json(),
@@ -619,13 +643,13 @@ fn cmd_experiment(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
     }
     let report = sweep::run(&config);
     for &dataset in &config.datasets {
-        sweep::print(dataset, &report.rows);
+        sweep::print(out, dataset, &report.rows)?;
     }
     write_report(
         args,
+        out,
         "EXPERIMENT_table1.csv",
         sweep::CSV_SCHEMA,
-        report.rows.len(),
         report.to_csv(),
         report.schema_version,
         report.to_json(),
@@ -637,21 +661,21 @@ fn cmd_experiment(args: &CliArgs) -> Result<(), Box<dyn std::error::Error>> {
 /// line naming its schema.
 fn write_report(
     args: &CliArgs,
+    out: &mut impl Write,
     default_csv: &str,
     schema: &str,
-    rows: usize,
     csv: raf_bench::csv::CsvTable,
     schema_version: u64,
     json: raf_bench::history::JsonValue,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let csv_path = args.get("out-csv").unwrap_or(default_csv);
     csv.write_to_path(Path::new(csv_path))?;
-    println!("wrote {csv_path} ({rows} rows, schema {schema})");
+    writeln!(out, "wrote {csv_path} ({} rows, schema {schema})", csv.len())?;
     if let Some(json_path) = args.get("out-json") {
         let mut text = json.render();
         text.push('\n');
         std::fs::write(json_path, text)?;
-        println!("wrote {json_path} (schema_version {schema_version})");
+        writeln!(out, "wrote {json_path} (schema_version {schema_version})")?;
     }
     Ok(())
 }
@@ -729,7 +753,9 @@ run answers one query as a fresh `raf serve --walks W` session answers
 the line `s t alpha W`, with W = --budget: it samples exactly W walks
 from the pair's seed, then prints |I*|, the pool's |B1|, the cover
 requirement p, beta and the pool's p_max estimate, and on a second line
-the invitation set. The two commands never disagree.
+the invitation set. The two commands never disagree. pmax samples the
+same pair's walks, so `pmax --samples W` prints the p_max estimate that
+run and serve print at W walks.
 
 serve keeps the graph resident and answers `s t alpha [budget]` request
 lines — one per line from --requests FILE, or from stdin by default —
@@ -765,9 +791,10 @@ bench-json times sampling plus the cover solve and appends one stamped
 history entry per scenario to FILE (default BENCH_sampling.json).
 Without --scenario it runs the whole matrix (--quick: the CI-sized
 slice, which skips the 1M-node cell). --check-regression fails when a
-scenario's graph, pool or cost counts differ from the last committed
-entry of the same scenario and profile; these counts do not depend on
-timing or threads. Timings against that entry are
+scenario's graph, pool or cost counts, or the digest of its pool's
+paths, differ from the last committed entry of the same scenario and
+profile; these counts do not depend on timing or threads. Fields that
+entry predates are named and not compared. Timings against that entry are
 printed and advisory. To accept an intended count change, commit the
 entries the failing run appended. --walks, --threads and --reps must be
 positive. Only --topology and --nodes define a custom one-off cell;

@@ -7,12 +7,11 @@
 //! and the lockstep loop from there on. Padding a graph with isolated
 //! nodes up to the threshold flips the loop but changes no walk: an
 //! isolated node is nobody's neighbor, and the padding only appends ids,
-//! so every original node keeps its id and its weighted adjacency. So
-//! every property samples each graph twice, as generated and padded, and
-//! demands the same pool from both:
+//! so every original node keeps its id, its degree and so its weights.
+//! So every property samples each graph twice, as generated and padded,
+//! and demands the same pool from both:
 //!
-//! * at every thread count, under every weight scheme (including ones
-//!   whose incoming weights sum below 1, where walks dangle);
+//! * at every thread count;
 //! * on relabeled layouts, hub-BFS and a random permutation (pools are
 //!   always in original ids);
 //! * under a step budget, which truncates at a block boundary to exactly
@@ -62,25 +61,13 @@ fn layouts(g: &SocialGraph, seed: u64) -> [(&'static str, Arc<Relabeling>); 2] {
     ]
 }
 
-/// The paper's weight scheme, and two whose incoming weights sum below 1
-/// so that a draw can select nobody.
-fn weight_scheme(kind: u8) -> WeightScheme {
-    match kind % 3 {
-        0 => WeightScheme::UniformByDegree,
-        1 => WeightScheme::ScaledByDegree { rho: 0.7 },
-        _ => WeightScheme::ConstantCapped { weight: 0.2 },
-    }
-}
-
 /// The graph of `builder` twice: as generated, which the sampler walks
 /// with the scalar loop, and padded with isolated nodes up to
 /// [`AUTO_LOCKSTEP_NODES`], which it walks with the lockstep loop.
-fn scalar_and_lockstep_graphs(
-    mut builder: GraphBuilder,
-    scheme: WeightScheme,
-) -> (SocialGraph, SocialGraph) {
-    let small = builder.build(scheme.clone()).unwrap();
-    let padded = builder.reserve_nodes(AUTO_LOCKSTEP_NODES).build(scheme).unwrap();
+fn scalar_and_lockstep_graphs(mut builder: GraphBuilder) -> (SocialGraph, SocialGraph) {
+    let small = builder.build(WeightScheme::UniformByDegree).unwrap();
+    let padded =
+        builder.reserve_nodes(AUTO_LOCKSTEP_NODES).build(WeightScheme::UniformByDegree).unwrap();
     assert!(small.node_count() < AUTO_LOCKSTEP_NODES, "the small graph must take the scalar loop");
     assert!(padded.node_count() >= AUTO_LOCKSTEP_NODES, "padding must reach the lockstep loop");
     (small, padded)
@@ -139,18 +126,15 @@ fn cases() -> u32 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    /// Scalar and lockstep pools are bit-identical at every thread count
-    /// and under every weight scheme, and a longer request extends a
-    /// shorter one.
+    /// Scalar and lockstep pools are bit-identical at every thread count,
+    /// and a longer request extends a shorter one.
     #[test]
     fn kernels_agree_across_lanes_and_threads(
         family in 0u8..3,
-        scheme in 0u8..3,
         seed in 0u64..1_000,
         walks in 2_000u64..8_000,
     ) {
-        let (small, padded) =
-            scalar_and_lockstep_graphs(random_builder(family, 220, seed), weight_scheme(scheme));
+        let (small, padded) = scalar_and_lockstep_graphs(random_builder(family, 220, seed));
         let Some((s, t)) = pick_pair(&small) else { return Ok(()); };
         let (small_csr, padded_csr) = (small.to_csr(), padded.to_csr());
         let scalar = FriendingInstance::new(&small_csr, s, t).unwrap();
@@ -176,12 +160,10 @@ proptest! {
     #[test]
     fn budget_truncation_is_kernel_independent(
         family in 0u8..3,
-        scheme in 0u8..3,
         seed in 0u64..1_000,
         budget in 500u64..6_000,
     ) {
-        let (small, padded) =
-            scalar_and_lockstep_graphs(random_builder(family, 220, seed), weight_scheme(scheme));
+        let (small, padded) = scalar_and_lockstep_graphs(random_builder(family, 220, seed));
         let Some((s, t)) = pick_pair(&small) else { return Ok(()); };
         let (small_csr, padded_csr) = (small.to_csr(), padded.to_csr());
         let scalar = FriendingInstance::new(&small_csr, s, t).unwrap();
@@ -221,10 +203,7 @@ proptest! {
         family in 0u8..3,
         seed in 0u64..500,
     ) {
-        let (small, padded) = scalar_and_lockstep_graphs(
-            random_builder(family, 180, seed),
-            WeightScheme::UniformByDegree,
-        );
+        let (small, padded) = scalar_and_lockstep_graphs(random_builder(family, 180, seed));
         let Some((s, t)) = pick_pair(&small) else { return Ok(()); };
         let small_csr = small.to_csr();
         let plain = FriendingInstance::new(&small_csr, s, t).unwrap();
