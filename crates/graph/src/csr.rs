@@ -1,4 +1,5 @@
-//! Immutable compressed-sparse-row snapshot used by sampling hot paths.
+//! The compressed-sparse-row snapshot used by sampling hot paths, and
+//! its row-by-row patch under an edge delta.
 
 use crate::{weights, NodeId, Relabeling, SocialGraph};
 use serde::{Deserialize, Serialize};
@@ -34,11 +35,22 @@ struct NodeMeta {
 /// weight and its reciprocal scale) lives in one packed record per node,
 /// which is what keeps the backward-walk hot loop cache-resident on
 /// large graphs.
+///
+/// A fresh build lays the rows out back to back in node order. An edge
+/// delta patches the snapshot instead of rebuilding it
+/// ([`patch_rows`](Self::patch_rows)): it rewrites only its endpoints'
+/// rows where they sit, so the array may hold dead slots that no row
+/// owns, the tails that shrunk rows freed. Selection is positional
+/// within a row, so dead slots never change a walk. A row that outgrows
+/// its slots and the dead run after them sends the patch to a fresh
+/// build, so the array never holds more slots than the last build laid
+/// out.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CsrGraph {
     /// One packed record per node.
     meta: Vec<NodeMeta>,
-    /// Concatenated sorted neighbor lists.
+    /// The neighbor slices, each contiguous, in the order the last build
+    /// laid them out; between them, dead slots hold [`VACANT`].
     neighbors: Vec<NodeId>,
     /// Number of undirected edges.
     edge_count: usize,
@@ -48,6 +60,30 @@ pub struct CsrGraph {
     /// exactly equivariant under the permutation, and edge queries fall
     /// back to a linear scan.
     sorted_neighbors: bool,
+}
+
+/// What a dead slot of the neighbor array holds: the tail a shrunk row
+/// freed. No graph has this node (graphs are capped at 2^32 − 1 nodes,
+/// so ids stay below `u32::MAX`), and a growing row claims the run of
+/// these that follows it.
+const VACANT: NodeId = NodeId::new(u32::MAX as usize);
+
+impl NodeMeta {
+    /// The record of a `degree`-slot row starting at slot `base`, its
+    /// `total` the left-to-right sum a fresh build computes.
+    fn new(base: usize, degree: usize) -> Self {
+        // Hard asserts (not debug): overflow would silently corrupt
+        // slices in release builds.
+        assert!(degree <= u32::MAX as usize, "degree overflows packed metadata");
+        assert!(base <= u32::MAX as usize, "adjacency overflows u32 offsets");
+        let total = weights::total_in_weight(degree);
+        NodeMeta {
+            total,
+            scale: if total > 0.0 { degree as f64 / total } else { 0.0 },
+            base: base as u32,
+            degree: degree as u32,
+        }
+    }
 }
 
 impl CsrGraph {
@@ -97,18 +133,7 @@ impl CsrGraph {
                 // Image order: position i maps position i.
                 Some(r) => neighbors.extend(g.neighbors(v).iter().map(|&u| r.new_of(u))),
             }
-            let degree = neighbors.len() - base;
-            // Hard asserts (not debug): overflow would silently corrupt
-            // slices in release builds.
-            assert!(degree <= u32::MAX as usize, "degree overflows packed metadata");
-            assert!(base <= u32::MAX as usize, "adjacency overflows u32 offsets");
-            let total = weights::total_in_weight(degree);
-            meta.push(NodeMeta {
-                total,
-                scale: if total > 0.0 { degree as f64 / total } else { 0.0 },
-                base: base as u32,
-                degree: degree as u32,
-            });
+            meta.push(NodeMeta::new(base, neighbors.len() - base));
         }
         CsrGraph {
             meta,
@@ -116,6 +141,78 @@ impl CsrGraph {
             edge_count: g.edge_count(),
             sorted_neighbors: relabeling.is_none(),
         }
+    }
+
+    /// Rewrites the rows of `nodes` from `g` after an edge delta that
+    /// touched exactly those nodes: `g` is the post-delta graph, and every
+    /// other row of this snapshot already equals its row of `g`. `nodes`
+    /// and `g` speak original ids; under `relabeling` (which must be the
+    /// one this snapshot was built with, or `None` for a plain build) each
+    /// rewritten row is the image of `g`'s row, as
+    /// [`from_social_graph_relabeled`](Self::from_social_graph_relabeled)
+    /// builds it. Each rewritten record's `total` and `scale` are
+    /// recomputed from the new degree with a fresh build's sum, so the
+    /// patched snapshot selects exactly what a rebuild of `g` selects,
+    /// bit for bit.
+    ///
+    /// A row that fits its slots, plus the dead run that follows them, is
+    /// written where it sits; one that outgrows them sends the patch to a
+    /// fresh build of `g`. A shrinking row always fits, so the slot array
+    /// never grows between builds. Cost: the rewritten rows' degrees, or
+    /// `O(n + m)` for the rebuild.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` has a different node count, or if `relabeling` is
+    /// `None` for a relabeled snapshot or `Some` for a plain one.
+    pub fn patch_rows(&mut self, g: &SocialGraph, nodes: &[u32], relabeling: Option<&Relabeling>) {
+        assert_eq!(g.node_count(), self.node_count(), "patch from a graph of another node set");
+        assert_eq!(
+            relabeling.is_none(),
+            self.sorted_neighbors,
+            "a snapshot is patched under the relabeling it was built with"
+        );
+        self.edge_count = g.edge_count();
+        for &v in nodes {
+            let v = NodeId::new(v as usize);
+            let row = g.neighbors(v).iter();
+            let fits = match relabeling {
+                None => self.write_row(v, row.copied()),
+                Some(r) => self.write_row(r.new_of(v), row.map(|&u| r.new_of(u))),
+            };
+            if !fits {
+                *self = Self::build(g, relabeling);
+                return;
+            }
+        }
+    }
+
+    /// Writes `row` as node `v`'s slice and record where `v`'s slots
+    /// sit, when it fits them plus the dead run after them. Returns
+    /// whether it did; a row that does not fit writes nothing.
+    fn write_row(&mut self, v: NodeId, row: impl ExactSizeIterator<Item = NodeId>) -> bool {
+        let old = self.meta[v.index()];
+        let (base, old_degree, degree) = (old.base as usize, old.degree as usize, row.len());
+        let end = base + old_degree;
+        let grow = degree.saturating_sub(old_degree);
+        let free =
+            self.neighbors[end..].iter().take(grow).take_while(|&&slot| slot == VACANT).count();
+        if free < grow {
+            return false;
+        }
+        self.neighbors[(base + degree).min(end)..end].fill(VACANT);
+        for (slot, u) in self.neighbors[base..base + degree].iter_mut().zip(row) {
+            *slot = u;
+        }
+        self.meta[v.index()] = NodeMeta::new(base, degree);
+        true
+    }
+
+    /// Bytes the snapshot holds on the heap: its records and its whole
+    /// neighbor array, dead slots and spare capacity included.
+    pub fn heap_bytes(&self) -> usize {
+        self.meta.capacity() * std::mem::size_of::<NodeMeta>()
+            + self.neighbors.capacity() * std::mem::size_of::<NodeId>()
     }
 
     /// Number of nodes.
@@ -483,6 +580,131 @@ mod tests {
             csr.prefetch_slot(slot);
         }
         assert_eq!(csr.select_with(NodeId::new(1), 0.0), Some(NodeId::new(0)));
+    }
+
+    /// Every node of `a` has `b`'s row and record, bit for bit, wherever
+    /// each row sits in the slot array: a patched snapshot against a
+    /// rebuild of its graph.
+    fn same_rows(a: &CsrGraph, b: &CsrGraph) -> bool {
+        a.edge_count == b.edge_count
+            && a.meta.len() == b.meta.len()
+            && a.nodes().all(|v| {
+                let (x, y) = (a.meta[v.index()], b.meta[v.index()]);
+                (x.total.to_bits(), x.scale.to_bits(), x.degree)
+                    == (y.total.to_bits(), y.scale.to_bits(), y.degree)
+                    && a.neighbors(v) == b.neighbors(v)
+            })
+    }
+
+    /// Every record bit and slot of `a` equals `b`'s, bases and capacity
+    /// included: the same layout, not only the same rows.
+    fn same_layout(a: &CsrGraph, b: &CsrGraph) -> bool {
+        same_rows(a, b)
+            && a.neighbors == b.neighbors
+            && a.neighbors.capacity() == b.neighbors.capacity()
+            && a.meta.iter().zip(&b.meta).all(|(x, y)| x.base == y.base)
+    }
+
+    #[test]
+    fn patched_rows_shrink_grow_back_and_rebuild() {
+        use crate::EdgeDelta;
+        // The path 0-1-...-11: 22 slots, back to back.
+        let mut b = GraphBuilder::new();
+        b.add_edges((0..11).map(|i| (i, i + 1))).unwrap();
+        let mut g = b.build(WeightScheme::UniformByDegree).unwrap();
+        let mut csr = g.to_csr();
+        let bases = |csr: &CsrGraph| csr.meta.iter().map(|m| m.base).collect::<Vec<_>>();
+        let built = bases(&csr);
+        let mut patch = |csr: &mut CsrGraph, spec: &str| {
+            let effect = EdgeDelta::parse(spec).unwrap().apply_in_place(&mut g).unwrap();
+            csr.patch_rows(&g, &effect.touched_nodes(), None);
+            let fresh = g.to_csr();
+            assert!(same_rows(csr, &fresh), "{spec}");
+            fresh
+        };
+        // Rows 1 and 2 shrink in place, each leaving a dead slot.
+        patch(&mut csr, "-1:2");
+        assert_eq!(bases(&csr), built);
+        assert_eq!((csr.neighbors[2], csr.neighbors[4]), (VACANT, VACANT));
+        // Row 1 grows back into its dead slot, row 2 trades 3 for 1 and
+        // row 3 shrinks: every row stays where it sits.
+        patch(&mut csr, "-2:3,+1:2");
+        assert_eq!(bases(&csr), built);
+        assert_eq!((csr.neighbors[4], csr.neighbors[6]), (VACANT, VACANT));
+        assert_eq!(csr.neighbors.len(), 22);
+        // Row 0 outgrows its slot, whose neighbor is row 1's live slot, so
+        // the patch is a fresh build: its layout, capacity included.
+        let fresh = patch(&mut csr, "+0:2");
+        assert!(same_layout(&csr, &fresh));
+        assert_eq!(csr.heap_bytes(), fresh.heap_bytes());
+    }
+
+    #[test]
+    fn slot_array_stays_bounded_under_hub_churn() {
+        use crate::EdgeDelta;
+        use rand::{Rng, SeedableRng};
+        // Four hubs over 60 leaves. Each delta removes hub edges, re-adds
+        // removed ones, or adds a new one, so rows shrink, grow back into
+        // their dead slots, or outgrow them and rebuild.
+        const HUBS: usize = 4;
+        const LEAVES: usize = 60;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        let mut b = GraphBuilder::new();
+        for hub in 0..HUBS {
+            for leaf in HUBS..HUBS + LEAVES {
+                if rng.gen_bool(0.5) {
+                    b.add_edge(hub, leaf).unwrap();
+                }
+            }
+        }
+        let mut g = b.reserve_nodes(HUBS + LEAVES).build(WeightScheme::UniformByDegree).unwrap();
+        let mut csr = g.to_csr();
+        let mut built_bytes = csr.heap_bytes();
+        let mut removed: Vec<(usize, usize)> = Vec::new();
+        let (mut in_place, mut rebuilt, mut dead_steps) = (0, 0, 0);
+        for step in 0..10_000 {
+            let mut delta = EdgeDelta::new();
+            for _ in 0..rng.gen_range(1..=3) {
+                let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
+                match rng.gen_range(0..10) {
+                    0..=4 if !edges.is_empty() => {
+                        let (u, v) = edges[rng.gen_range(0..edges.len())];
+                        delta.remove(u.index(), v.index()).unwrap();
+                        removed.push((u.index(), v.index()));
+                    }
+                    5..=8 if !removed.is_empty() => {
+                        let (u, v) = removed.swap_remove(rng.gen_range(0..removed.len()));
+                        delta.add(u, v).unwrap();
+                    }
+                    _ => {
+                        let (hub, leaf) =
+                            (rng.gen_range(0..HUBS), rng.gen_range(HUBS..HUBS + LEAVES));
+                        delta.add(hub, leaf).unwrap();
+                    }
+                }
+            }
+            let effect = delta.apply_in_place(&mut g).unwrap();
+            let buffer = csr.neighbors.as_ptr();
+            csr.patch_rows(&g, &effect.touched_nodes(), None);
+
+            let fresh = g.to_csr();
+            assert!(same_rows(&csr, &fresh), "step {step}: {}", delta.spec());
+            // Only a rebuild swaps the slot array; in place, it neither
+            // grows nor moves.
+            if csr.neighbors.as_ptr() != buffer {
+                rebuilt += 1;
+                assert!(same_layout(&csr, &fresh), "step {step}: a rebuild left another layout");
+                built_bytes = csr.heap_bytes();
+            } else {
+                in_place += 1;
+                assert_eq!(csr.heap_bytes(), built_bytes, "step {step}: the array grew in place");
+            }
+            dead_steps += usize::from(csr.neighbors.len() > 2 * csr.edge_count);
+        }
+        assert!(
+            in_place > 1_000 && rebuilt > 1_000 && dead_steps > 1_000,
+            "in place {in_place}, rebuilt {rebuilt}, with dead slots {dead_steps}"
+        );
     }
 
     #[test]

@@ -3,17 +3,22 @@
 //! Real friendship graphs evolve while a serving session is live. An
 //! [`EdgeDelta`] collects add/remove operations in arrival order,
 //! collapses them deterministically (last operation per undirected edge
-//! wins — "rebuild batching"), and applies them by rebuilding the graph
-//! through [`GraphBuilder`], exactly as a from-scratch load of the
-//! post-churn edge list would. Weights follow the post-churn degrees,
-//! since `w(u,v) = 1/|N_v|` is implied by them.
+//! wins), and applies them in place
+//! ([`EdgeDelta::apply_in_place`]): it validates the whole batch, then
+//! inserts or removes each effective edge in its two endpoints' sorted
+//! rows, so a delta costs its endpoints' degrees, not `O(|E|)`. The
+//! patched graph equals, row for row, the graph a fresh load of the
+//! post-churn edge list builds. Weights follow the post-churn degrees,
+//! since `w(u,v) = 1/|N_v|` is implied by them, so a delta changes the
+//! in-weights of its endpoints and of no other node.
 //!
 //! The node set is frozen: a delta rewires edges among the existing
 //! `0..n` ids. This keeps every resident [`Relabeling`](crate::Relabeling)
-//! table valid, so a serving layer rebuilds a relabeled snapshot from the
-//! post-delta graph under the same permutation.
+//! table valid, so a serving layer patches a relabeled snapshot's touched
+//! rows ([`CsrGraph::patch_rows`](crate::CsrGraph::patch_rows)) under the
+//! same permutation.
 
-use crate::{GraphBuilder, GraphError, NodeId, SocialGraph, WeightScheme};
+use crate::{GraphError, NodeId, SocialGraph, WeightScheme};
 use std::collections::HashMap;
 
 /// One churn operation over an undirected edge.
@@ -39,7 +44,7 @@ impl DeltaOp {
 ///
 /// Endpoints are stored as normalized `(min, max)` pairs, so the two
 /// orientations of an undirected edge address the same operation slot.
-/// Self-loops are rejected at insertion, matching [`GraphBuilder`].
+/// Self-loops are rejected at insertion: the graph is simple.
 ///
 /// ```
 /// use raf_graph::{EdgeDelta, GraphBuilder, WeightScheme};
@@ -52,8 +57,8 @@ impl DeltaOp {
 /// let delta = EdgeDelta::parse("+0:3,-1:2")?;
 /// let applied = delta.apply(&g, WeightScheme::UniformByDegree)?;
 /// assert_eq!(applied.graph.edge_count(), 3);
-/// assert_eq!(applied.added, vec![(0, 3)]);
-/// assert_eq!(applied.removed, vec![(1, 2)]);
+/// assert_eq!(applied.effect.added, vec![(0, 3)]);
+/// assert_eq!(applied.effect.removed, vec![(1, 2)]);
 /// assert_eq!(applied.touched_nodes(), vec![0, 1, 2, 3]);
 /// # Ok(())
 /// # }
@@ -185,9 +190,11 @@ impl EdgeDelta {
         plan
     }
 
-    /// Applies the batched delta to `graph`, rebuilding adjacency under
-    /// `scheme` exactly as a fresh [`GraphBuilder`] load of the
-    /// post-churn edge list would.
+    /// Applies the batched delta to a copy of `graph`: a clone patched by
+    /// [`apply_in_place`](Self::apply_in_place), which is the one
+    /// implementation of every delta. Under the one [`WeightScheme`]
+    /// weights follow the degrees, so the patched rows are the whole
+    /// update.
     ///
     /// Adds of present edges and removes of absent edges are no-ops and
     /// are excluded from the effect report; the node set is unchanged.
@@ -201,6 +208,23 @@ impl EdgeDelta {
         graph: &SocialGraph,
         scheme: WeightScheme,
     ) -> Result<DeltaApplied, GraphError> {
+        let WeightScheme::UniformByDegree = scheme;
+        let mut graph = graph.clone();
+        let effect = self.apply_in_place(&mut graph)?;
+        Ok(DeltaApplied { graph, effect })
+    }
+
+    /// Applies the batched delta to `graph` in place. The whole batch is
+    /// validated before the first write, so an error leaves `graph` as it
+    /// was. Then each effective operation inserts or removes its edge in
+    /// the two endpoints' sorted rows, and nothing else moves: the result
+    /// equals, row for row, a fresh build of the post-churn edge list.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::NodeOutOfRange`] when an endpoint is outside
+    /// `0..graph.node_count()` (the node set is frozen under churn).
+    pub fn apply_in_place(&self, graph: &mut SocialGraph) -> Result<DeltaEffect, GraphError> {
         let n = graph.node_count();
         let plan = self.batched();
         for &(_, u, v) in &plan {
@@ -209,51 +233,30 @@ impl EdgeDelta {
                 return Err(GraphError::NodeOutOfRange { node: out as usize, node_count: n });
             }
         }
-        let mut added = Vec::new();
-        let mut removed = Vec::new();
+        let mut effect = DeltaEffect::default();
         for &(op, u, v) in &plan {
-            let present = graph.has_edge(NodeId::new(u as usize), NodeId::new(v as usize));
+            let (a, b) = (NodeId::new(u as usize), NodeId::new(v as usize));
             match op {
-                DeltaOp::Add if !present => added.push((u, v)),
-                DeltaOp::Remove if present => removed.push((u, v)),
+                DeltaOp::Add if graph.insert_edge(a, b) => effect.added.push((u, v)),
+                DeltaOp::Remove if graph.remove_edge(a, b) => effect.removed.push((u, v)),
                 _ => {}
             }
         }
-        let mut builder = GraphBuilder::with_capacity(graph.edge_count() + added.len());
-        builder.reserve_nodes(n);
-        let gone: std::collections::HashSet<(u32, u32)> = removed.iter().copied().collect();
-        for (u, v) in graph.edges() {
-            let key = Self::key(u.index(), v.index());
-            if !gone.contains(&key) {
-                builder.add_edge(u.index(), v.index())?;
-            }
-        }
-        for &(u, v) in &added {
-            builder.add_edge(u as usize, v as usize)?;
-        }
-        let graph = builder.build(scheme)?;
-        Ok(DeltaApplied { graph, added, removed })
+        Ok(effect)
     }
 }
 
-/// The result of applying an [`EdgeDelta`]: the rebuilt graph plus the
-/// *effective* operations (no-ops excluded), in sorted `(u, v)` order.
-#[derive(Debug, Clone)]
-pub struct DeltaApplied {
-    /// The post-churn graph (same node set, rebuilt adjacency).
-    pub graph: SocialGraph,
+/// The *effective* operations of an applied delta (no-ops excluded), in
+/// sorted `(u, v)` order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct DeltaEffect {
     /// Edges that were actually inserted, sorted `(min, max)` pairs.
     pub added: Vec<(u32, u32)>,
     /// Edges that were actually deleted, sorted `(min, max)` pairs.
     pub removed: Vec<(u32, u32)>,
 }
 
-impl DeltaApplied {
-    /// Number of edges whose presence actually changed.
-    pub fn touched_edge_count(&self) -> usize {
-        self.added.len() + self.removed.len()
-    }
-
+impl DeltaEffect {
     /// Whether the delta had no effect on the edge set.
     pub fn is_noop(&self) -> bool {
         self.added.is_empty() && self.removed.is_empty()
@@ -264,19 +267,37 @@ impl DeltaApplied {
     /// Weights derive from degrees, so these are exactly the nodes whose
     /// in-weight distributions changed, which is the invalidation
     /// unit for walk repair: a stored walk is stale iff it drew a step
-    /// at a touched node.
+    /// at a touched node. They are also the only rows a patch rewrites.
     pub fn touched_nodes(&self) -> Vec<u32> {
         let mut nodes: Vec<u32> =
-            self.added.iter().chain(self.removed.iter()).flat_map(|&(u, v)| [u, v]).collect();
+            self.added.iter().chain(&self.removed).flat_map(|&(u, v)| [u, v]).collect();
         nodes.sort_unstable();
         nodes.dedup();
         nodes
     }
 }
 
+/// The result of applying an [`EdgeDelta`] to a copy: the patched graph
+/// and the delta's effect.
+#[derive(Debug, Clone)]
+pub struct DeltaApplied {
+    /// The post-churn graph (same node set, patched rows).
+    pub graph: SocialGraph,
+    /// The effective operations, no-ops excluded.
+    pub effect: DeltaEffect,
+}
+
+impl DeltaApplied {
+    /// The effect's [`touched_nodes`](DeltaEffect::touched_nodes).
+    pub fn touched_nodes(&self) -> Vec<u32> {
+        self.effect.touched_nodes()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphBuilder;
 
     fn path_graph(n: usize) -> SocialGraph {
         let mut b = GraphBuilder::new();
@@ -338,11 +359,10 @@ mod tests {
         d.add(0, 2).unwrap();
         d.remove(3, 4).unwrap();
         let applied = d.apply(&g, WeightScheme::UniformByDegree).unwrap();
-        assert_eq!(applied.added, vec![(0, 2)]);
-        assert_eq!(applied.removed, vec![(3, 4)]);
-        assert_eq!(applied.touched_edge_count(), 2);
+        assert_eq!(applied.effect.added, vec![(0, 2)]);
+        assert_eq!(applied.effect.removed, vec![(3, 4)]);
         assert_eq!(applied.touched_nodes(), vec![0, 2, 3, 4]);
-        assert!(!applied.is_noop());
+        assert!(!applied.effect.is_noop());
         assert_eq!(applied.graph.edge_count(), 4);
         assert!(applied.graph.has_edge(NodeId::new(0), NodeId::new(2)));
         assert!(!applied.graph.has_edge(NodeId::new(3), NodeId::new(4)));
@@ -357,6 +377,43 @@ mod tests {
         let err =
             EdgeDelta::parse("+0:9").unwrap().apply(&g, WeightScheme::UniformByDegree).unwrap_err();
         assert!(matches!(err, GraphError::NodeOutOfRange { node: 9, node_count: 4 }));
+        // A mixed batch is validated whole before its first write: the
+        // valid removal must not land when the add is out of range,
+        // whether it sorts before the bad op or after it.
+        for spec in ["-2:3,+0:999", "-2:3,+3:999"] {
+            let mixed = EdgeDelta::parse(spec).unwrap();
+            let err = mixed.apply(&g, WeightScheme::UniformByDegree).unwrap_err();
+            assert!(matches!(err, GraphError::NodeOutOfRange { node: 999, node_count: 4 }));
+            let mut patched = g.clone();
+            let err = mixed.apply_in_place(&mut patched).unwrap_err();
+            assert!(matches!(err, GraphError::NodeOutOfRange { node: 999, node_count: 4 }));
+            assert_eq!(patched, g, "{spec}: a failing batch leaves the graph as it was");
+        }
+    }
+
+    #[test]
+    fn in_place_patch_equals_the_copy_and_reports_the_same_effect() {
+        let g = path_graph(6);
+        // Repeated ops on one edge (last wins), a no-op add, a leaf
+        // trading its only edge and a row growing.
+        let delta = EdgeDelta::parse("+1:4,-1:4,+1:4,+0:1,-4:5,+1:5").unwrap();
+        let applied = delta.apply(&g, WeightScheme::UniformByDegree).unwrap();
+        let mut patched = g.clone();
+        let effect = delta.apply_in_place(&mut patched).unwrap();
+        assert_eq!(patched, applied.graph);
+        assert_eq!(effect, applied.effect);
+        assert_eq!(effect.added, vec![(1, 4), (1, 5)]);
+        assert_eq!(effect.removed, vec![(4, 5)]);
+        assert_eq!(patched.neighbors(NodeId::new(1)), &[0, 2, 4, 5].map(NodeId::new));
+        assert_eq!(patched.degree(NodeId::new(5)), 1);
+        assert_eq!(patched.edge_count(), 6);
+        // The rows equal a fresh build's, so do the weights they imply.
+        let mut b = GraphBuilder::new();
+        b.add_edges(patched.edges().map(|(u, v)| (u.index(), v.index()))).unwrap();
+        let fresh = b.reserve_nodes(6).build(WeightScheme::UniformByDegree).unwrap();
+        assert_eq!(patched, fresh);
+        assert!(delta.apply_in_place(&mut patched).unwrap().is_noop(), "a delta is idempotent");
+        assert_eq!(patched, fresh);
     }
 
     #[test]
@@ -382,7 +439,7 @@ mod tests {
     fn noop_delta_rebuilds_identical_weights() {
         let g = path_graph(5);
         let applied = EdgeDelta::new().apply(&g, WeightScheme::UniformByDegree).unwrap();
-        assert!(applied.is_noop());
+        assert!(applied.effect.is_noop());
         assert_eq!(applied.touched_nodes(), Vec::<u32>::new());
         for v in 0..5 {
             let v = NodeId::new(v);

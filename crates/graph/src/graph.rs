@@ -14,8 +14,11 @@ use serde::{Deserialize, Serialize};
 /// `Σ_u w(u,v) ≤ 1` holds for every node up to rounding.
 ///
 /// Neighbor lists are kept sorted by node id, enabling `O(log d)` edge
-/// queries via binary search.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// queries via binary search, and an edge delta
+/// ([`EdgeDelta::apply_in_place`](crate::EdgeDelta::apply_in_place))
+/// inserts into or removes from its endpoints' rows alone, in
+/// `O(|N_u| + |N_v|)`.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SocialGraph {
     /// `adj[v]` = sorted neighbor ids of node `v`.
     adj: Vec<Vec<NodeId>>,
@@ -28,6 +31,28 @@ impl SocialGraph {
     /// [`GraphBuilder`](crate::GraphBuilder); not public.
     pub(crate) fn from_parts(adj: Vec<Vec<NodeId>>, edge_count: usize) -> Self {
         SocialGraph { adj, edge_count }
+    }
+
+    /// Inserts `{u, v}` into both sorted rows. Returns `false`, and
+    /// changes nothing, when the edge is already present.
+    pub(crate) fn insert_edge(&mut self, u: NodeId, v: NodeId) -> bool {
+        let Err(at) = self.adj[u.index()].binary_search(&v) else { return false };
+        self.adj[u.index()].insert(at, v);
+        let at = self.adj[v.index()].binary_search(&u).expect_err("rows are symmetric");
+        self.adj[v.index()].insert(at, u);
+        self.edge_count += 1;
+        true
+    }
+
+    /// Removes `{u, v}` from both sorted rows. Returns `false`, and
+    /// changes nothing, when the edge is absent.
+    pub(crate) fn remove_edge(&mut self, u: NodeId, v: NodeId) -> bool {
+        let Ok(at) = self.adj[u.index()].binary_search(&v) else { return false };
+        self.adj[u.index()].remove(at);
+        let at = self.adj[v.index()].binary_search(&u).expect("rows are symmetric");
+        self.adj[v.index()].remove(at);
+        self.edge_count -= 1;
+        true
     }
 
     /// Number of users `n = |V|`.
@@ -101,7 +126,7 @@ impl SocialGraph {
         (0..self.node_count()).map(NodeId::new)
     }
 
-    /// Builds the immutable CSR snapshot used by the sampling hot paths.
+    /// Builds the CSR snapshot used by the sampling hot paths.
     pub fn to_csr(&self) -> CsrGraph {
         CsrGraph::from_social_graph(self)
     }

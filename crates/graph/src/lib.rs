@@ -13,9 +13,10 @@
 //!
 //! * [`SocialGraph`] — sorted adjacency lists, built through
 //!   [`GraphBuilder`] under the one [`WeightScheme`];
-//! * [`CsrGraph`] — an immutable compressed-sparse-row snapshot with one
-//!   packed record per node, the hot-path structure used by realization
-//!   sampling in `raf-model`;
+//! * [`CsrGraph`] — a compressed-sparse-row snapshot with one packed
+//!   record per node, the hot-path structure used by realization
+//!   sampling in `raf-model`, which an edge delta patches row by row;
+//! * [`EdgeDelta`] — batched edge churn, applied in place;
 //! * [`generators`] — Erdős–Rényi, Barabási–Albert, Holme–Kim, and
 //!   deterministic fixture graphs;
 //! * [`io`] — SNAP-compatible edge-list reading and writing;
@@ -67,7 +68,7 @@ pub use biconnected::BlockCutTree;
 pub use builder::GraphBuilder;
 pub use components::{connected_components, ComponentLabels};
 pub use csr::CsrGraph;
-pub use delta::{DeltaApplied, DeltaOp, EdgeDelta};
+pub use delta::{DeltaApplied, DeltaEffect, DeltaOp, EdgeDelta};
 pub use error::GraphError;
 pub use graph::SocialGraph;
 pub use metrics::{clustering_coefficient, DegreeHistogram, GraphMetrics};

@@ -31,7 +31,7 @@ impl NodeId {
     /// Panics if `index` exceeds `u32::MAX` (graphs are capped at 2^32 − 1
     /// nodes, comfortably above the paper's largest dataset).
     #[inline]
-    pub fn new(index: usize) -> Self {
+    pub const fn new(index: usize) -> Self {
         debug_assert!(index <= u32::MAX as usize, "node index overflows u32");
         NodeId(index as u32)
     }

@@ -325,8 +325,9 @@ pub struct SessionStats {
 /// A serving session: one resident [`CsrGraph`] snapshot, a
 /// [`PoolCache`] of sampled pools, and the configuration that makes
 /// every answer a pure function of the query. The snapshot is borrowed
-/// until the first [`apply_delta`](Self::apply_delta), which replaces it
-/// with an owned post-delta rebuild.
+/// until the first [`apply_delta`](Self::apply_delta), which clones it
+/// once; that delta and every later one patch the owned copy's touched
+/// rows in place ([`CsrGraph::patch_rows`]).
 ///
 /// Failure paths are part of the contract: a panic anywhere in the query
 /// pipeline is contained to that query ([`ServeError::Internal`]), and a
@@ -419,7 +420,7 @@ impl<'g> SessionContext<'g> {
     }
 
     /// The snapshot queries run against: the borrowed one until the
-    /// first delta, the owned post-delta rebuild after.
+    /// first delta, the owned, patched copy after.
     pub(crate) fn active_csr(&self) -> &CsrGraph {
         &self.csr
     }
@@ -690,10 +691,17 @@ impl<'g> SessionContext<'g> {
         })
     }
 
-    /// Applies an edge delta to the session: rebuilds the resident
-    /// snapshot from the post-delta graph (node set frozen; the original
-    /// relabeling, if any, stays in force) and repairs resident cache
-    /// entries **in place** instead of flushing them.
+    /// Applies an edge delta to the session: patches the caller's graph
+    /// and the resident snapshot in place, rewriting only the delta's
+    /// endpoints' rows (node set frozen; the original relabeling, if any,
+    /// stays in force), and repairs resident cache entries **in place**
+    /// instead of flushing them. When `social` and the snapshot were in
+    /// step before the delta, the patched snapshot equals a rebuild of the
+    /// post-delta graph in every row and record bit, so every answer is
+    /// what a fresh session over that graph would sample. The patch
+    /// rewrites only the touched rows (unless a row outgrows its slots,
+    /// which rebuilds the snapshot from `social`), so a row on which the
+    /// two views disagreed beforehand may stay as it was.
     ///
     /// Per entry, the edge→walk index resolves exactly the stored walks
     /// that drew a step at a touched endpoint; only that multiplicity
@@ -705,15 +713,19 @@ impl<'g> SessionContext<'g> {
     /// resamples from the pure pool seed like any cold miss. A no-op
     /// delta (every op already satisfied) changes nothing.
     ///
-    /// `social` is the caller's canonical edge-list graph — the same one
-    /// the resident snapshot was built from — and is advanced to the
-    /// post-delta graph on success, keeping the two views in lockstep
-    /// across a churn stream.
+    /// `social` is the caller's canonical edge-list graph — the one the
+    /// resident snapshot was built from, as every earlier delta of the
+    /// session left it — and is patched to the post-delta graph on
+    /// success, keeping the two views in lockstep across a churn stream.
+    /// `scheme` is the one [`WeightScheme`], under which weights follow
+    /// the degrees, so the patched rows are the whole update.
     ///
     /// # Errors
     ///
     /// [`ServeError::Delta`] if the delta does not apply (out-of-range
-    /// endpoint, self-loop); the graph and all pools are unchanged.
+    /// endpoint, self-loop). The whole batch is validated before the
+    /// first write, so the caller's graph, the snapshot and all pools are
+    /// unchanged.
     pub fn apply_delta(
         &mut self,
         delta: &EdgeDelta,
@@ -725,26 +737,28 @@ impl<'g> SessionContext<'g> {
             self.active_csr().node_count(),
             "social graph and resident snapshot must describe the same node set"
         );
-        let applied = delta.apply(social, scheme).map_err(ServeError::Delta)?;
-        let touched = applied.touched_nodes();
+        debug_assert_eq!(
+            social.edge_count(),
+            self.active_csr().edge_count(),
+            "social graph and resident snapshot must be in step before a delta"
+        );
+        let WeightScheme::UniformByDegree = scheme;
+        let effect = delta.apply_in_place(social).map_err(ServeError::Delta)?;
+        let touched = effect.touched_nodes();
         let mut outcome = DeltaOutcome {
-            added: applied.added.len(),
-            removed: applied.removed.len(),
+            added: effect.added.len(),
+            removed: effect.removed.len(),
             touched_nodes: touched.len(),
             repaired: 0,
             untouched: 0,
             flushed: 0,
             resampled_walks: 0,
-            noop: applied.is_noop(),
+            noop: effect.is_noop(),
         };
-        if applied.is_noop() {
+        if effect.is_noop() {
             return Ok(outcome);
         }
-        self.csr = Cow::Owned(match &self.relabeling {
-            None => applied.graph.to_csr(),
-            Some(r) => applied.graph.to_csr_relabeled(r),
-        });
-        *social = applied.graph;
+        self.csr.to_mut().patch_rows(social, &touched, self.relabeling.as_deref());
         self.delta_serial += 1;
 
         let keys: Vec<PoolKey> = self.cache.lru_keys().to_vec();
@@ -855,6 +869,18 @@ mod tests {
 
     fn q(alpha: f64, budget: u64) -> Query {
         Query { s: NodeId::new(0), t: NodeId::new(1), alpha, budget }
+    }
+
+    /// Whether `a` and `b` hold the same rows and totals, bit for bit,
+    /// wherever each row sits in its slot array (a row's length is its
+    /// degree, and each record's `scale` follows from the two).
+    fn same_snapshot(a: &CsrGraph, b: &CsrGraph) -> bool {
+        a.node_count() == b.node_count()
+            && a.edge_count() == b.edge_count()
+            && a.nodes().all(|v| {
+                a.neighbors(v) == b.neighbors(v)
+                    && a.total_in_weight(v).to_bits() == b.total_in_weight(v).to_bits()
+            })
     }
 
     fn assert_equivalent(a: &QueryAnswer, b: &QueryAnswer) {
@@ -1356,20 +1382,57 @@ mod tests {
         let mut ctx =
             SessionContext::new(&csr, ServeConfig { walks: 8_000, seed: 5, ..Default::default() });
         let before = ctx.query(&q(0.4, 8_000)).unwrap();
-        let err = ctx
-            .apply_delta(
-                &EdgeDelta::parse("+0:999").unwrap(),
-                &mut social,
-                WeightScheme::UniformByDegree,
-            )
-            .unwrap_err();
-        assert!(matches!(err, ServeError::Delta(_)));
-        assert_eq!(err.code(), "delta");
-        assert_eq!(social.edge_count(), 9, "the caller's graph is unchanged");
-        assert_eq!(ctx.deltas_applied(), 0);
+        let pool = ctx.pool(NodeId::new(0), NodeId::new(1), 8_000).unwrap();
+        let original = social.clone();
+        // A lone out-of-range op, and mixed batches whose valid removal
+        // must not land either, whether it sorts before the bad op or
+        // after it: the batch is validated whole before the first write.
+        for spec in ["+0:999", "-2:3,+0:999", "-2:3,+5:999"] {
+            let err = ctx
+                .apply_delta(
+                    &EdgeDelta::parse(spec).unwrap(),
+                    &mut social,
+                    WeightScheme::UniformByDegree,
+                )
+                .unwrap_err();
+            assert!(matches!(err, ServeError::Delta(_)), "{spec}");
+            assert_eq!(err.code(), "delta");
+            assert_eq!(social, original, "{spec}: the caller's graph is unchanged");
+            assert!(same_snapshot(ctx.active_csr(), &csr), "{spec}: the snapshot is unchanged");
+            assert_eq!(ctx.deltas_applied(), 0);
+            let resident = ctx.pool(NodeId::new(0), NodeId::new(1), 8_000).unwrap();
+            assert!(Arc::ptr_eq(&resident, &pool), "{spec}: the resident pool is unchanged");
+        }
         let after = ctx.query(&q(0.4, 8_000)).unwrap();
         assert!(after.cache_hit);
         assert_equivalent(&before, &after);
+    }
+
+    #[test]
+    fn patched_session_snapshot_equals_a_rebuild() {
+        // The session clones its borrowed snapshot once and patches the
+        // copy's touched rows; after every delta it equals a fresh build
+        // of the caller's patched graph, on both layouts.
+        let deltas = ["-2:3,+3:6", "+0:5,-4:5", "-3:6,+2:3,-0:5", "+4:5,+2:7,-2:7"];
+        let plain_social = routes_social();
+        let r = Arc::new(Relabeling::hub_bfs(&plain_social));
+        let plain_csr = plain_social.to_csr();
+        let relab_csr = plain_social.to_csr_relabeled(&r);
+        let cfg = ServeConfig { walks: 4_000, seed: 3, ..Default::default() };
+        let mut plain = SessionContext::new(&plain_csr, cfg.clone());
+        let mut relab = SessionContext::with_relabeling(&relab_csr, Arc::clone(&r), cfg);
+        let (mut plain_social, mut relab_social) = (plain_social.clone(), plain_social);
+        for spec in deltas {
+            let delta = EdgeDelta::parse(spec).unwrap();
+            plain.apply_delta(&delta, &mut plain_social, WeightScheme::UniformByDegree).unwrap();
+            relab.apply_delta(&delta, &mut relab_social, WeightScheme::UniformByDegree).unwrap();
+            assert_eq!(plain_social, relab_social);
+            assert!(same_snapshot(plain.active_csr(), &plain_social.to_csr()), "{spec}");
+            let rebuilt = relab_social.to_csr_relabeled(&r);
+            assert!(same_snapshot(relab.active_csr(), &rebuilt), "{spec}");
+        }
+        let original = routes_social().to_csr();
+        assert!(same_snapshot(&plain_csr, &original), "the borrowed snapshot is never written");
     }
 
     #[test]

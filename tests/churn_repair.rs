@@ -1,8 +1,16 @@
-//! Incremental pool repair versus resample-from-scratch.
+//! Incremental pool repair versus resample-from-scratch, and patched
+//! snapshots versus rebuilt ones.
+//!
+//! A delta patches the graph and the CSR in place: only its endpoints'
+//! rows are rewritten. `patched_snapshots_equal_rebuilt_ones` holds a
+//! patched graph, CSR and pool equal to a rebuild of the post-churn edge
+//! list after every delta of random streams, on the plain and hub-BFS
+//! layouts and on both walk loops.
 //!
 //! `repair_pool` drops exactly the stored walks that drew a step at a
 //! churned endpoint and re-samples their multiplicity mass on the
-//! post-delta graph. These tests pin down both halves of that contract:
+//! post-delta graph. The other tests pin down both halves of that
+//! contract:
 //!
 //! * **exactly** — conservation of the walk tally, stale-mass
 //!   accounting, retention of untouched paths, byte-level determinism
@@ -15,11 +23,14 @@
 //!   bias bounded by the type-0 share of the touched buckets).
 
 use proptest::prelude::*;
-use raf_graph::{CsrGraph, EdgeDelta, GraphBuilder, NodeId, SocialGraph, WeightScheme};
-use raf_model::sampler::{repair_pool, PoolRepair, SampleRequest};
+use raf_graph::{CsrGraph, EdgeDelta, GraphBuilder, NodeId, Relabeling, SocialGraph, WeightScheme};
+use raf_model::sampler::{repair_pool, PoolRepair, SampleRequest, AUTO_LOCKSTEP_NODES};
 use raf_model::walk_index::EdgeWalkIndex;
 use raf_model::FriendingInstance;
-use std::collections::HashSet;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::{BTreeSet, HashSet};
+use std::sync::Arc;
 
 /// Branching fixture (`s = 0`, `t = 1`): multiple routes with shared
 /// interior nodes, so churn at `{4, 5}` or `{2, 3}` invalidates a real
@@ -61,7 +72,7 @@ proptest! {
 
         let delta = interior_delta(which);
         let applied = delta.apply(&social, WeightScheme::UniformByDegree).unwrap();
-        prop_assert!(!applied.is_noop());
+        prop_assert!(!applied.effect.is_noop());
         let touched = applied.touched_nodes();
         let post_csr = applied.graph.to_csr();
         let post_inst = FriendingInstance::new(&post_csr, s, t).unwrap();
@@ -301,4 +312,185 @@ fn sequential_and_batched_repairs_conserve_identically() {
     // mass (coarse sanity bound; the distributional test above is the
     // sharp one).
     assert!((current.pmax_estimate() - batched.pmax_estimate()).abs() < 0.1);
+}
+
+/// Cases of `patched_snapshots_equal_rebuilt_ones`: 12, or
+/// `PROPTEST_CASES` when it asks for more (CI runs 256). The vendored
+/// `ProptestConfig::with_cases` ignores the environment.
+fn patch_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|raw| raw.trim().parse::<u32>().ok())
+        .map_or(12, |cases| cases.max(12))
+}
+
+/// Nodes of the churned graph before padding: hubs 0 and 1, the rest
+/// leaves of one hub, of both, or of none.
+const PATCH_NODES: u32 = 24;
+
+/// A hub graph drawn from `rng`: each leaf befriends each hub with
+/// probability 0.6, and a few leaves befriend each other, so the graph
+/// has rows of degree 0, 1 and about 14.
+fn hub_edges(rng: &mut StdRng) -> BTreeSet<(u32, u32)> {
+    let mut edges = BTreeSet::new();
+    for leaf in 2..PATCH_NODES {
+        for hub in 0..2 {
+            if rng.gen_bool(0.6) {
+                edges.insert((hub, leaf));
+            }
+        }
+    }
+    for _ in 0..4 {
+        let (a, b) = (rng.gen_range(2..PATCH_NODES), rng.gen_range(2..PATCH_NODES));
+        if a != b {
+            edges.insert((a.min(b), a.max(b)));
+        }
+    }
+    edges
+}
+
+/// The graph of `edges` on `nodes` nodes, built from scratch.
+fn rebuild(edges: &BTreeSet<(u32, u32)>, nodes: usize) -> SocialGraph {
+    let mut b = GraphBuilder::new();
+    b.add_edges(edges.iter().map(|&(u, v)| (u as usize, v as usize))).unwrap();
+    b.reserve_nodes(nodes).build(WeightScheme::UniformByDegree).unwrap()
+}
+
+/// One random delta over `edges` (the current edge set): adds and
+/// removes at the hubs, edges that take a node's degree between 0 and 1,
+/// uniform ops that are often no-ops, and repeats or reversals of an
+/// earlier op of the batch. `edges` advances op by op, in arrival order.
+fn random_delta(rng: &mut StdRng, edges: &mut BTreeSet<(u32, u32)>) -> EdgeDelta {
+    let mut delta = EdgeDelta::new();
+    let mut ops: Vec<(bool, u32, u32)> = Vec::new();
+    for _ in 0..rng.gen_range(1..6) {
+        let op = match rng.gen_range(0..10) {
+            0..=3 => (rng.gen_bool(0.5), rng.gen_range(0..2), rng.gen_range(2..PATCH_NODES)),
+            4..=6 => {
+                // A node of degree at most 1 gains an edge or loses its one.
+                let degree = |v: u32| edges.iter().filter(|&&(a, b)| a == v || b == v).count();
+                let low: Vec<u32> = (0..PATCH_NODES).filter(|&v| degree(v) <= 1).collect();
+                let Some(&v) = low.get(rng.gen_range(0..low.len().max(1))) else { continue };
+                match edges.iter().find(|&&(a, b)| a == v || b == v) {
+                    Some(&(a, b)) => (false, a, b),
+                    None => (true, v, rng.gen_range(0..PATCH_NODES)),
+                }
+            }
+            7..=8 => {
+                (rng.gen_bool(0.5), rng.gen_range(0..PATCH_NODES), rng.gen_range(0..PATCH_NODES))
+            }
+            _ => match ops.last() {
+                Some(&(add, u, v)) => (if rng.gen_bool(0.5) { add } else { !add }, v, u),
+                None => continue,
+            },
+        };
+        let (add, u, v) = op;
+        if u == v {
+            continue;
+        }
+        let key = (u.min(v), u.max(v));
+        if add {
+            delta.add(u as usize, v as usize).unwrap();
+            edges.insert(key);
+        } else {
+            delta.remove(u as usize, v as usize).unwrap();
+            edges.remove(&key);
+        }
+        ops.push(op);
+    }
+    delta
+}
+
+/// A pair `(s, t)` that forms an instance on `g`, preferring a hub as
+/// `s`, or `None` when there is none.
+fn patch_pair(g: &SocialGraph) -> Option<(NodeId, NodeId)> {
+    (0..PATCH_NODES as usize).map(NodeId::new).filter(|&s| g.degree(s) > 0).find_map(|s| {
+        (0..PATCH_NODES as usize)
+            .rev()
+            .map(NodeId::new)
+            .find(|&t| t != s && g.degree(t) > 0 && !g.has_edge(s, t))
+            .map(|t| (s, t))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(patch_cases()))]
+
+    /// After every delta of a random stream, the graph and CSR patched
+    /// in place equal a rebuild of the post-churn edge list: the graph
+    /// row for row, the CSR in every row, degree, `total` bit and the edge
+    /// count, on the plain and hub-BFS layouts. Pools sampled on the
+    /// patched and the rebuilt CSR are bit-identical, on the graph as
+    /// drawn (scalar loop) and padded past `AUTO_LOCKSTEP_NODES` with
+    /// isolated nodes (lockstep loop).
+    #[test]
+    fn patched_snapshots_equal_rebuilt_ones(seed in 0u64..100_000) {
+        let start = hub_edges(&mut StdRng::seed_from_u64(seed));
+        for nodes in [PATCH_NODES as usize + 2, AUTO_LOCKSTEP_NODES] {
+            let initial = rebuild(&start, nodes);
+            let layouts = [None, Some(Arc::new(Relabeling::hub_bfs(&initial)))];
+            for relabeling in layouts {
+                let build = |g: &SocialGraph| match &relabeling {
+                    None => g.to_csr(),
+                    Some(r) => g.to_csr_relabeled(r),
+                };
+                let mut rng = StdRng::seed_from_u64(seed ^ 0xC4_0B);
+                let mut edges = start.clone();
+                let mut social = initial.clone();
+                let mut csr = build(&social);
+                for step in 0..10u64 {
+                    let before = edges.clone();
+                    let delta = random_delta(&mut rng, &mut edges);
+                    let effect = delta.apply_in_place(&mut social).unwrap();
+                    let touched: BTreeSet<u32> = before
+                        .symmetric_difference(&edges)
+                        .flat_map(|&(u, v)| [u, v])
+                        .collect();
+                    prop_assert_eq!(
+                        effect.touched_nodes(), touched.into_iter().collect::<Vec<_>>(),
+                        "step {} of {}", step, delta.spec()
+                    );
+                    csr.patch_rows(&social, &effect.touched_nodes(), relabeling.as_deref());
+
+                    let fresh = rebuild(&edges, nodes);
+                    prop_assert_eq!(social.edge_count(), fresh.edge_count());
+                    for v in fresh.nodes() {
+                        prop_assert_eq!(social.neighbors(v), fresh.neighbors(v), "row {:?}", v);
+                    }
+                    prop_assert!(social == fresh);
+
+                    // Each record's `scale` follows from its degree and
+                    // total in a build and a patch alike, and the pools
+                    // below select through it.
+                    let fresh_csr = build(&fresh);
+                    prop_assert_eq!(csr.edge_count(), fresh_csr.edge_count());
+                    for v in fresh_csr.nodes() {
+                        prop_assert_eq!(csr.neighbors(v), fresh_csr.neighbors(v), "row {:?}", v);
+                        prop_assert_eq!(csr.degree(v), fresh_csr.degree(v));
+                        prop_assert_eq!(
+                            csr.total_in_weight(v).to_bits(),
+                            fresh_csr.total_in_weight(v).to_bits()
+                        );
+                    }
+
+                    let Some((s, t)) = patch_pair(&fresh) else { continue };
+                    let request = SampleRequest::new(1_000).seed(seed ^ step);
+                    let (patched, rebuilt) = match &relabeling {
+                        None => (
+                            FriendingInstance::new(&csr, s, t).unwrap(),
+                            FriendingInstance::new(&fresh_csr, s, t).unwrap(),
+                        ),
+                        Some(r) => (
+                            FriendingInstance::relabeled(&csr, s, t, Arc::clone(r)).unwrap(),
+                            FriendingInstance::relabeled(&fresh_csr, s, t, Arc::clone(r)).unwrap(),
+                        ),
+                    };
+                    prop_assert_eq!(
+                        request.run(&patched), request.run(&rebuilt),
+                        "pool of ({:?}, {:?}) at step {} on {} nodes", s, t, step, nodes
+                    );
+                }
+            }
+        }
+    }
 }
